@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detval import multi_f
 from .lattices import Lattice, SingularMatrixError, matmul
 from .metric import smith_form
 from .scalars import BaseField, ValuedScalar
@@ -274,8 +273,3 @@ def _points_in_frame(frame_rows, lattices):
         points.append(ApartmentPoint(tuple(cexp)))
     return apt, points
 
-
-def apartment_check(apt: Apartment, points, idx) -> bool:
-    """Exact agreement of the assignment value with the determinant oracle."""
-    lats = [apt.lattice(p) for p in points]
-    return apartment_multi_f(apt, points, idx) == multi_f(idx, lats)

@@ -184,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="latticeval",
         description="Exact lattice-valuation computations and conjecture checks",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; all computations run single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute-f", help="determinant valuation of an instance")

@@ -9,68 +9,22 @@ equality of canonical bases is equality of the generated modules.
 from __future__ import annotations
 
 from .scalars import BaseField, LaurentPoly, ValuedScalar
+from .truncated import SingularMatrixError, canonical_basis
 
 Column = tuple[ValuedScalar, ...]
-
-
-class SingularMatrixError(ValueError):
-    """Raised when generators fail to span a full-rank module."""
-
-
-def _canonicalize(columns: list[list[ValuedScalar]], n: int) -> list[list[ValuedScalar]]:
-    """Reduce generating columns to the canonical lower-triangular basis.
-
-    At step i the minimal-valuation entry of row i among the not-yet-pivoted
-    columns becomes the pivot t^{d_i}; row i of the remaining columns is
-    cleared (their quotients are integral by pivot minimality), and row i of
-    the earlier pivot columns is reduced to its series truncated below t^{d_i}.
-    """
-    cols = [list(c) for c in columns]
-    field = cols[0][0].field
-    zero = ValuedScalar.zero(field)
-    for i in range(n):
-        pivot_at = None
-        pivot_val = None
-        for j in range(i, len(cols)):
-            if cols[j][i].is_zero():
-                continue
-            v = cols[j][i].valuation()
-            if pivot_val is None or v < pivot_val:
-                pivot_at, pivot_val = j, v
-        if pivot_at is None:
-            raise SingularMatrixError(f"generators have rank < {n}")
-        cols[i], cols[pivot_at] = cols[pivot_at], cols[i]
-        # Scale the pivot column by a unit so the pivot becomes exactly t^d.
-        tpow = ValuedScalar.t_power(field, pivot_val)
-        unit_inv = tpow / cols[i][i]
-        cols[i] = [e * unit_inv for e in cols[i]]
-        for j in range(i + 1, len(cols)):
-            if cols[j][i].is_zero():
-                continue
-            q = cols[j][i] / tpow
-            cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
-            cols[j][i] = zero
-        for j in range(i):
-            e = cols[j][i]
-            if e.is_zero():
-                continue
-            r = ValuedScalar(e.series_truncate(pivot_val))
-            q = (e - r) / tpow
-            if not q.is_zero():
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
-                cols[j][i] = r
-    return [c[:] for c in cols[:n]]
 
 
 class Lattice:
     """Immutable lattice; two instances are equal iff the modules coincide."""
 
-    __slots__ = ("n", "field", "columns", "_hash")
+    __slots__ = ("n", "field", "columns", "pivots", "_hash")
 
     def __init__(self, n: int, field: BaseField, columns: tuple[Column, ...]):
         self.n = n
         self.field = field
         self.columns = columns
+        # Diagonal exponents d_i of the canonical pivots t^{d_i}.
+        self.pivots = tuple(int(columns[i][i].valuation()) for i in range(n))
         self._hash = None
 
     @classmethod
@@ -88,9 +42,8 @@ class Lattice:
             raise SingularMatrixError("no generators")
         if any(len(c) != n for c in columns):
             raise ValueError("generator length mismatch")
-        field = columns[0][0].field
-        canon = _canonicalize(columns, n)
-        return cls(n, field, tuple(tuple(c) for c in canon))
+        canon = canonical_basis(columns, n)
+        return cls(n, columns[0][0].field, tuple(tuple(c) for c in canon))
 
     @classmethod
     def standard(cls, n: int, field: BaseField) -> "Lattice":
@@ -103,11 +56,6 @@ class Lattice:
             tuple(one if i == j else zero for i in range(n)) for j in range(n)
         )
         return cls(n, field, cols)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        """Diagonal exponents d_i of the canonical pivots t^{d_i}."""
-        return tuple(int(self.columns[i][i].valuation()) for i in range(self.n))
 
     def unary_f(self) -> int:
         """-val(det basis); the unary determinantal valuation f^t_n."""

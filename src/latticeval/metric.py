@@ -3,7 +3,9 @@
 The distance d(L, M) is the unique weakly decreasing integer vector
 (a_1, ..., a_n) such that some g carries L to the elementary lattice and M to
 <t^{-a_1}e_1, ..., t^{-a_n}e_n>.  It is computed from the Smith form of
-basis(L)^{-1} basis(M) over the valuation ring.
+basis(L)^{-1} basis(M) over the valuation ring, whose exponents come from the
+exact truncated kernel in ``truncated``; ``smith_form`` also returns the row
+transform, which ``common_apartment`` needs.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from functools import lru_cache
 
 from .lattices import Lattice, identity_matrix, matmul
 from .scalars import ValuedScalar
+from .truncated import smith_exponents
 
 Coweight = tuple[int, ...]
 
@@ -113,7 +116,8 @@ def relative_invariants(l: Lattice, m: Lattice) -> Coweight:
     if l.n != m.n:
         raise ValueError("rank mismatch")
     rel = matmul(l.basis_inverse(), [[m.columns[j][i] for j in range(m.n)] for i in range(m.n)])
-    exps, _, _ = smith_form(rel)
+    # v(det rel) is the difference of the two pivot sums.
+    exps = smith_exponents(rel, l.unary_f() - m.unary_f())
     return tuple(-e for e in exps)
 
 

@@ -3,7 +3,8 @@
 Scalars are fractions of finitely supported Laurent polynomials over a base
 field F, which is either the rationals or a prime field F_p.  Every scalar has
 an exactly computable valuation (lowest t-exponent of its series expansion)
-and leading coefficient; there is no floating point and no truncation anywhere.
+and leading coefficient; there is no floating point, and series are truncated
+only at a proven exact bound (see ``truncated``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,31 @@ from fractions import Fraction
 
 INF = math.inf
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the bases 2..37, which is deterministic for n < 2^64."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 class BaseField:
     """The coefficient field: rationals (p is None) or integers mod a prime."""
@@ -21,7 +47,9 @@ class BaseField:
 
     def __init__(self, p: int | None = None):
         if p is not None:
-            if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+            if p >= 1 << 64:
+                raise ValueError("modulus must be below 2^64")
+            if not _is_prime(p):
                 raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
 
@@ -115,13 +143,6 @@ class LaurentPoly:
         c = field.one if coeff is None else coeff
         return cls(field, {e: c})
 
-    @classmethod
-    def from_pairs(cls, field: BaseField, pairs) -> "LaurentPoly":
-        coeffs: dict = {}
-        for e, c in pairs:
-            coeffs[e] = field.add(coeffs.get(e, field.zero), c)
-        return cls(field, coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -131,9 +152,6 @@ class LaurentPoly:
     def valuation(self):
         """Lowest exponent, or +inf for the zero polynomial."""
         return min(self.coeffs) if self.coeffs else INF
-
-    def degree(self):
-        return max(self.coeffs) if self.coeffs else -INF
 
     def leading_coefficient(self):
         if not self.coeffs:

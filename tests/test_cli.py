@@ -148,6 +148,13 @@ def test_gen_deterministic(capsys):
     }
 
 
+def test_oversized_prime_field_is_an_error(capsys):
+    code, out, err = run(capsys, "gen", "--field", f"prime:{10**400 + 1}",
+                         "--kind", "apartment")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_index_sum_mismatch_is_an_error(capsys, tmp_path):
     e = Lattice.standard(2, RATIONAL)
     path = write_instance(tmp_path, [e, e], (1, 2))

@@ -40,6 +40,28 @@ def test_base_field_modes():
         BaseField(6)
 
 
+def test_prime_modulus_validation():
+    trial = [p for p in range(2, 3000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    accepted = []
+    for p in range(-2, 3000):
+        try:
+            BaseField(p)
+        except ValueError:
+            continue
+        accepted.append(p)
+    assert accepted == trial
+    # Strong pseudoprimes to small bases, a Carmichael number, and primes
+    # too large for trial division.
+    for composite in (2047, 561, 3215031751, 3825123056546413051, (2**31 - 1) ** 2):
+        with pytest.raises(ValueError):
+            BaseField(composite)
+    assert BaseField(2**61 - 1).p == 2**61 - 1
+    assert BaseField(2**64 - 59).p == 2**64 - 59
+    for too_large in (2**64 + 13, 10**400 + 1):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            BaseField(too_large)
+
+
 def test_valuation_basics():
     assert vs([]).valuation() == INF
     assert vs([(0, 1)]).valuation() == 0
