@@ -201,6 +201,13 @@ def invert_matrix(m: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:
     return [row[n:] for row in aug]
 
 
+def relative_position(first: Lattice, second: Lattice) -> list[list[ValuedScalar]]:
+    """basis(first)^{-1} basis(second) as a row-major matrix."""
+    cols = first.coordinates(second.poly_columns())
+    n = first.n
+    return [[ValuedScalar(cols[c][r]) for c in range(n)] for r in range(n)]
+
+
 def common_apartment(lattices):
     """Best-effort search for a frame containing all given lattices.
 
@@ -230,12 +237,7 @@ def common_apartment(lattices):
         if i == j:
             frame_rows = b
         else:
-            second = lattices[j]
-            rel = matmul(
-                first.basis_inverse(),
-                [[second.columns[c][r] for c in range(n)] for r in range(n)],
-            )
-            _, _, rinv = smith_form(rel)
+            _, _, rinv = smith_form(relative_position(first, lattices[j]))
             frame_rows = matmul(b, rinv)
         found = _points_in_frame(frame_rows, lattices)
         if found is not None:

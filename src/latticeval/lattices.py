@@ -107,16 +107,36 @@ class Lattice:
         t = ValuedScalar.t_power(self.field, c)
         return Lattice.from_columns([[t * e for e in col] for col in self.columns])
 
-    def basis_inverse(self) -> list[list[ValuedScalar]]:
-        """basis^{-1} as a row-major matrix (basis is upper triangular)."""
+    def coordinates(self, columns) -> list[list[LaurentPoly]]:
+        """basis^{-1} . c for each column c of Laurent polynomials, by forward
+        substitution.  The basis is lower triangular with pivots t^{d_i}, so
+        each division by a pivot is a shift and the result stays polynomial."""
         n = self.n
-        field = self.field
-        zero = ValuedScalar.zero(field)
-        inv_cols = []
-        for k in range(n):
-            e = [ValuedScalar.one(field) if i == k else zero for i in range(n)]
-            inv_cols.append(self.solve(e))
-        return [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+        below = [
+            [(j, self.columns[j][i].num) for j in range(i)
+             if not self.columns[j][i].is_zero()]
+            for i in range(n)
+        ]
+        out = []
+        for col in columns:
+            x: list[LaurentPoly] = []
+            for i in range(n):
+                acc = col[i]
+                for j, b in below[i]:
+                    if not x[j].is_zero():
+                        acc = acc - b * x[j]
+                x.append(acc.shift(-self.pivots[i]))
+            out.append(x)
+        return out
+
+    def basis_inverse(self) -> list[list[ValuedScalar]]:
+        """basis^{-1} as a row-major matrix (basis is lower triangular)."""
+        n = self.n
+        one, zero = LaurentPoly.one(self.field), LaurentPoly.zero(self.field)
+        inv_cols = self.coordinates(
+            [[one if i == k else zero for i in range(n)] for k in range(n)]
+        )
+        return [[ValuedScalar(inv_cols[j][i]) for j in range(n)] for i in range(n)]
 
     def transform(self, g: list[list[ValuedScalar]]) -> "Lattice":
         """The lattice g . L for a row-major nonsingular matrix g."""

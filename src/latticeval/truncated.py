@@ -35,10 +35,12 @@ entry has a t-adic series, which ``series_truncate`` reads modulo t^N.
 
 Smith exponents.  If A is integral and N > D = v(det A), then A and A + t^N X
 have the same invariant factors for every integral X, because t^D A^{-1} is
-integral and so I + t^N A^{-1} X lies in GL_n(O).  ``smith_exponents`` is
-given v(det) (for a relative position, the difference of two pivot sums),
-shifts the matrix to be integral, and runs the min-valuation elimination
-modulo t^{D+1}; the exponents it finds must sum to D.
+integral and so I + t^N A^{-1} X lies in GL_n(O).  ``smith_exponents`` takes
+columns of Laurent polynomials (a relative position basis(L)^{-1} basis(M) has
+them, since canonical pivots are monomials) and v(det) (there, the difference
+of two pivot sums), shifts the matrix to be integral, and runs the
+min-valuation elimination modulo t^{D+1}; the exponents it finds must sum to
+D.
 
 Coefficients.  Over F_p a series is a list of N residues.  Over Q it is a list
 of N integers: a column may be multiplied by any nonzero rational, a unit, so
@@ -195,18 +197,17 @@ def _smith(cols, n, prec, p):
 
 
 def _series_columns(columns, shift, prec, p):
-    """Columns of t^{-shift} * entry modulo t^prec; over Q each column is
-    scaled by a nonzero rational to primitive integers."""
+    """Columns of Laurent polynomials as series of t^{-shift} * entry modulo
+    t^prec; over Q each column is scaled by a nonzero rational to primitive
+    integers."""
     out = []
     for col in columns:
         rows = []
-        for e in col:
+        for poly in col:
             row = [0] * prec
-            if not e.is_zero():
-                poly = e.num if len(e.den.coeffs) == 1 else e.series_truncate(shift + prec)
-                for k, c in poly.coeffs.items():
-                    if k - shift < prec:
-                        row[k - shift] = c
+            for k, c in poly.coeffs.items():
+                if k - shift < prec:
+                    row[k - shift] = c
             rows.append(row)
         if p is None:
             den = math.lcm(*(c.denominator for row in rows for c in row if c))
@@ -214,6 +215,14 @@ def _series_columns(columns, shift, prec, p):
                                 for c in row] for row in rows])
         out.append(rows)
     return out
+
+
+def _polynomials(columns, bound):
+    """Scalar entries as Laurent polynomials that agree with them below
+    t^bound: a scalar with denominator 1 is its numerator, any other is
+    expanded as a series."""
+    return [[e.num if len(e.den.coeffs) == 1 else e.series_truncate(bound)
+             for e in col] for col in columns]
 
 
 def _least_valuation(matrix):
@@ -247,7 +256,7 @@ def canonical_basis(columns, n: int) -> list[list[ValuedScalar]]:
     bound = _degree_bound(columns, n, shift)
     prec = min(_START_PRECISION, bound + 1)
     while True:
-        cols = _series_columns(columns, shift, prec, p)
+        cols = _series_columns(_polynomials(columns, shift + prec), shift, prec, p)
         pivots = _hermite(cols, n, prec, p)
         if pivots is not None and sum(pivots) < prec:
             return _read_basis(cols, pivots, shift, field)
@@ -277,17 +286,17 @@ def _read_basis(cols, pivots, shift, field):
     return basis
 
 
-def smith_exponents(matrix, val_det: int) -> list[int]:
-    """Weakly increasing Smith exponents of a nonsingular square matrix of
-    scalars whose determinant has valuation val_det."""
-    n = len(matrix)
-    p = matrix[0][0].field.p
-    shift = _least_valuation(matrix)
+def smith_exponents(columns, val_det: int) -> list[int]:
+    """Weakly increasing Smith exponents of a nonsingular square matrix,
+    given as columns of Laurent polynomials, whose determinant has valuation
+    val_det."""
+    n = len(columns)
+    p = columns[0][0].field.p
+    shift = _least_valuation(columns)
     if shift is None:
         raise SingularMatrixError("zero matrix has no Smith form")
     prec = val_det - n * shift + 1
-    # Invariant factors are unchanged by transposition: rows serve as columns.
-    exps = _smith(_series_columns(matrix, shift, prec, p), n, prec, p)
+    exps = _smith(_series_columns(columns, shift, prec, p), n, prec, p)
     if exps is None or sum(exps) != prec - 1:
         raise ValueError("determinant valuation does not match the matrix")
     return sorted(e + shift for e in exps)

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from latticeval.cli import main
 from latticeval import serialize
@@ -160,3 +162,84 @@ def test_index_sum_mismatch_is_an_error(capsys, tmp_path):
     path = write_instance(tmp_path, [e, e], (1, 2))
     code, _, err = run(capsys, "verify", str(path))
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda d: d["lattices"][0].update(columns=5),
+    lambda d: d.update(lattices=7),
+    lambda d: d.update(indices=[1, None, 1]),
+    lambda d: [1, 2, 3],
+], ids=["columns-int", "lattices-int", "indices-null", "top-level-list"])
+def test_malformed_instance_is_an_error(capsys, tmp_path, mangle):
+    e = Lattice.standard(2, RATIONAL)
+    data = serialize.instance_to_json([e, e, e], (1, 1, 0))
+    data = mangle(data) or data
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def fuzzed_instances(draw):
+    """An instance of rank n <= 4 in which at most one part, picked at random,
+    is replaced by arbitrary shallow JSON."""
+    target = draw(st.integers(1, 100)) if draw(st.booleans()) else 0
+    parts = 0
+
+    def part(valid):
+        nonlocal parts
+        parts += 1
+        return draw(json_values) if parts == target else valid
+
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 3))
+    field = draw(st.sampled_from(["rational", "prime:2", "prime:3"]))
+    coeffs = ["1", "-2", "3"] + (["1/2"] if field == "rational" else [])
+
+    def scalar(diagonal):
+        size = draw(st.integers(1 if diagonal else 0, 2))
+        terms = [part([draw(st.integers(-2, 2)), draw(st.sampled_from(coeffs))])
+                 for _ in range(size)]
+        out = {"num": part(terms)}
+        if draw(st.integers(0, 3)) == 0:
+            out["den"] = part([[0, "1"], [1, "1"]])
+        return part(out)
+
+    def lattice():
+        cols = [part([scalar(i == j) for i in range(n)])
+                for j in range(n + draw(st.integers(0, 1)))]
+        return part({"n": part(n), "columns": part(cols)})
+
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=count - 1, max_size=count - 1)))
+    indices = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    return part({
+        "n": part(n),
+        "field": part(field),
+        "lattices": part([lattice() for _ in range(count)]),
+        "indices": part([part(i) for i in indices]),
+    })
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=fuzzed_instances() | json_values,
+       command=st.sampled_from(["verify", "compute-f", "distance", "close-case"]))
+def test_fuzzed_instances_never_raise(capsys, tmp_path, data, command):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, command, str(path))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1

@@ -1,10 +1,12 @@
-"""Differential tests of the truncated F[t]/t^N kernel against the
-fraction-field elimination it replaced, which is kept here as the reference."""
+"""Differential tests of the truncated F[t]/t^N kernel and of the polynomial
+relative position against the fraction-field routes they replaced, which are
+kept here as the references."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeval.apartment import relative_position
 from latticeval.lattices import Lattice, SingularMatrixError, matmul
 from latticeval.metric import relative_invariants, smith_form
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
@@ -56,6 +58,22 @@ def reference_canonicalize(columns, n):
                 cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
                 cols[j][i] = r
     return [c[:] for c in cols[:n]]
+
+
+def reference_inverse(lat):
+    """basis^{-1} as a row-major matrix of scalars, solving basis . x = e_k
+    over the fraction field."""
+    n, field = lat.n, lat.field
+    e = [[ValuedScalar.one(field) if i == k else ValuedScalar.zero(field)
+          for i in range(n)] for k in range(n)]
+    inv_cols = [lat.solve(col) for col in e]
+    return [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def reference_relative_position(l, m):
+    """basis(l)^{-1} basis(m), row-major, by fraction-field matmul."""
+    n = l.n
+    return matmul(reference_inverse(l), [[m.columns[j][i] for j in range(n)] for i in range(n)])
 
 
 @st.composite
@@ -147,9 +165,12 @@ def test_smith_exponents_match_smith_form(case):
         m = Lattice.from_generators(second, n)
     except SingularMatrixError:
         return
-    rel = matmul(l.basis_inverse(), [[m.columns[j][i] for j in range(n)] for i in range(n)])
+    rel = reference_relative_position(l, m)
     exps, _, _ = smith_form(rel)
-    assert smith_exponents(rel, l.unary_f() - m.unary_f()) == exps
+    assert l.basis_inverse() == reference_inverse(l)
+    assert relative_position(l, m) == rel
+    rel_columns = [[rel[i][j].num for i in range(n)] for j in range(n)]
+    assert smith_exponents(rel_columns, l.unary_f() - m.unary_f()) == exps
     assert relative_invariants(l, m) == tuple(-e for e in exps)
 
 
@@ -164,7 +185,8 @@ def test_high_valuation_pivots_need_doubling():
 
 
 def test_smith_exponents_reject_wrong_determinant_valuation():
-    one = ValuedScalar.one(RATIONAL)
-    t = ValuedScalar.t_power(RATIONAL, 1)
+    one = LaurentPoly.one(RATIONAL)
+    zero = LaurentPoly.zero(RATIONAL)
+    t = LaurentPoly.t_power(RATIONAL, 1)
     with pytest.raises(ValueError):
-        smith_exponents([[one, ValuedScalar.zero(RATIONAL)], [ValuedScalar.zero(RATIONAL), t]], 2)
+        smith_exponents([[one, zero], [zero, t]], 2)
