@@ -5,9 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattices import Lattice, SingularMatrixError, matmul
-from .metric import smith_form
-from .scalars import BaseField, ValuedScalar
+from .lattices import Lattice, SingularMatrixError
+from .scalars import BaseField, LaurentPoly, ValuedScalar
 
 
 @dataclass(frozen=True)
@@ -108,13 +107,9 @@ class Apartment:
         self.n = n
         self.field = basis[0][0].field
         self.basis = tuple(tuple(col) for col in basis)  # columns
-        # Nonsingularity check (and the valuation offset used throughout).
-        from .detval import det_scalar
-
-        d = det_scalar([[self.basis[j][i] for j in range(n)] for i in range(n)])
-        if d.is_zero():
-            raise SingularMatrixError("frame columns are dependent")
-        self.det_valuation = int(d.valuation())
+        # The canonical basis spans the frame's lattice, so its pivot sum is
+        # v(det frame); dependent columns raise SingularMatrixError.
+        self.det_valuation = sum(Lattice.from_columns(self.basis).pivots)
 
     @classmethod
     def standard(cls, n: int, field: BaseField) -> "Apartment":
@@ -201,27 +196,112 @@ def invert_matrix(m: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:
     return [row[n:] for row in aug]
 
 
-def relative_position(first: Lattice, second: Lattice) -> list[list[ValuedScalar]]:
-    """basis(first)^{-1} basis(second) as a row-major matrix."""
+def relative_position(first: Lattice, second: Lattice) -> list[list[LaurentPoly]]:
+    """basis(first)^{-1} basis(second) as a row-major matrix of Laurent
+    polynomials."""
     cols = first.coordinates(second.poly_columns())
     n = first.n
-    return [[ValuedScalar(cols[c][r]) for c in range(n)] for r in range(n)]
+    return [[cols[c][r] for c in range(n)] for r in range(n)]
+
+
+def smith_transform(m: list[list[LaurentPoly]]):
+    """Fraction-free Smith diagonalization over O = F[[t]].
+
+    Returns (exps, C) with C a row-major matrix in GL_n(O) such that
+    R . m . C = diag(t^{e_i} w_i) for some R in GL_n(O) and units w_i.  The
+    pivots are chosen as in ``smith_form`` (minimal valuation, ties broken by
+    lowest (row, column)), but a step multiplies by the pivot unit u instead
+    of dividing by it, so every entry stays a Laurent polynomial.  Each row
+    and column is then a unit multiple of the one ``smith_form`` has at the
+    same step: the valuations and pivots agree, and C differs from its column
+    transform only by a diagonal of units.
+    """
+    n = len(m)
+    m = [row[:] for row in m]
+    field = m[0][0].field
+    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    c = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    exps: list[int] = []
+    for i in range(n):
+        pos = best = None
+        for rr in range(i, n):
+            for cc in range(i, n):
+                if m[rr][cc].is_zero():
+                    continue
+                v = m[rr][cc].valuation()
+                if best is None or v < best:
+                    best, pos = v, (rr, cc)
+        if pos is None:
+            raise SingularMatrixError("singular matrix in Smith form")
+        rr, cc = pos
+        m[i], m[rr] = m[rr], m[i]
+        for row in m + c:
+            row[i], row[cc] = row[cc], row[i]
+        u = m[i][i].shift(-best)
+        for rr in range(i + 1, n):
+            if not m[rr][i].is_zero():
+                q = m[rr][i].shift(-best)
+                m[rr] = [u * x - q * y for x, y in zip(m[rr], m[i])]
+        # Column i is now zero below the pivot, so a column step clears row i
+        # and scales the rest of column cc by u.
+        for cc in range(i + 1, n):
+            if not m[i][cc].is_zero():
+                q = m[i][cc].shift(-best)
+                for row in c:
+                    row[cc] = u * row[cc] - q * row[i]
+                for row in m[i + 1:]:
+                    row[cc] = u * row[cc]
+                m[i][cc] = zero
+        exps.append(best)
+    return exps, c
+
+
+def _smith_frame(first: Lattice, second: Lattice) -> list[list[LaurentPoly]]:
+    """Columns x_i = (basis(second) . C)_i t^{-e_i} of the Smith frame of the
+    pair.  basis(first)^{-1} x_i is column i of R^{-1} diag(w), so the frame
+    spans first, and v(det frame) is the pivot sum of first."""
+    exps, c = smith_transform(relative_position(first, second))
+    b = second.poly_columns()
+    frame = []
+    for j, e in enumerate(exps):
+        col = [LaurentPoly.zero(first.field)] * first.n
+        for k, bk in enumerate(b):
+            if not c[k][j].is_zero():
+                col = [x + y * c[k][j] for x, y in zip(col, bk)]
+        frame.append([x.shift(-e) for x in col])
+    return frame
+
+
+def _frame_points(frame, det_valuation: int, lattices):
+    """The point of each lattice in the frame, or None if one is not in it.
+
+    For a lattice K let Y = basis(K)^{-1} X and m_i the least valuation in
+    column i of Y.  K = <t^{-c_i} x_i> iff Y diag(t^{-c}) lies in GL_n(O).
+    Integral columns need c <= m, and a column with c_i < m_i is divisible
+    by t, so det has positive valuation.  Hence K lies in the frame iff
+    v(det Y) = v(det X) - sum(pivots(K)) equals sum(m), and then c = m.
+    """
+    points = []
+    for lat in lattices:
+        least = [min(e.valuation() for e in col) for col in lat.coordinates(frame)]
+        if det_valuation - sum(lat.pivots) != sum(least):
+            return None
+        points.append(ApartmentPoint(tuple(least)))
+    return points
 
 
 def common_apartment(lattices):
     """Best-effort search for a frame containing all given lattices.
 
-    Each pair of lattices is diagonalized simultaneously through the Smith
-    form of their relative position; a candidate frame is accepted iff every
-    lattice is monomial-diagonal in it.  Pairs with distinct relative
-    invariants determine their apartment uniquely, so this succeeds whenever
-    some pair of the inputs does; degenerate configurations can still slip
-    through undetected.  Returns (Apartment, [ApartmentPoint]) or None.
+    For each ordered pair (L, M) of the inputs, the Smith frame of their
+    relative position is one apartment through L and M, and it is accepted
+    iff every input is diagonal in it.  Two lattices lie in many apartments,
+    so this can miss a common apartment even when the pair has distinct
+    relative invariants.  Returns (Apartment, [ApartmentPoint]) or None.
     """
     lattices = list(lattices)
     if not lattices:
         return None
-    n = lattices[0].n
     if len(lattices) == 1:
         pairs = [(0, 0)]
     else:
@@ -233,45 +313,11 @@ def common_apartment(lattices):
         ]
     for i, j in pairs:
         first = lattices[i]
-        b = [[first.columns[c][r] for c in range(n)] for r in range(n)]
         if i == j:
-            frame_rows = b
+            frame = first.poly_columns()
         else:
-            _, _, rinv = smith_form(relative_position(first, lattices[j]))
-            frame_rows = matmul(b, rinv)
-        found = _points_in_frame(frame_rows, lattices)
-        if found is not None:
-            return found
+            frame = _smith_frame(first, lattices[j])
+        points = _frame_points(frame, sum(first.pivots), lattices)
+        if points is not None:
+            return Apartment([[ValuedScalar(e) for e in col] for col in frame]), points
     return None
-
-
-def _points_in_frame(frame_rows, lattices):
-    n = len(frame_rows)
-    field = frame_rows[0][0].field
-    frame_cols = [[frame_rows[i][j] for i in range(n)] for j in range(n)]
-    apt = Apartment(frame_cols)
-    frame_inv = invert_matrix(frame_rows)
-    points = []
-    for lat in lattices:
-        coords = matmul(
-            frame_inv, [[lat.columns[j][i] for j in range(n)] for i in range(n)]
-        )
-        try:
-            diag = Lattice.from_columns(
-                [[coords[i][j] for i in range(n)] for j in range(n)]
-            )
-        except SingularMatrixError:
-            return None
-        cexp = []
-        for j in range(n):
-            for i in range(n):
-                e = diag.columns[j][i]
-                if i == j:
-                    if not (e - ValuedScalar.t_power(field, int(e.valuation()))).is_zero():
-                        return None
-                    cexp.append(-int(e.valuation()))
-                elif not e.is_zero():
-                    return None
-        points.append(ApartmentPoint(tuple(cexp)))
-    return apt, points
-

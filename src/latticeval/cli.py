@@ -9,7 +9,7 @@ import random
 import sys
 
 from . import serialize
-from .apartment import Apartment, ApartmentPoint, apartment_witness, kuhn_munkres
+from .apartment import apartment_witness, kuhn_munkres
 from .closecase import close_candidates, close_witness, decompose, extract_triple, min_formula
 from .detval import multi_f_detail, star_cost
 from .harness import verify_star
@@ -21,7 +21,6 @@ from .randgen import (
     random_lattice,
 )
 from .representatives import konig_linear_value, konig_linear_witness
-from .subspaces import Subspace
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -32,9 +31,13 @@ def _dump(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _load_instance(path):
+def _load_json(path):
     with open(path) as fh:
-        return serialize.instance_from_json(json.load(fh))
+        return json.load(fh)
+
+
+def _load_instance(path):
+    return serialize.instance_from_json(_load_json(path))
 
 
 def cmd_compute_f(args) -> int:
@@ -97,16 +100,7 @@ def cmd_close_case(args) -> int:
 
 
 def cmd_apartment(args) -> int:
-    with open(args.instance) as fh:
-        data = json.load(fh)
-    field = serialize.field_from_str(data["field"])
-    frame = [
-        [serialize.scalar_from_json(e, field) for e in col]
-        for col in data["frame"]
-    ]
-    apt = Apartment(frame)
-    points = [ApartmentPoint(tuple(p)) for p in data["points"]]
-    indices = tuple(int(i) for i in data["indices"])
+    apt, points, indices = serialize.apartment_from_json(_load_json(args.instance))
     witness, value = apartment_witness(apt, points, indices)
     rows = []
     for point, mult in zip(points, indices):
@@ -126,14 +120,7 @@ def cmd_apartment(args) -> int:
 
 
 def cmd_konig(args) -> int:
-    with open(args.instance) as fh:
-        data = json.load(fh)
-    field = serialize.field_from_str(data["field"])
-    n = int(data["n"])
-    subspaces = [
-        Subspace.span([[field.parse(str(c)) for c in vec] for vec in mat], n, field)
-        for mat in data["subspaces"]
-    ]
+    subspaces, field = serialize.subspaces_from_json(_load_json(args.instance))
     value = konig_linear_value(subspaces)
     witness = konig_linear_witness(subspaces)
     print(_dump({
@@ -147,8 +134,7 @@ def cmd_konig(args) -> int:
 
 
 def cmd_hungarian(args) -> int:
-    matrix = json.loads(args.matrix)
-    result = kuhn_munkres(matrix)
+    result = kuhn_munkres(serialize.matrix_from_json(json.loads(args.matrix)))
     print(_dump({
         "value": result.value,
         "permutation": list(result.permutation),

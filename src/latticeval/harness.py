@@ -15,7 +15,7 @@ from .apartment import (
 )
 from .closecase import close_witness
 from .detval import det_scalar, multi_f, star_cost
-from .lattices import Lattice, matmul
+from .lattices import Lattice
 from .metric import binary_f
 from .scalars import LaurentPoly, ValuedScalar
 

@@ -5,8 +5,10 @@ The distance d(L, M) is the unique weakly decreasing integer vector
 <t^{-a_1}e_1, ..., t^{-a_n}e_n>.  It is computed from the Smith form of
 basis(L)^{-1} basis(M) over the valuation ring.  That product has Laurent
 polynomial entries (``Lattice.coordinates``), and its exponents come from the
-exact truncated kernel in ``truncated``; ``smith_form`` also returns the row
-transform, which ``common_apartment`` needs.
+exact truncated kernel in ``truncated``.  ``smith_form`` is the fraction-field
+elimination with both row transforms; the library no longer calls it, and
+the tests keep it as the reference for ``smith_exponents`` and for the
+fraction-free transform of ``apartment.smith_transform``.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from .apartment import Apartment, ApartmentPoint
 from .harness import ConjectureReport
 from .lattices import Lattice
 from .scalars import BaseField, LaurentPoly, RATIONAL, ValuedScalar
+from .subspaces import Subspace
 
 
 class InstanceError(ValueError):
@@ -40,17 +42,22 @@ def poly_to_json(p: LaurentPoly):
     return [[e, p.field.format(c)] for e, c in sorted(p.coeffs.items())]
 
 
+def _coefficient(data, field: BaseField):
+    _check(isinstance(data, (str, int, float)) and not isinstance(data, bool),
+           f"bad coefficient {data!r}: expected a number or a string")
+    try:
+        return field.parse(str(data))
+    except (ValueError, ZeroDivisionError):
+        raise InstanceError(f"bad coefficient {data!r} for field {field!r}") from None
+
+
 def poly_from_json(data, field: BaseField) -> LaurentPoly:
     _check(isinstance(data, list), "a polynomial must be a list of [exponent, coefficient] pairs")
     coeffs = {}
     for term in data:
-        _check(isinstance(term, list) and len(term) == 2 and _is_int(term[0])
-               and isinstance(term[1], (str, int, float)) and not isinstance(term[1], bool),
+        _check(isinstance(term, list) and len(term) == 2 and _is_int(term[0]),
                f"bad polynomial term {term!r}: expected [integer, coefficient]")
-        try:
-            coeffs[term[0]] = field.parse(str(term[1]))
-        except (ValueError, ZeroDivisionError):
-            raise InstanceError(f"bad coefficient {term[1]!r} for field {field!r}") from None
+        coeffs[term[0]] = _coefficient(term[1], field)
     return LaurentPoly(field, coeffs)
 
 
@@ -116,6 +123,58 @@ def instance_from_json(data):
     _check(_is_int(n) and all(lat.n == n for lat in lattices),
            'the lattices of an instance must all have its rank "n"')
     return lattices, tuple(indices), field
+
+
+def apartment_from_json(data):
+    """Returns (Apartment, points, indices) of an ``apartment`` input: a
+    square "frame" of scalar columns, integer "points" and one nonnegative
+    "indices" entry per point.  Raises InstanceError on any other shape."""
+    _check(isinstance(data, dict), "an apartment input must be a JSON object")
+    field = field_from_str(data.get("field"))
+    frame = data.get("frame")
+    _check(isinstance(frame, list) and frame
+           and all(isinstance(col, list) and len(col) == len(frame) for col in frame),
+           'apartment "frame" must be a non-empty square list of columns')
+    n = len(frame)
+    points = data.get("points")
+    _check(isinstance(points, list)
+           and all(isinstance(p, list) and len(p) == n and all(_is_int(c) for c in p)
+                   for p in points),
+           f'apartment "points" must be a list of lists of {n} integers')
+    indices = data.get("indices")
+    _check(isinstance(indices, list) and len(indices) == len(points)
+           and all(_is_int(i) and i >= 0 for i in indices),
+           'apartment "indices" must hold one nonnegative integer per point')
+    apt = Apartment([[scalar_from_json(e, field) for e in col] for col in frame])
+    return apt, [ApartmentPoint(tuple(p)) for p in points], tuple(indices)
+
+
+def subspaces_from_json(data):
+    """Returns (subspaces, field) of a ``konig`` input: a positive rank "n"
+    and "subspaces", each a list of spanning vectors of length n.  Raises
+    InstanceError on any other shape."""
+    _check(isinstance(data, dict), "a konig input must be a JSON object")
+    field = field_from_str(data.get("field"))
+    n = data.get("n")
+    _check(_is_int(n) and n >= 1, 'a konig input needs a positive integer "n"')
+    subspaces = data.get("subspaces")
+    _check(isinstance(subspaces, list)
+           and all(isinstance(mat, list)
+                   and all(isinstance(vec, list) and len(vec) == n for vec in mat)
+                   for mat in subspaces),
+           f'"subspaces" must be a list of lists of vectors of length {n}')
+    return [Subspace.span([[_coefficient(c, field) for c in vec] for vec in mat], n, field)
+            for mat in subspaces], field
+
+
+def matrix_from_json(data):
+    """A square integer matrix (the ``hungarian`` input); raises
+    InstanceError on any other shape."""
+    _check(isinstance(data, list)
+           and all(isinstance(row, list) and len(row) == len(data)
+                   and all(_is_int(x) for x in row) for row in data),
+           "the matrix must be a square list of lists of integers")
+    return data
 
 
 def report_to_json(report: ConjectureReport):

@@ -13,11 +13,12 @@ from latticeval.apartment import (
     common_apartment,
     invert_matrix,
     kuhn_munkres,
+    relative_position,
 )
-from latticeval.detval import multi_f, star_cost
-from latticeval.lattices import Lattice, identity_matrix, matmul
-from latticeval.metric import binary_f
-from latticeval.randgen import random_apartment_instance, random_unimodular
+from latticeval.detval import det_scalar, multi_f, star_cost
+from latticeval.lattices import Lattice, SingularMatrixError, identity_matrix, matmul
+from latticeval.metric import binary_f, smith_form
+from latticeval.randgen import random_apartment_instance, random_scalar, random_unimodular
 from latticeval.scalars import GF, RATIONAL, ValuedScalar
 
 
@@ -160,3 +161,93 @@ def test_common_apartment_rejects_generic_triples():
             apt, pts = found
             for lat, p in zip(lats, pts):
                 assert apt.lattice(p) == lat
+
+
+def _reference_point(frame_inv, lat):
+    """The point of lat in the frame, from the canonical basis of lat in
+    frame coordinates, or None unless that basis is diagonal with monomial
+    pivots."""
+    n, field = lat.n, lat.field
+    coords = matmul(frame_inv, [[lat.columns[c][r] for c in range(n)] for r in range(n)])
+    diag = Lattice.from_columns([[coords[r][c] for r in range(n)] for c in range(n)])
+    point = []
+    for c, col in enumerate(diag.columns):
+        if any(not e.is_zero() for r, e in enumerate(col) if r != c):
+            return None
+        v = int(col[c].valuation())
+        if col[c] != ValuedScalar.t_power(field, v):
+            return None
+        point.append(-v)
+    return ApartmentPoint(tuple(point))
+
+
+def reference_common_apartment(lattices):
+    """The fraction-field frame search that ``common_apartment`` replaced:
+    the frame basis(L) R^{-1} from ``smith_form``, membership by inverting
+    the frame, and v(det frame) from ``det_scalar``.  Returns (v(det frame),
+    frame columns, points) or None."""
+    n = lattices[0].n
+    if len(lattices) == 1:
+        pairs = [(0, 0)]
+    else:
+        pairs = [(i, j) for i in range(len(lattices))
+                 for j in range(len(lattices)) if i != j]
+    for i, j in pairs:
+        first = lattices[i]
+        b = [[first.columns[c][r] for c in range(n)] for r in range(n)]
+        if i == j:
+            frame_rows = b
+        else:
+            rel = [[ValuedScalar(e) for e in row]
+                   for row in relative_position(first, lattices[j])]
+            _, _, rinv = smith_form(rel)
+            frame_rows = matmul(b, rinv)
+        frame_inv = invert_matrix(frame_rows)
+        points = [_reference_point(frame_inv, lat) for lat in lattices]
+        if None not in points:
+            frame = [[frame_rows[r][c] for r in range(n)] for c in range(n)]
+            return int(det_scalar(frame_rows).valuation()), frame, points
+    return None
+
+
+def _perturbed(rng, lat):
+    """The lattice of lat's basis with a multiple of valuation -1 or -2 of
+    one column added to another; it usually leaves the apartment."""
+    cols = [list(c) for c in lat.columns]
+    a, b = rng.sample(range(lat.n), 2)
+    m = ValuedScalar.t_power(lat.field, -rng.randint(1, 2)) + random_scalar(rng, lat.field, 0, 1)
+    cols[a] = [x + m * y for x, y in zip(cols[a], cols[b])]
+    try:
+        return Lattice.from_columns(cols)
+    except SingularMatrixError:
+        return lat
+
+
+def test_common_apartment_matches_reference():
+    rng = random.Random(69)
+    outcomes = {True: 0, False: 0}
+    for field in (RATIONAL, GF(2), GF(3), GF(101)):
+        for _ in range(24):
+            n = rng.randint(2, 4)
+            k = min(rng.choice((1, 2, 3, 3, 4)), 3 if n == 4 else 4)
+            apt, pts, idx = random_apartment_instance(rng, n, k, field, window=3)
+            lats = [apt.lattice(p) for p in pts]
+            # Any two lattices share an apartment, so perturb only triples on.
+            if k >= 3 and rng.random() < 1 / 2:
+                s = rng.randrange(k)
+                lats[s] = _perturbed(rng, lats[s])
+            found = common_apartment(lats)
+            expected = reference_common_apartment(lats)
+            assert (found is None) == (expected is None)
+            outcomes[found is not None] += 1
+            if found is None:
+                continue
+            apt2, pts2 = found
+            det_val, frame, ref_points = expected
+            assert pts2 == ref_points
+            assert apt2.det_valuation == det_val
+            ref_apt = Apartment(frame)
+            assert ref_apt.det_valuation == det_val
+            assert (apartment_witness(apt2, pts2, idx)
+                    == apartment_witness(ref_apt, ref_points, idx))
+    assert outcomes[True] and outcomes[False]

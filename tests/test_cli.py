@@ -182,6 +182,22 @@ def test_malformed_instance_is_an_error(capsys, tmp_path, mangle):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, data", [
+    ("apartment", {"field": "rational", "frame": 5, "points": [], "indices": []}),
+    ("konig", {"field": "prime:2", "n": 2, "subspaces": 7}),
+    ("hungarian", 5),
+], ids=["apartment-frame-int", "konig-subspaces-int", "hungarian-int"])
+def test_malformed_frame_input_is_an_error(capsys, tmp_path, command, data):
+    if command == "hungarian":
+        arg = json.dumps(data)
+    else:
+        arg = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(json.dumps(data))
+    code, out, err = run(capsys, command, arg)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)
@@ -190,55 +206,125 @@ json_values = st.recursive(
 )
 
 
+def corrupter(draw):
+    """part(valid) returns valid, except that one call picked at random (or
+    none) returns arbitrary shallow JSON instead."""
+    target = draw(st.integers(1, 100)) if draw(st.booleans()) else 0
+    calls = 0
+
+    def part(valid):
+        nonlocal calls
+        calls += 1
+        return draw(json_values) if calls == target else valid
+
+    return part
+
+
+def fuzzed_field(draw):
+    field = draw(st.sampled_from(["rational", "prime:2", "prime:3"]))
+    return field, ["1", "-2", "3"] + (["1/2"] if field == "rational" else [])
+
+
+def fuzzed_scalar(draw, part, coeffs, diagonal):
+    size = draw(st.integers(1 if diagonal else 0, 2))
+    terms = [part([draw(st.integers(-2, 2)), draw(st.sampled_from(coeffs))])
+             for _ in range(size)]
+    out = {"num": part(terms)}
+    if draw(st.integers(0, 3)) == 0:
+        out["den"] = part([[0, "1"], [1, "1"]])
+    return part(out)
+
+
+def fuzzed_indices(draw, part, n, count):
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=count - 1, max_size=count - 1)))
+    return part([part(b - a) for a, b in zip([0] + cuts, cuts + [n])])
+
+
 @st.composite
 def fuzzed_instances(draw):
     """An instance of rank n <= 4 in which at most one part, picked at random,
     is replaced by arbitrary shallow JSON."""
-    target = draw(st.integers(1, 100)) if draw(st.booleans()) else 0
-    parts = 0
-
-    def part(valid):
-        nonlocal parts
-        parts += 1
-        return draw(json_values) if parts == target else valid
-
+    part = corrupter(draw)
     n = draw(st.integers(1, 4))
     count = draw(st.integers(1, 3))
-    field = draw(st.sampled_from(["rational", "prime:2", "prime:3"]))
-    coeffs = ["1", "-2", "3"] + (["1/2"] if field == "rational" else [])
-
-    def scalar(diagonal):
-        size = draw(st.integers(1 if diagonal else 0, 2))
-        terms = [part([draw(st.integers(-2, 2)), draw(st.sampled_from(coeffs))])
-                 for _ in range(size)]
-        out = {"num": part(terms)}
-        if draw(st.integers(0, 3)) == 0:
-            out["den"] = part([[0, "1"], [1, "1"]])
-        return part(out)
+    field, coeffs = fuzzed_field(draw)
 
     def lattice():
-        cols = [part([scalar(i == j) for i in range(n)])
+        cols = [part([fuzzed_scalar(draw, part, coeffs, i == j) for i in range(n)])
                 for j in range(n + draw(st.integers(0, 1)))]
         return part({"n": part(n), "columns": part(cols)})
 
-    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=count - 1, max_size=count - 1)))
-    indices = [b - a for a, b in zip([0] + cuts, cuts + [n])]
     return part({
         "n": part(n),
         "field": part(field),
         "lattices": part([lattice() for _ in range(count)]),
-        "indices": part([part(i) for i in indices]),
+        "indices": fuzzed_indices(draw, part, n, count),
     })
 
 
-@settings(max_examples=150, deadline=None,
+@st.composite
+def fuzzed_apartments(draw):
+    """An ``apartment`` input (frame, points, indices) of rank n <= 4, with at
+    most one part replaced by arbitrary shallow JSON."""
+    part = corrupter(draw)
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 3))
+    field, coeffs = fuzzed_field(draw)
+    frame = [part([fuzzed_scalar(draw, part, coeffs, i == j) for i in range(n)])
+             for j in range(n)]
+    points = [part([part(draw(st.integers(-3, 3))) for _ in range(n)])
+              for _ in range(count)]
+    return part({
+        "field": part(field),
+        "frame": part(frame),
+        "points": part(points),
+        "indices": fuzzed_indices(draw, part, n, count),
+    })
+
+
+@st.composite
+def fuzzed_konig(draw):
+    """A ``konig`` input of up to three subspaces of F^n, n <= 3, with at most
+    one part replaced by arbitrary shallow JSON."""
+    part = corrupter(draw)
+    n = draw(st.integers(1, 3))
+    field, coeffs = fuzzed_field(draw)
+    subspaces = [
+        part([part([part(draw(st.sampled_from(coeffs + ["0"]))) for _ in range(n)])
+              for _ in range(draw(st.integers(0, 2)))])
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return part({"n": part(n), "field": part(field), "subspaces": part(subspaces)})
+
+
+@st.composite
+def fuzzed_matrices(draw):
+    """A square integer matrix of size <= 4 for ``hungarian``, with at most
+    one part replaced by arbitrary shallow JSON."""
+    part = corrupter(draw)
+    n = draw(st.integers(0, 4))
+    return part([part([part(draw(st.integers(-3, 3))) for _ in range(n)])
+                 for _ in range(n)])
+
+
+def inputs_for(commands, strategy):
+    return st.tuples(st.sampled_from(commands), strategy | json_values)
+
+
+@settings(max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=fuzzed_instances() | json_values,
-       command=st.sampled_from(["verify", "compute-f", "distance", "close-case"]))
-def test_fuzzed_instances_never_raise(capsys, tmp_path, data, command):
-    path = tmp_path / "fuzz.json"
-    path.write_text(json.dumps(data))
-    code, _, err = run(capsys, command, str(path))
+@given(case=inputs_for(["verify", "compute-f", "distance", "close-case"], fuzzed_instances())
+       | inputs_for(["apartment"], fuzzed_apartments())
+       | inputs_for(["konig"], fuzzed_konig())
+       | inputs_for(["hungarian"], fuzzed_matrices()))
+def test_fuzzed_instances_never_raise(capsys, tmp_path, case):
+    command, data = case
+    if command == "hungarian":
+        code, _, err = run(capsys, command, json.dumps(data))
+    else:
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, command, str(path))
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 1:

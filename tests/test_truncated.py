@@ -1,12 +1,13 @@
-"""Differential tests of the truncated F[t]/t^N kernel and of the polynomial
-relative position against the fraction-field routes they replaced, which are
-kept here as the references."""
+"""Differential tests of the truncated F[t]/t^N kernel, of the polynomial
+relative position and of the fraction-free Smith transform against the
+fraction-field routes they replaced, which are kept here as the references."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeval.apartment import relative_position
+from latticeval.apartment import relative_position, smith_transform
+from latticeval.detval import det_poly
 from latticeval.lattices import Lattice, SingularMatrixError, matmul
 from latticeval.metric import relative_invariants, smith_form
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
@@ -168,10 +169,21 @@ def test_smith_exponents_match_smith_form(case):
     rel = reference_relative_position(l, m)
     exps, _, _ = smith_form(rel)
     assert l.basis_inverse() == reference_inverse(l)
-    assert relative_position(l, m) == rel
+    rel_poly = relative_position(l, m)
+    assert [[ValuedScalar(e) for e in row] for row in rel_poly] == rel
     rel_columns = [[rel[i][j].num for i in range(n)] for j in range(n)]
     assert smith_exponents(rel_columns, l.unary_f() - m.unary_f()) == exps
     assert relative_invariants(l, m) == tuple(-e for e in exps)
+    # The fraction-free transform: same exponents, C in GL_n(O), and column j
+    # of rel . C has least valuation e_j, so rel . C . diag(t^{-e}) is in GL_n(O).
+    ff_exps, c = smith_transform(rel_poly)
+    assert ff_exps == exps
+    assert all(e.valuation() >= 0 for row in c for e in row)
+    assert det_poly(c).valuation() == 0
+    zero = LaurentPoly.zero(l.field)
+    for j, e in enumerate(exps):
+        col = [sum((rel_poly[r][k] * c[k][j] for k in range(n)), zero) for r in range(n)]
+        assert min(x.valuation() for x in col) == e
 
 
 def test_high_valuation_pivots_need_doubling():
