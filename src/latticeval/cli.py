@@ -10,8 +10,8 @@ import sys
 
 from . import serialize
 from .apartment import apartment_witness, kuhn_munkres
-from .closecase import close_candidates, close_witness, decompose, extract_triple, min_formula
-from .detval import multi_f_detail, star_cost
+from .closecase import candidate_costs, close_witness, decompose, extract_triple, min_formula
+from .detval import multi_f_detail
 from .harness import verify_star
 from .metric import distance, reverse_negate
 from .randgen import (
@@ -86,10 +86,7 @@ def cmd_close_case(args) -> int:
     mult = decompose(triple)
     value = min_formula(triple, *indices)
     witness, _ = close_witness(*lattices, *indices)
-    costs = {
-        label: star_cost(indices, lattices, cand)
-        for label, cand in close_candidates(*lattices)
-    }
+    costs = {label: cost for label, _, cost in candidate_costs(triple, *indices)}
     print(_dump({
         "value": value,
         "witness": serialize.lattice_to_json(witness),

@@ -6,6 +6,29 @@ D4-quiver representation into nine indecomposable types; the maximum number of
 independently choosable vectors is a max-flow in a small four-layer network,
 its min cut is an eight-term minimum over subspace dimensions, and each cut
 names a witness lattice among tE, L, M, N and their sums.
+
+Every candidate is tE or E + t^{-1}W with W one of U1, U2, U3 or a sum of
+them, so its star cost needs only subspace dimensions.  Write u_j = dim U_j,
+w = dim W and c_j = dim(U_j & W), and let (i_1, i_2, i_3) be the indices:
+
+    cost(tE)            = sum_j min(u_j, i_j)
+    cost(E + t^{-1}W)   = sum_j [u_j + min(n - i_j, w - c_j)
+                                 - max(0, u_j - c_j - i_j)] - 2w
+
+Derivation: U_j and W have a common adapted basis, so the relative
+invariants of P against L_j = E + t^{-1}U_j are w - c_j entries +1, u_j - c_j
+entries -1 and zeros (for P = tE: u_j entries -2, n - u_j entries -1).  Since
+f_{i, n-i}(L, P) = f_n(L) + (sum of the n - i largest invariants), with
+f_n(L_j) = u_j and f_n(P) = w (or -n), the star cost sum_j f_{i_j, n-i_j}(L_j,
+P) - 2 f_n(P) is the expression above.  As c_j = u_j + w - dim(U_j + W), every
+cost is a function of the seven dimensions of U1, U2, U3 and their sums, the
+same ones the eight-cut minimum reads.
+
+A lattice is built only for the witness.  Any lattice B = gE can stand in for
+E (``harness`` uses the meet of the triple): moving everything by g shifts
+every star cost by f_n(B), so the first candidate at the minimum is the same,
+and it is tB or B + t^{-1} g W.  Nothing is transformed or tested for
+containment.
 """
 
 from __future__ import annotations
@@ -14,8 +37,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .detval import star_cost
 from .lattices import Lattice
+from .scalars import LaurentPoly, ValuedScalar
 from .subspaces import Subspace
 
 # Which of U1, U2, U3 each indecomposable type meets (cf. the nine-type table).
@@ -81,24 +104,29 @@ class FlowNetwork:
 @lru_cache(maxsize=65536)
 def extract_triple(l: Lattice, m: Lattice, n_lat: Lattice) -> SubspaceTriple:
     """Project a close lattice triple to its three subspaces of t^{-1}E/E."""
-    return SubspaceTriple(*(_projection(x) for x in (l, m, n_lat)))
+    spans = []
+    for lat in (l, m, n_lat):
+        e = Lattice.standard(lat.n, lat.field)
+        units = lat.coordinates(e.poly_columns())
+        if any(x.valuation() < 0 for col in units for x in col):
+            raise ValueError("lattice does not contain the elementary lattice")
+        u = residue_subspace(e, lat)
+        if u is None:
+            raise ValueError("lattice is not contained in t^{-1}E")
+        spans.append(u)
+    return SubspaceTriple(*spans)
 
 
-def _projection(l: Lattice) -> Subspace:
-    n = l.n
-    field = l.field
-    e = Lattice.standard(n, field)
-    if not l.contains_lattice(e):
-        raise ValueError("lattice does not contain the elementary lattice")
+def residue_subspace(base: Lattice, lat: Lattice) -> Subspace | None:
+    """The image of lat in t^{-1}base / base = F^n, in the coordinates of the
+    basis of base, or None when lat is not inside t^{-1}base.  The caller
+    guarantees base <= lat."""
     vectors = []
-    for col in l.columns:
-        vec = []
-        for entry in col:
-            if not entry.is_zero() and entry.valuation() < -1:
-                raise ValueError("lattice is not contained in t^{-1}E")
-            vec.append(entry.num.coefficient(-1))
-        vectors.append(vec)
-    return Subspace.span(vectors, n, field)
+    for col in base.coordinates(lat.poly_columns()):
+        if any(x.valuation() < -1 for x in col):
+            return None
+        vectors.append([x.coefficient(-1) for x in col])
+    return Subspace.span(vectors, base.n, base.field)
 
 
 def decompose(triple: SubspaceTriple) -> QuiverMultiplicities:
@@ -196,9 +224,53 @@ def min_formula(triple: SubspaceTriple, i: int, j: int, k: int) -> int:
     )
 
 
+def candidate_costs(triple: SubspaceTriple, i: int, j: int, k: int):
+    """(label, W, star cost) of the eight candidates in the fixed examination
+    order tE, L, M, N, L+M, L+N, M+N, L+M+N, from the closed form of the
+    module docstring; W is None for tE."""
+    idx = (i, j, k)
+    n = triple.n
+    u1, u2, u3 = triple.u1, triple.u2, triple.u3
+    spans = {(0,): u1, (1,): u2, (2,): u3,
+             (0, 1): u1.sum(u2), (0, 2): u1.sum(u3), (1, 2): u2.sum(u3)}
+    spans[(0, 1, 2)] = spans[(0, 1)].sum(u3)
+    dims = {key: w.dim for key, w in spans.items()}
+    out = [("tE", None, sum(min(dims[(x,)], i_x) for x, i_x in enumerate(idx)))]
+    for key, w in spans.items():
+        cost = -2 * dims[key]
+        for x, i_x in enumerate(idx):
+            u = dims[(x,)]
+            c = u + dims[key] - dims[tuple(sorted({*key, x}))]
+            cost += u + min(n - i_x, dims[key] - c) - max(0, u - c - i_x)
+        out.append(("+".join("LMN"[x] for x in key), w, cost))
+    return out
+
+
+def residue_witness(base: Lattice, triple: SubspaceTriple, i: int, j: int, k: int):
+    """Witness lattice P and the value for the triple base + t^{-1}U_j: the
+    first candidate whose closed-form cost equals the eight-cut minimum, built
+    over base (tE becomes t.base, E + t^{-1}W becomes base + t^{-1} base.W)."""
+    value = min_formula(triple, i, j, k)
+    for _, w, cost in candidate_costs(triple, i, j, k):
+        if cost == value:
+            break
+    else:
+        raise AssertionError("no candidate achieves the minimum; theorem violated")
+    if w is None:
+        return base.scale(1), value
+    basis = base.poly_columns()
+    gens = [list(c) for c in base.columns]
+    for row in w.rows:
+        vec = [sum((col[r].scale(c) for col, c in zip(basis, row) if c),
+                   LaurentPoly.zero(base.field)) for r in range(base.n)]
+        gens.append([ValuedScalar(x.shift(-1)) for x in vec])
+    return Lattice.from_generators(gens, base.n), value
+
+
 @lru_cache(maxsize=4096)
 def close_candidates(l: Lattice, m: Lattice, n_lat: Lattice):
-    """The eight witness candidates, in the fixed examination order."""
+    """The eight witness candidates as lattices, in the fixed examination
+    order; the lattice-level reference for ``candidate_costs``."""
     e = Lattice.standard(l.n, l.field)
     return (
         ("tE", e.scale(1)),
@@ -215,9 +287,5 @@ def close_candidates(l: Lattice, m: Lattice, n_lat: Lattice):
 def close_witness(l: Lattice, m: Lattice, n_lat: Lattice, i: int, j: int, k: int):
     """Witness lattice P and the value for a close triple: the first of the
     eight candidates whose star cost equals the eight-cut minimum."""
-    triple = extract_triple(l, m, n_lat)
-    value = min_formula(triple, i, j, k)
-    for _, cand in close_candidates(l, m, n_lat):
-        if star_cost((i, j, k), [l, m, n_lat], cand) == value:
-            return cand, value
-    raise AssertionError("no candidate achieves the minimum; theorem violated")
+    e = Lattice.standard(l.n, l.field)
+    return residue_witness(e, extract_triple(l, m, n_lat), i, j, k)

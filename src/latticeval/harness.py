@@ -13,7 +13,7 @@ from .apartment import (
     apartment_witness,
     common_apartment,
 )
-from .closecase import close_witness
+from .closecase import SubspaceTriple, residue_subspace, residue_witness
 from .detval import det_scalar, multi_f, star_cost
 from .lattices import Lattice
 from .metric import binary_f
@@ -96,6 +96,8 @@ def verify_star(idx, lattices, strategy: str, seed: int = 0, budget: int = 10000
     n = lattices[0].n
     if sum(idx) != n:
         raise ValueError("index vector must sum to the rank")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     lhs = multi_f(idx, lattices)
     if strategy == "close":
         return _verify_close(idx, lattices, lhs)
@@ -110,21 +112,16 @@ def verify_star(idx, lattices, strategy: str, seed: int = 0, budget: int = 10000
 
 
 def _verify_close(idx, lattices, lhs):
-    """Translate so the common intersection becomes the standard lattice,
-    then apply the eight-candidate theorem if the triple is close."""
+    """Read the triple as three subspaces of t^{-1}meet/meet, with meet the
+    common intersection, and apply the eight-candidate theorem if the triple
+    is close."""
     if len(lattices) != 3:
         return ConjectureReport(lhs, None, "inconclusive", 0, "close")
-    n = lattices[0].n
-    field = lattices[0].field
-    meet = lattices[0].intersect(lattices[1]).intersect(lattices[2])
-    ginv = meet.basis_inverse()
-    moved = [lat.transform(ginv) for lat in lattices]
-    ball = Lattice.standard(n, field).scale(-1)
-    if not all(ball.contains_lattice(lat) for lat in moved):
+    meet = lattices[0].intersect(*lattices[1:])
+    spans = [residue_subspace(meet, lat) for lat in lattices]
+    if None in spans:
         return ConjectureReport(lhs, None, "inconclusive", 0, "close")
-    p_moved, _ = close_witness(*moved, *idx)
-    g = [[meet.columns[j][i] for j in range(n)] for i in range(n)]
-    p = p_moved.transform(g)
+    p, _ = residue_witness(meet, SubspaceTriple(*spans), *idx)
     return _scan(lhs, [p], idx, lattices, "close")
 
 
@@ -142,9 +139,7 @@ def _between_lattices(lattices, budget):
     canonical triangular matrices in the coordinates of the sum (prime field
     required); truncated at the budget."""
     total = lattices[0].sum(*lattices[1:])
-    meet = lattices[0]
-    for lat in lattices[1:]:
-        meet = meet.intersect(lat)
+    meet = lattices[0].intersect(*lattices[1:])
     field = lattices[0].field
     if field.is_rational:
         raise ValueError("enumeration requires a prime base field")

@@ -98,14 +98,16 @@ class Lattice:
         cols = [[inv[i][r] for r in range(self.n)] for i in range(self.n)]
         return Lattice.from_columns(cols)
 
-    def intersect(self, other: "Lattice") -> "Lattice":
+    def intersect(self, *others: "Lattice") -> "Lattice":
         """Largest common submodule, via dual(intersection) = sum of duals."""
-        return self.dual().sum(other.dual()).dual()
+        return self.dual().sum(*(m.dual() for m in others)).dual()
 
     def scale(self, c: int) -> "Lattice":
-        """The lattice t^c . L."""
-        t = ValuedScalar.t_power(self.field, c)
-        return Lattice.from_columns([[t * e for e in col] for col in self.columns])
+        """The lattice t^c . L, whose canonical basis is t^c times that of L
+        (pivots and reductions shift together), so nothing is recomputed."""
+        cols = tuple(tuple(ValuedScalar(e.num.shift(c)) for e in col)
+                     for col in self.columns)
+        return Lattice(self.n, self.field, cols)
 
     def coordinates(self, columns) -> list[list[LaurentPoly]]:
         """basis^{-1} . c for each column c of Laurent polynomials, by forward

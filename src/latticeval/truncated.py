@@ -98,20 +98,26 @@ def _unit_inverse(u, prec, p):
     """(w, d) with u*w = d modulo t^prec, for a series u with u[0] != 0.
 
     Over F_p, d = 1.  Over Q, d = u[0]^prec and w is integral: the recurrence
-    keeps w_k = u[0]^(k+1) (1/u)_k, which is an integer.
+    keeps w_k = u[0]^(k+1) (1/u)_k, which is an integer.  Each step sums over
+    the nonzero terms u[j], j >= 1, only, so a sparse u costs O(prec) steps.
     """
     u0 = u[0]
     if p:
         inv0 = pow(u0, p - 2, p)
-        w = [inv0]
-        for k in range(1, prec):
-            s = sum(u[j] * w[k - j] for j in range(1, min(k, len(u) - 1) + 1))
-            w.append(-s * inv0 % p)
-        return w, 1
-    w = [1]
+        terms = _terms(u[:prec], 1)
+    else:
+        # u[j] * u0^(j-1), with j counted from 1.
+        terms = [(j, uj * u0 ** j) for j, uj in _terms(u[:prec], 1)]
+    w = [inv0 if p else 1]
     for k in range(1, prec):
-        w.append(-sum(u[j] * w[k - j] * u0 ** (j - 1)
-                      for j in range(1, min(k, len(u) - 1) + 1)))
+        s = 0
+        for j, a in terms:
+            if j >= k:
+                break
+            s += a * w[k - 1 - j]
+        w.append(-s * inv0 % p if p else -s)
+    if p:
+        return w, 1
     return [wk * u0 ** (prec - 1 - k) for k, wk in enumerate(w)], u0 ** prec
 
 

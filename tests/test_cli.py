@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exit codes, and byte-for-byte determinism."""
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -68,6 +69,38 @@ def test_verify_exit_codes(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", str(inst2), "--strategy", "enumerate",
                      "--budget", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("strategy", ["enumerate", "random"])
+def test_negative_budget_is_an_error(capsys, tmp_path, strategy):
+    # Exit code 2 means an honest "inconclusive", never a rejected input.
+    code, out, _ = run(capsys, "gen", "--kind", "triple", "--n", "2",
+                       "--field", "prime:2", "--seed", "1")
+    inst = tmp_path / "triple.json"
+    inst.write_text(out)
+    code, out, err = run(capsys, "verify", str(inst), "--strategy", strategy,
+                         "--budget", "-5")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_wide_exponent_spread_is_fast(capsys, tmp_path):
+    """A single entry 3t^-6000 makes the canonical basis run at a precision
+    of thousands of terms; inverting the (sparse) pivot units must stay
+    linear in it.  The quadratic unit inverse took about 6.5 s here."""
+    one = {"num": [[0, "1"]]}
+    data = {"n": 2, "field": "prime:101", "indices": [1, 1], "lattices": [
+        {"n": 2, "columns": [[one, {"num": []}], [{"num": []}, one]]},
+        {"n": 2, "columns": [[{"num": [[-6000, "3"]]}, one],
+                             [one, {"num": [[0, "1"], [1, "1"]]}]]},
+    ]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    start = time.monotonic()
+    code, out, _ = run(capsys, "distance", str(path))
+    elapsed = time.monotonic() - start
+    assert code == 0 and out.splitlines()[0] == "[6000, 0]"
+    assert elapsed < 1.0, f"distance took {elapsed:.2f}s"
 
 
 def test_error_exit_code(capsys, tmp_path):

@@ -85,6 +85,27 @@ def test_intersection_is_largest_common():
     assert meet == Lattice.from_columns([[S(0), Z()], [Z(), S(1)]])
 
 
+def test_variadic_intersection_matches_pairwise():
+    rng = random.Random(14)
+    for trial in range(12):
+        field = (RATIONAL, GF(3))[trial % 2]
+        n = rng.randint(2, 3)
+        lats = [random_lattice(rng, n, field, -2, 2) for _ in range(3)]
+        assert lats[0].intersect(*lats[1:]) == lats[0].intersect(lats[1]).intersect(lats[2])
+        assert lats[0].intersect() == lats[0]
+
+
+def test_scale_shifts_the_canonical_basis():
+    rng = random.Random(15)
+    for trial in range(12):
+        field = (RATIONAL, GF(2))[trial % 2]
+        n = rng.randint(2, 4)
+        lat = random_lattice(rng, n, field, -2, 2)
+        c = rng.randint(-3, 3)
+        t = ValuedScalar.t_power(field, c)
+        assert lat.scale(c) == Lattice.from_columns([[t * e for e in col] for col in lat.columns])
+
+
 def test_scale_and_dual():
     lat = Lattice.from_columns([[S(-2), Z()], [Z(), S(1)]])
     assert lat.scale(2).pivots == (0, 3)
