@@ -5,8 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattices import Lattice, SingularMatrixError
+from .lattices import Lattice, SingularMatrixError, identity_matrix
 from .scalars import BaseField, LaurentPoly, ValuedScalar
+from .truncated import polynomial_column
 
 
 @dataclass(frozen=True)
@@ -100,30 +101,28 @@ class Apartment:
     """A frame x_1..x_n of linearly independent columns; the lattices diagonal
     in this frame with integer exponents form the apartment."""
 
-    def __init__(self, basis: list[list[ValuedScalar]]):
+    def __init__(self, basis):
         n = len(basis)
         if any(len(col) != n for col in basis):
             raise ValueError("frame must be square")
         self.n = n
         self.field = basis[0][0].field
-        self.basis = tuple(tuple(col) for col in basis)  # columns
+        # Columns of ValuedScalar or LaurentPoly entries, stored as Laurent
+        # polynomials; clearing a column's denominators multiplies x_i by a
+        # unit, which changes no lattice of the apartment.
+        self.basis = tuple(tuple(polynomial_column(col)) for col in basis)
         # The canonical basis spans the frame's lattice, so its pivot sum is
         # v(det frame); dependent columns raise SingularMatrixError.
         self.det_valuation = sum(Lattice.from_columns(self.basis).pivots)
 
     @classmethod
     def standard(cls, n: int, field: BaseField) -> "Apartment":
-        one = ValuedScalar.one(field)
-        zero = ValuedScalar.zero(field)
-        return cls([[one if i == j else zero for i in range(n)] for j in range(n)])
+        return cls(Lattice.standard(n, field).basis)
 
     def lattice(self, point) -> Lattice:
         """The lattice <t^{-c_1} x_1, ..., t^{-c_n} x_n>."""
-        cols = [
-            [e * ValuedScalar.t_power(self.field, -c) for e in col]
-            for col, c in zip(self.basis, point.c)
-        ]
-        return Lattice.from_columns(cols)
+        return Lattice.from_columns([[e.shift(-c) for e in col]
+                                     for col, c in zip(self.basis, point.c)])
 
 
 @dataclass(frozen=True)
@@ -167,14 +166,7 @@ def invert_matrix(m: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:
     """Exact inverse by Gauss-Jordan elimination (min-valuation pivoting)."""
     n = len(m)
     field = m[0][0].field
-    aug = [
-        list(row)
-        + [
-            ValuedScalar.one(field) if i == j else ValuedScalar.zero(field)
-            for j in range(n)
-        ]
-        for i, row in enumerate(m)
-    ]
+    aug = [list(row) + unit for row, unit in zip(m, identity_matrix(n, field))]
     for i in range(n):
         piv, best = None, None
         for r in range(i, n):
@@ -199,7 +191,7 @@ def invert_matrix(m: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:
 def relative_position(first: Lattice, second: Lattice) -> list[list[LaurentPoly]]:
     """basis(first)^{-1} basis(second) as a row-major matrix of Laurent
     polynomials."""
-    cols = first.coordinates(second.poly_columns())
+    cols = first.coordinates(second.basis)
     n = first.n
     return [[cols[c][r] for c in range(n)] for r in range(n)]
 
@@ -261,7 +253,7 @@ def _smith_frame(first: Lattice, second: Lattice) -> list[list[LaurentPoly]]:
     pair.  basis(first)^{-1} x_i is column i of R^{-1} diag(w), so the frame
     spans first, and v(det frame) is the pivot sum of first."""
     exps, c = smith_transform(relative_position(first, second))
-    b = second.poly_columns()
+    b = second.basis
     frame = []
     for j, e in enumerate(exps):
         col = [LaurentPoly.zero(first.field)] * first.n
@@ -314,10 +306,10 @@ def common_apartment(lattices):
     for i, j in pairs:
         first = lattices[i]
         if i == j:
-            frame = first.poly_columns()
+            frame = first.basis
         else:
             frame = _smith_frame(first, lattices[j])
         points = _frame_points(frame, sum(first.pivots), lattices)
         if points is not None:
-            return Apartment([[ValuedScalar(e) for e in col] for col in frame]), points
+            return Apartment(frame), points
     return None

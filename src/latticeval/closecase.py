@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattices import Lattice
-from .scalars import LaurentPoly, ValuedScalar
+from .scalars import LaurentPoly
 from .subspaces import Subspace
 
 # Which of U1, U2, U3 each indecomposable type meets (cf. the nine-type table).
@@ -107,8 +107,7 @@ def extract_triple(l: Lattice, m: Lattice, n_lat: Lattice) -> SubspaceTriple:
     spans = []
     for lat in (l, m, n_lat):
         e = Lattice.standard(lat.n, lat.field)
-        units = lat.coordinates(e.poly_columns())
-        if any(x.valuation() < 0 for col in units for x in col):
+        if not lat.contains_lattice(e):
             raise ValueError("lattice does not contain the elementary lattice")
         u = residue_subspace(e, lat)
         if u is None:
@@ -122,7 +121,7 @@ def residue_subspace(base: Lattice, lat: Lattice) -> Subspace | None:
     basis of base, or None when lat is not inside t^{-1}base.  The caller
     guarantees base <= lat."""
     vectors = []
-    for col in base.coordinates(lat.poly_columns()):
+    for col in base.coordinates(lat.basis):
         if any(x.valuation() < -1 for x in col):
             return None
         vectors.append([x.coefficient(-1) for x in col])
@@ -258,12 +257,10 @@ def residue_witness(base: Lattice, triple: SubspaceTriple, i: int, j: int, k: in
         raise AssertionError("no candidate achieves the minimum; theorem violated")
     if w is None:
         return base.scale(1), value
-    basis = base.poly_columns()
-    gens = [list(c) for c in base.columns]
+    gens = list(base.basis)
     for row in w.rows:
-        vec = [sum((col[r].scale(c) for col, c in zip(basis, row) if c),
-                   LaurentPoly.zero(base.field)) for r in range(base.n)]
-        gens.append([ValuedScalar(x.shift(-1)) for x in vec])
+        gens.append([sum((col[r].scale(c) for col, c in zip(base.basis, row) if c),
+                         LaurentPoly.zero(base.field)).shift(-1) for r in range(base.n)])
     return Lattice.from_generators(gens, base.n), value
 
 

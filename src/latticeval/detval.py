@@ -91,7 +91,7 @@ def multi_f_detail(idx, lattices: list[Lattice]):
     if len(idx) != len(lattices):
         raise ValueError("one index per lattice required")
     _check_index(idx, n)
-    polys = [l.poly_columns() for l in lattices]
+    polys = [l.basis for l in lattices]
     col_vals = [
         [min(e.valuation() for e in col if not e.is_zero()) for col in pc]
         for pc in polys

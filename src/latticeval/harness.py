@@ -14,10 +14,11 @@ from .apartment import (
     common_apartment,
 )
 from .closecase import SubspaceTriple, residue_subspace, residue_witness
-from .detval import det_scalar, multi_f, star_cost
+from .detval import det_poly, multi_f, star_cost
 from .lattices import Lattice
 from .metric import binary_f
-from .scalars import LaurentPoly, ValuedScalar
+from .scalars import LaurentPoly
+from .truncated import polynomial_column
 
 
 @dataclass
@@ -145,7 +146,7 @@ def _between_lattices(lattices, budget):
         raise ValueError("enumeration requires a prime base field")
     n = lattices[0].n
     ginv = total.basis_inverse()
-    g = [[total.columns[j][i] for j in range(n)] for i in range(n)]
+    g = [list(row) for row in zip(*total.columns)]
     floor = meet.transform(ginv)  # standard(n) contains floor
     # Any intermediate lattice has nonnegative pivots summing to at most
     # val det(floor), so this pivot scan (with the membership filter) is
@@ -172,20 +173,19 @@ def _triangular_fills(n, pivots, field):
     ranges = [
         list(itertools.product(range(field.p), repeat=pivots[i])) for i, _ in slots
     ]
-    zero = ValuedScalar.zero(field)
+    zero = LaurentPoly.zero(field)
     for choice in itertools.product(*ranges):
         cols = [
             [
-                ValuedScalar.t_power(field, pivots[j]) if i == j else zero
+                LaurentPoly.t_power(field, pivots[j]) if i == j else zero
                 for i in range(n)
             ]
             for j in range(n)
         ]
         for (i, j), coeffs in zip(slots, choice):
-            poly = LaurentPoly(
+            cols[j][i] = LaurentPoly(
                 field, {e: field.from_int(c) for e, c in enumerate(coeffs)}
             )
-            cols[j][i] = ValuedScalar(poly)
         yield cols
 
 
@@ -272,12 +272,8 @@ def scale_config(bases, coweights):
         lam = tuple(int(x) for x in lam)
         if any(lam[m] < lam[m + 1] for m in range(len(lam) - 1)):
             raise ValueError("coweights must be dominant (weakly decreasing)")
-        field = basis[0][0].field
-        cols = [
-            [e * ValuedScalar.t_power(field, -c) for e in vec]
-            for vec, c in zip(basis, lam)
-        ]
-        out.append(Lattice.from_columns(cols))
+        out.append(Lattice.from_columns([[e.shift(-c) for e in polynomial_column(vec)]
+                                         for vec, c in zip(basis, lam)]))
     return out
 
 
@@ -299,20 +295,23 @@ def positivity_check(bases) -> bool:
     """Whether the ordered bases form a positive configuration: for every
     triple p < q < r and every index split (i, j, k), the leading-subset
     determinant attains the tropical value and has positive leading
-    coefficient.  Defined over the rationals only."""
+    coefficient.  Defined over the rationals only.  Each column is multiplied
+    by the product of its denominators, which have valuation 0 and constant
+    term 1, so no determinant changes its valuation or leading coefficient."""
     if not bases:
         return True
     field = bases[0][0][0].field
     if not field.is_rational:
         raise ValueError("positivity needs an ordered base field")
     n = len(bases[0])
+    bases = [[polynomial_column(vec) for vec in basis] for basis in bases]
     lattices = [Lattice.from_columns(basis) for basis in bases]
     for p, q, r in itertools.combinations(range(len(bases)), 3):
         for i in range(n + 1):
             for j in range(n - i + 1):
                 k = n - i - j
-                cols = list(bases[p][:i]) + list(bases[q][:j]) + list(bases[r][:k])
-                det = det_scalar([[cols[c][row] for c in range(n)] for row in range(n)])
+                cols = bases[p][:i] + bases[q][:j] + bases[r][:k]
+                det = det_poly([[cols[c][row] for c in range(n)] for row in range(n)])
                 target = multi_f((i, j, k), [lattices[p], lattices[q], lattices[r]])
                 if det.is_zero() or -det.valuation() != target:
                     return False

@@ -2,29 +2,50 @@
 
 A lattice is stored through its unique canonical basis: a lower-triangular
 column-echelon form whose pivots are pure powers t^{d_i} on the diagonal, with
-every other entry in a pivot's row reduced modulo t^{d_i}.  Structural
-equality of canonical bases is equality of the generated modules.
+every other entry in a pivot's row reduced modulo t^{d_i}.  Its entries are
+Laurent polynomials (``basis``, a tuple of columns), so every operation here
+stays polynomial: a division by a pivot is a shift.  ``ValuedScalar`` appears
+only at the input boundary, where ``truncated.canonical_basis`` clears each
+generator column's denominators, and in the ``columns`` view, a fresh tuple of
+``ValuedScalar`` wrappers built on each access and never stored.
+
+Equal modules have equal canonical bases, so each lattice carries ``key``, a
+tuple of plain ints built once: (n, p, then per entry its sorted (exponent,
+coefficient) pairs, a coefficient over Q being its numerator and
+denominator).  Equality and hashing are one tuple comparison.
 """
 
 from __future__ import annotations
 
 from .scalars import BaseField, LaurentPoly, ValuedScalar
-from .truncated import SingularMatrixError, canonical_basis
+from .truncated import SingularMatrixError, canonical_basis, polynomial_column
 
-Column = tuple[ValuedScalar, ...]
+Column = tuple[LaurentPoly, ...]
+
+
+def _entry_key(poly: LaurentPoly, rational: bool) -> tuple:
+    if rational:
+        return tuple(sorted((k, c.numerator, c.denominator) for k, c in poly.coeffs.items()))
+    return tuple(sorted(poly.coeffs.items()))
+
+
+def _integral(columns) -> bool:
+    return all(e.valuation() >= 0 for col in columns for e in col)
 
 
 class Lattice:
     """Immutable lattice; two instances are equal iff the modules coincide."""
 
-    __slots__ = ("n", "field", "columns", "pivots", "_hash")
+    __slots__ = ("n", "field", "basis", "pivots", "key", "_hash")
 
-    def __init__(self, n: int, field: BaseField, columns: tuple[Column, ...]):
+    def __init__(self, n: int, field: BaseField, basis: tuple[Column, ...]):
         self.n = n
         self.field = field
-        self.columns = columns
+        self.basis = basis
         # Diagonal exponents d_i of the canonical pivots t^{d_i}.
-        self.pivots = tuple(int(columns[i][i].valuation()) for i in range(n))
+        self.pivots = tuple(min(basis[i][i].coeffs) for i in range(n))
+        rational = field.p is None
+        self.key = (n, field.p, tuple(_entry_key(e, rational) for col in basis for e in col))
         self._hash = None
 
     @classmethod
@@ -37,66 +58,68 @@ class Lattice:
 
     @classmethod
     def from_generators(cls, columns, n: int) -> "Lattice":
-        """Canonical lattice generated by any spanning set of columns."""
+        """Canonical lattice generated by any spanning set of columns, whose
+        entries are ``LaurentPoly`` or ``ValuedScalar``."""
         if not columns:
             raise SingularMatrixError("no generators")
         if any(len(c) != n for c in columns):
             raise ValueError("generator length mismatch")
-        canon = canonical_basis(columns, n)
-        return cls(n, columns[0][0].field, tuple(tuple(c) for c in canon))
+        return cls(n, columns[0][0].field, canonical_basis(columns, n))
 
     @classmethod
     def standard(cls, n: int, field: BaseField) -> "Lattice":
         """The elementary lattice spanned by the unit vectors over F[[t]]."""
         if n < 1:
             raise ValueError("rank must be positive")
-        one = ValuedScalar.one(field)
-        zero = ValuedScalar.zero(field)
-        cols = tuple(
-            tuple(one if i == j else zero for i in range(n)) for j in range(n)
-        )
-        return cls(n, field, cols)
+        return cls(n, field, _unit_columns(n, field))
+
+    @property
+    def columns(self) -> tuple[tuple[ValuedScalar, ...], ...]:
+        """The canonical basis as ``ValuedScalar`` columns, built afresh."""
+        return tuple(tuple(ValuedScalar(e) for e in col) for col in self.basis)
 
     def unary_f(self) -> int:
         """-val(det basis); the unary determinantal valuation f^t_n."""
         return -sum(self.pivots)
 
     def solve(self, v) -> list[ValuedScalar]:
-        """Coordinates x with basis . x = v, by forward substitution (the
-        canonical basis is lower triangular)."""
-        n = self.n
+        """Coordinates x with basis . x = v over the fraction field, by forward
+        substitution (the canonical basis is lower triangular)."""
+        cols = self.columns
         x: list[ValuedScalar] = []
-        for i in range(n):
+        for i in range(self.n):
             acc = v[i]
             for j in range(i):
-                if not self.columns[j][i].is_zero():
-                    acc = acc - self.columns[j][i] * x[j]
-            x.append(acc / self.columns[i][i])
+                if not cols[j][i].is_zero():
+                    acc = acc - cols[j][i] * x[j]
+            x.append(acc / cols[i][i])
         return x
 
     def contains(self, v) -> bool:
-        """Membership of a vector: all solved coordinates lie in F[[t]]."""
+        """Membership of a vector of ``ValuedScalar`` or ``LaurentPoly``
+        entries.  Multiplying v by the product of its denominators, a unit,
+        keeps it in or out of the lattice; then its coordinates must be
+        integral."""
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
-        return all(c.is_integral() for c in self.solve(v))
+        return _integral(self.coordinates([polynomial_column(v)]))
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(list(c)) for c in other.columns)
+        return _integral(self.coordinates(other.basis))
 
     def sum(self, *others: "Lattice") -> "Lattice":
-        gens = [list(c) for c in self.columns]
+        gens = list(self.basis)
         for m in others:
             if m.n != self.n:
                 raise ValueError("rank mismatch")
-            gens.extend(list(c) for c in m.columns)
+            gens.extend(m.basis)
         return Lattice.from_generators(gens, self.n)
 
     def dual(self) -> "Lattice":
-        """Dual lattice under the standard bilinear form (inverse transpose)."""
-        inv = self.basis_inverse()
-        # inv is rows-by-columns of basis^{-1}; dual basis columns are its rows.
-        cols = [[inv[i][r] for r in range(self.n)] for i in range(self.n)]
-        return Lattice.from_columns(cols)
+        """Dual lattice under the standard bilinear form: the inverse
+        transpose, whose columns are the rows of basis^{-1}."""
+        inv = self.coordinates(_unit_columns(self.n, self.field))
+        return Lattice.from_columns([[col[i] for col in inv] for i in range(self.n)])
 
     def intersect(self, *others: "Lattice") -> "Lattice":
         """Largest common submodule, via dual(intersection) = sum of duals."""
@@ -105,9 +128,8 @@ class Lattice:
     def scale(self, c: int) -> "Lattice":
         """The lattice t^c . L, whose canonical basis is t^c times that of L
         (pivots and reductions shift together), so nothing is recomputed."""
-        cols = tuple(tuple(ValuedScalar(e.num.shift(c)) for e in col)
-                     for col in self.columns)
-        return Lattice(self.n, self.field, cols)
+        return Lattice(self.n, self.field,
+                       tuple(tuple(e.shift(c) for e in col) for col in self.basis))
 
     def coordinates(self, columns) -> list[list[LaurentPoly]]:
         """basis^{-1} . c for each column c of Laurent polynomials, by forward
@@ -115,8 +137,7 @@ class Lattice:
         each division by a pivot is a shift and the result stays polynomial."""
         n = self.n
         below = [
-            [(j, self.columns[j][i].num) for j in range(i)
-             if not self.columns[j][i].is_zero()]
+            [(j, self.basis[j][i]) for j in range(i) if self.basis[j][i].coeffs]
             for i in range(n)
         ]
         out = []
@@ -132,51 +153,31 @@ class Lattice:
         return out
 
     def basis_inverse(self) -> list[list[ValuedScalar]]:
-        """basis^{-1} as a row-major matrix (basis is lower triangular)."""
-        n = self.n
-        one, zero = LaurentPoly.one(self.field), LaurentPoly.zero(self.field)
-        inv_cols = self.coordinates(
-            [[one if i == k else zero for i in range(n)] for k in range(n)]
-        )
-        return [[ValuedScalar(inv_cols[j][i]) for j in range(n)] for i in range(n)]
+        """basis^{-1} as a row-major matrix (lower triangular, like basis)."""
+        inv_cols = self.coordinates(_unit_columns(self.n, self.field))
+        return [[ValuedScalar(col[i]) for col in inv_cols] for i in range(self.n)]
 
     def transform(self, g: list[list[ValuedScalar]]) -> "Lattice":
         """The lattice g . L for a row-major nonsingular matrix g."""
-        cols = [
-            [
-                sum(
-                    (g[i][r] * col[r] for r in range(self.n)),
-                    ValuedScalar.zero(self.field),
-                )
-                for i in range(self.n)
-            ]
-            for col in self.columns
-        ]
-        return Lattice.from_columns(cols)
-
-    def poly_columns(self) -> list[list[LaurentPoly]]:
-        """Canonical basis as Laurent polynomials (denominators are 1)."""
-        out = []
-        for col in self.columns:
-            assert all(e.den.coeffs == {0: self.field.one} for e in col)
-            out.append([e.num for e in col])
-        return out
+        zero = ValuedScalar.zero(self.field)
+        return Lattice.from_columns([[sum((g[i][r] * col[r] for r in range(self.n)), zero)
+                                      for i in range(self.n)] for col in self.columns])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Lattice)
-            and self.n == other.n
-            and self.field == other.field
-            and self.columns == other.columns
-        )
+        return isinstance(other, Lattice) and self.key == other.key
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, self.field, self.columns))
+            self._hash = hash(self.key)
         return self._hash
 
     def __repr__(self):
         return f"Lattice(n={self.n}, pivots={self.pivots})"
+
+
+def _unit_columns(n: int, field: BaseField) -> tuple[Column, ...]:
+    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    return tuple(tuple(one if i == j else zero for i in range(n)) for j in range(n))
 
 
 def matmul(a: list[list[ValuedScalar]], b: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:
@@ -191,6 +192,4 @@ def matmul(a: list[list[ValuedScalar]], b: list[list[ValuedScalar]]) -> list[lis
 
 
 def identity_matrix(n: int, field: BaseField) -> list[list[ValuedScalar]]:
-    one = ValuedScalar.one(field)
-    zero = ValuedScalar.zero(field)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return [list(col) for col in Lattice.standard(n, field).columns]

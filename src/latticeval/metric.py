@@ -119,7 +119,7 @@ def relative_invariants(l: Lattice, m: Lattice) -> Coweight:
     if l.n != m.n:
         raise ValueError("rank mismatch")
     # v(det rel) is the difference of the two pivot sums.
-    exps = smith_exponents(l.coordinates(m.poly_columns()), l.unary_f() - m.unary_f())
+    exps = smith_exponents(l.coordinates(m.basis), l.unary_f() - m.unary_f())
     return tuple(-e for e in exps)
 
 

@@ -15,21 +15,23 @@ def random_coefficient(rng, field: BaseField):
     return field.from_int(rng.randrange(field.p))
 
 
-def random_poly(rng, field: BaseField, low: int, high: int) -> LaurentPoly:
-    """Random Laurent polynomial supported on exponents in [low, high]."""
-    coeffs = {e: random_coefficient(rng, field) for e in range(low, high + 1)}
-    return LaurentPoly(field, coeffs)
-
-
 def random_scalar(rng, field: BaseField, low: int = -2, high: int = 2) -> ValuedScalar:
-    return ValuedScalar(random_poly(rng, field, low, high))
+    """Random scalar with a dense Laurent polynomial on [low, high]."""
+    coeffs = {e: random_coefficient(rng, field) for e in range(low, high + 1)}
+    return ValuedScalar(LaurentPoly(field, coeffs))
 
 
 def random_lattice(rng, n: int, field: BaseField, low: int = -3, high: int = 3) -> Lattice:
-    """Random lattice from random generator columns (resampled if singular)."""
+    """Random lattice from random generator columns (redrawn if singular).
+    Each entry keeps each exponent in [low, high] with probability 1/2 and a
+    nonzero coefficient: dense entries make the t^low coefficient matrix
+    almost always invertible, and the lattice then is just t^low E."""
+    nonzero = (-3, -2, -1, 1, 2, 3) if field.is_rational else range(1, field.p)
     while True:
         cols = [
-            [random_scalar(rng, field, low, high) for _ in range(n)]
+            [LaurentPoly(field, {e: field.from_int(rng.choice(nonzero))
+                                 for e in range(low, high + 1) if rng.random() < 0.5})
+             for _ in range(n)]
             for _ in range(n)
         ]
         try:
@@ -41,9 +43,7 @@ def random_lattice(rng, n: int, field: BaseField, low: int = -3, high: int = 3) 
 def random_unimodular(rng, n: int, field: BaseField, degree: int = 1, ops: int | None = None):
     """Random integral matrix of determinant-valuation zero, built from
     elementary column operations on the identity (column-major)."""
-    one = ValuedScalar.one(field)
-    zero = ValuedScalar.zero(field)
-    cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    cols = [list(col) for col in Lattice.standard(n, field).columns]
     if n < 2:
         return cols
     for _ in range(ops if ops is not None else 2 * n):
@@ -85,10 +85,8 @@ def random_close_triple(rng, n: int, field: BaseField):
     lats = []
     for _ in range(3):
         u = random_subspace(rng, n, field)
-        gens = [list(c) for c in e.columns]
-        tinv = ValuedScalar.t_power(field, -1)
-        for row in u.rows:
-            gens.append([tinv * ValuedScalar(LaurentPoly(field, {0: c})) for c in row])
+        gens = list(e.basis)
+        gens += [[LaurentPoly(field, {-1: c}) for c in row] for row in u.rows]
         lats.append(Lattice.from_generators(gens, n))
     return tuple(lats)
 

@@ -80,7 +80,7 @@ def scalar_from_json(data, field: BaseField) -> ValuedScalar:
 def lattice_to_json(lat: Lattice):
     return {
         "n": lat.n,
-        "columns": [[scalar_to_json(e) for e in col] for col in lat.columns],
+        "columns": [[{"num": poly_to_json(e)} for e in col] for col in lat.basis],
     }
 
 

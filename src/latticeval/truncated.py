@@ -4,11 +4,14 @@ exponents without the fraction field.
 Notation: O = F[[t]], v the t-adic valuation, and for a full-rank lattice L
 in F((t))^n, D(L) = v(det B) for any basis B of L.
 
-Canonical bases.  Let A be an n x m generator matrix of L and s the least
-valuation of its entries, so L' = t^{-s} L lies in O^n; the canonical basis of
-L is that of L' multiplied by t^s.  Every entry of A is num/den with den of
-valuation 0 and constant term 1 (see ``ValuedScalar``), a unit of O, so each
-entry has a t-adic series, which ``series_truncate`` reads modulo t^N.
+Canonical bases.  Let A be an n x m generator matrix of L.  An entry given
+as a ``ValuedScalar`` num/den has den of valuation 0 and constant term 1, a
+unit of O.  ``polynomial_column`` multiplies each column by the product of its
+distinct denominators, an exact polynomial product and again a unit, which
+leaves the lattice alone and makes every entry a Laurent polynomial; from
+there on everything is polynomial.  Let s be the least valuation of the
+entries, so L' = t^{-s} L lies in O^n; the canonical basis of L is that of L'
+multiplied by t^s, and each entry is read as a series modulo t^N.
 
 1. Elimination modulo t^N.  Work on columns of polynomials of degree < N.
    Every step adds an O-multiple of one column to another, multiplies a
@@ -24,12 +27,11 @@ entry has a t-adic series, which ``series_truncate`` reads modulo t^N.
    integral for a basis A' of L'), so H = L'; and t^N O^n lies in
    t^{sum(d_i)} O^n, which lies in span(h), so H = span(h).  Thus h is a
    basis of L' in canonical form: the canonical basis, exactly.
-3. Bound.  Multiplying column j by the product of its distinct denominators
-   (a unit) leaves the lattice alone and makes its entries polynomials of
-   degree at most delta_j = max(deg num - deg den) - s + sum(deg den over the
-   distinct denominators).  A nonzero maximal minor then has degree at most
-   B = the sum of the n largest delta_j, so D(L') <= B when A has full rank,
-   and by step 2 every N > B is accepted.  The search starts at a small N
+3. Bound.  After the denominators are cleared, the entries of column j of
+   t^{-s} A are polynomials of degree at most delta_j = max(deg) - s.  A
+   nonzero maximal minor then has degree at most B = the sum of the n
+   largest delta_j, so D(L') <= B when A has full rank, and by step 2 every
+   N > B is accepted.  The search starts at a small N
    and doubles it, never beyond B + 1; failing at N = B + 1 proves that no
    maximal minor is nonzero, and ``SingularMatrixError`` is raised.
 
@@ -56,7 +58,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import LaurentPoly, ValuedScalar
+from .scalars import LaurentPoly
 
 # First precision tried.  On the benchmark workloads N = 4 accepts 97% of the
 # canonicalisations of generic-q (pivot sums 0..6, bounds B 9..16) and all of
@@ -223,37 +225,40 @@ def _series_columns(columns, shift, prec, p):
     return out
 
 
-def _polynomials(columns, bound):
-    """Scalar entries as Laurent polynomials that agree with them below
-    t^bound: a scalar with denominator 1 is its numerator, any other is
-    expanded as a series."""
-    return [[e.num if len(e.den.coeffs) == 1 else e.series_truncate(bound)
-             for e in col] for col in columns]
+def polynomial_column(col) -> list[LaurentPoly]:
+    """A column of ``ValuedScalar`` or ``LaurentPoly`` entries, multiplied by
+    the product of its distinct denominators (a unit of O), as Laurent
+    polynomials; no gcd is taken."""
+    if all(type(e) is LaurentPoly for e in col):
+        return list(col)
+    dens = {e.den for e in col if len(e.den.coeffs) > 1}
+    out = []
+    for e in col:
+        x = e.num
+        for d in dens - {e.den}:
+            x = x * d
+        out.append(x)
+    return out
 
 
 def _least_valuation(matrix):
-    vals = [e.valuation() for vec in matrix for e in vec if not e.is_zero()]
+    vals = [min(e.coeffs) for vec in matrix for e in vec if e.coeffs]
     return min(vals) if vals else None
 
 
 def _degree_bound(columns, n, shift):
     """B of step 3 of the module docstring: an upper bound on v(det) of the
     shifted lattice whenever the generators have full rank."""
-    deltas = []
-    for col in columns:
-        nonzero = [e for e in col if not e.is_zero()]
-        if not nonzero:
-            continue
-        dens = {e.den for e in nonzero}
-        deltas.append(max(max(e.num.coeffs) - max(e.den.coeffs) for e in nonzero)
-                      - shift + sum(max(d.coeffs) for d in dens))
+    deltas = [max(max(e.coeffs) for e in col if e.coeffs) - shift
+              for col in columns if any(e.coeffs for e in col)]
     return sum(sorted(deltas, reverse=True)[:n])
 
 
-def canonical_basis(columns, n: int) -> list[list[ValuedScalar]]:
+def canonical_basis(columns, n: int) -> tuple[tuple[LaurentPoly, ...], ...]:
     """The canonical basis (lower-triangular column echelon form, pivots
     t^{d_i}, row i of earlier columns reduced below t^{d_i}) of the lattice
     generated by the given columns of length n."""
+    columns = [polynomial_column(col) for col in columns]
     field = columns[0][0].field
     p = field.p
     shift = _least_valuation(columns)
@@ -262,7 +267,7 @@ def canonical_basis(columns, n: int) -> list[list[ValuedScalar]]:
     bound = _degree_bound(columns, n, shift)
     prec = min(_START_PRECISION, bound + 1)
     while True:
-        cols = _series_columns(_polynomials(columns, shift + prec), shift, prec, p)
+        cols = _series_columns(columns, shift, prec, p)
         pivots = _hermite(cols, n, prec, p)
         if pivots is not None and sum(pivots) < prec:
             return _read_basis(cols, pivots, shift, field)
@@ -272,24 +277,23 @@ def canonical_basis(columns, n: int) -> list[list[ValuedScalar]]:
 
 
 def _read_basis(cols, pivots, shift, field):
-    """The first n columns as scalars, shifted back by t^shift and divided by
-    their pivot coefficients (always 1 over F_p)."""
-    zero = ValuedScalar.zero(field)
+    """The first n columns as Laurent polynomials, shifted back by t^shift
+    and divided by their pivot coefficients (always 1 over F_p)."""
+    zero = LaurentPoly.zero(field)
     one = field.one
     basis = []
     for j, d in enumerate(pivots):
         col = cols[j]
         c = col[j][d]
         entries = [zero] * j
-        entries.append(ValuedScalar(LaurentPoly(field, {d + shift: one})))
+        entries.append(LaurentPoly(field, {d + shift: one}))
         for row in col[j + 1:]:
-            coeffs = {
+            entries.append(LaurentPoly(field, {
                 k + shift: e if field.p else Fraction(e, c)
                 for k, e in enumerate(row) if e
-            }
-            entries.append(ValuedScalar(LaurentPoly(field, coeffs)) if coeffs else zero)
-        basis.append(entries)
-    return basis
+            }))
+        basis.append(tuple(entries))
+    return tuple(basis)
 
 
 def smith_exponents(columns, val_det: int) -> list[int]:

@@ -258,9 +258,15 @@ def fuzzed_field(draw):
     return field, ["1", "-2", "3"] + (["1/2"] if field == "rational" else [])
 
 
-def fuzzed_scalar(draw, part, coeffs, diagonal):
+def fuzzed_offset(draw):
+    """Where a lattice or frame sits: its exponents are offset + [-2, 2], so
+    two lattices of one instance may lie up to 6000 apart."""
+    return draw(st.sampled_from([-3000, 0, 3000]) | st.integers(-3000, 3000))
+
+
+def fuzzed_scalar(draw, part, coeffs, diagonal, offset):
     size = draw(st.integers(1 if diagonal else 0, 2))
-    terms = [part([draw(st.integers(-2, 2)), draw(st.sampled_from(coeffs))])
+    terms = [part([offset + draw(st.integers(-2, 2)), draw(st.sampled_from(coeffs))])
              for _ in range(size)]
     out = {"num": part(terms)}
     if draw(st.integers(0, 3)) == 0:
@@ -275,15 +281,17 @@ def fuzzed_indices(draw, part, n, count):
 
 @st.composite
 def fuzzed_instances(draw):
-    """An instance of rank n <= 4 in which at most one part, picked at random,
-    is replaced by arbitrary shallow JSON."""
+    """An instance of rank n <= 4, each lattice at its own offset in
+    [-3000, 3000], in which at most one part, picked at random, is replaced
+    by arbitrary shallow JSON."""
     part = corrupter(draw)
     n = draw(st.integers(1, 4))
     count = draw(st.integers(1, 3))
     field, coeffs = fuzzed_field(draw)
 
     def lattice():
-        cols = [part([fuzzed_scalar(draw, part, coeffs, i == j) for i in range(n)])
+        offset = fuzzed_offset(draw)
+        cols = [part([fuzzed_scalar(draw, part, coeffs, i == j, offset) for i in range(n)])
                 for j in range(n + draw(st.integers(0, 1)))]
         return part({"n": part(n), "columns": part(cols)})
 
@@ -303,7 +311,8 @@ def fuzzed_apartments(draw):
     n = draw(st.integers(1, 4))
     count = draw(st.integers(1, 3))
     field, coeffs = fuzzed_field(draw)
-    frame = [part([fuzzed_scalar(draw, part, coeffs, i == j) for i in range(n)])
+    offset = fuzzed_offset(draw)
+    frame = [part([fuzzed_scalar(draw, part, coeffs, i == j, offset) for i in range(n)])
              for j in range(n)]
     points = [part([part(draw(st.integers(-3, 3))) for _ in range(n)])
               for _ in range(count)]

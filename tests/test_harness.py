@@ -1,11 +1,12 @@
 """Witness-search strategies, two-internal-node networks, scaling, and
 positivity."""
 
+import itertools
 import random
 
 import pytest
 
-from latticeval.detval import multi_f, star_cost
+from latticeval.detval import det_poly, det_scalar, multi_f, star_cost
 from latticeval.harness import (
     SHAPE_12_34,
     SHAPE_41_23,
@@ -24,7 +25,8 @@ from latticeval.randgen import (
     random_index,
     random_lattice,
 )
-from latticeval.scalars import GF, RATIONAL, ValuedScalar
+from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
+from latticeval.truncated import polynomial_column
 
 F2 = GF(2)
 
@@ -195,3 +197,69 @@ def test_positivity_requires_rationals():
     b = [[one, zero], [zero, one]]
     with pytest.raises(ValueError):
         positivity_check([b, b, b])
+
+
+def reference_positivity_check(bases):
+    """The scalar route: det_scalar of each leading-subset matrix of the
+    bases as given, denominators and all."""
+    n = len(bases[0])
+    lattices = [Lattice.from_columns(basis) for basis in bases]
+    for p, q, r in itertools.combinations(range(len(bases)), 3):
+        for i in range(n + 1):
+            for j in range(n - i + 1):
+                cols = list(bases[p][:i]) + list(bases[q][:j]) + list(bases[r][:n - i - j])
+                det = det_scalar([[cols[c][row] for c in range(n)] for row in range(n)])
+                target = multi_f((i, j, n - i - j), [lattices[p], lattices[q], lattices[r]])
+                if det.is_zero() or -det.valuation() != target or det.leading_coefficient() <= 0:
+                    return False
+    return True
+
+
+def with_unit_columns(rng, bases):
+    """Each column times a random unit u/w of F[[t]], u and w with constant
+    term 1; the configuration keeps its lattices, determinant valuations and
+    leading coefficients."""
+    f = RATIONAL
+
+    def unit():
+        return LaurentPoly(f, {0: f.one, rng.randint(1, 2): f.from_int(rng.choice((-2, -1, 1, 2)))})
+
+    return [[[ValuedScalar(unit()) / ValuedScalar(unit()) * e for e in col] for col in basis]
+            for basis in bases]
+
+
+def test_positivity_matches_det_scalar_route():
+    """positivity_check takes det_poly of columns cleared of denominators;
+    each determinant keeps the valuation and leading coefficient of the
+    det_scalar route, and the verdicts agree, positive or not."""
+    rng = random.Random(7)
+    f = RATIONAL
+
+    def entry():
+        if rng.random() < 0.25:
+            return ValuedScalar.zero(f)
+        return ValuedScalar.t_power(f, rng.randint(-1, 1), f.from_int(rng.choice((1, 2, -1))))
+
+    verdicts = []
+    for _ in range(5000):
+        if verdicts.count(True) == 3 and verdicts.count(False) == 10:
+            break
+        n = rng.choice((2, 2, 3))
+        bases = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(3)]
+        if any(det_poly([[e.num for e in r] for r in zip(*b)]).is_zero() for b in bases):
+            continue
+        verdict = positivity_check(bases)
+        if verdicts.count(verdict) >= (3 if verdict else 10):
+            continue
+        verdicts.append(verdict)
+        scaled = with_unit_columns(rng, bases)
+        assert positivity_check(scaled) == verdict
+        assert reference_positivity_check(bases) == reference_positivity_check(scaled) == verdict
+        # One column from each of the first n bases, denominators and all.
+        for cols in itertools.product(*scaled[:n]):
+            d = det_scalar([list(r) for r in zip(*cols)])
+            p = det_poly([list(r) for r in zip(*map(polynomial_column, cols))])
+            assert d.is_zero() == p.is_zero()
+            if not d.is_zero():
+                assert (d.valuation(), d.leading_coefficient()) == (p.valuation(), p.leading_coefficient())
+    assert verdicts.count(True) == 3 and verdicts.count(False) == 10

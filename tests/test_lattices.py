@@ -7,6 +7,7 @@ import pytest
 from latticeval.lattices import Lattice, SingularMatrixError
 from latticeval.randgen import random_lattice, random_scalar, random_unimodular
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
+from test_truncated import reference_canonicalize
 
 
 def S(e, c=1, field=RATIONAL):
@@ -142,3 +143,178 @@ def test_hashable_and_cacheable():
     copy = Lattice.from_columns([list(c) for c in lat.columns])
     assert hash(lat) == hash(copy)
     assert len({lat, copy}) == 1
+
+
+# -- the polynomial storage against the ValuedScalar reference route ---------
+
+FIELDS = (RATIONAL, GF(2), GF(3), GF(101))
+
+
+def sparse_scalar(rng, field, denominators):
+    """A Laurent polynomial on exponents [-2, 2], each kept with probability
+    1/2 with a nonzero coefficient; with denominators, sometimes divided by
+    1 + c t^k (valuation 0, constant term 1)."""
+    nonzero = (-3, -2, -1, 1, 2, 3) if field.is_rational else range(1, field.p)
+    num = LaurentPoly(field, {e: field.from_int(rng.choice(nonzero))
+                              for e in range(-2, 3) if rng.random() < 0.5})
+    if denominators and rng.random() < 0.5:
+        den = LaurentPoly(field, {0: field.one, rng.randint(1, 2): field.from_int(rng.choice(nonzero))})
+        return ValuedScalar(num, den)
+    return ValuedScalar(num)
+
+
+def sparse_generators(rng, field, n, denominators):
+    """n to n + 2 sparse generator columns of length n (any rank)."""
+    return [[sparse_scalar(rng, field, denominators) for _ in range(n)]
+            for _ in range(n + rng.randint(0, 2))]
+
+
+def ref_canonical(gens, n):
+    try:
+        return reference_canonicalize(gens, n)
+    except SingularMatrixError:
+        return None
+
+
+def ref_solve(basis, v):
+    """basis^{-1} v over the fraction field, for a lower-triangular basis."""
+    x = []
+    for i in range(len(v)):
+        acc = v[i]
+        for j in range(i):
+            acc = acc - basis[j][i] * x[j]
+        x.append(acc / basis[i][i])
+    return x
+
+
+def ref_dual(basis):
+    n = len(basis)
+    field = basis[0][0].field
+    units = [[ValuedScalar.one(field) if i == k else ValuedScalar.zero(field)
+              for i in range(n)] for k in range(n)]
+    inv_cols = [ref_solve(basis, u) for u in units]
+    return reference_canonicalize([[col[i] for col in inv_cols] for i in range(n)], n)
+
+
+def ref_contains(basis, v):
+    return all(x.is_integral() for x in ref_solve(basis, v))
+
+
+def sample_cases():
+    """(field, n, generators, reference basis, rng, denominators) for three
+    nonsingular draws over each field, rank 1-4, with and without
+    denominators; singular draws must raise on both routes."""
+    rng = random.Random(21)
+    for field in FIELDS:
+        for n in range(1, 5):
+            for denominators in (False, True):
+                found = 0
+                while found < 3:
+                    gens = sparse_generators(rng, field, n, denominators)
+                    ref = ref_canonical(gens, n)
+                    if ref is None:
+                        with pytest.raises(SingularMatrixError):
+                            Lattice.from_generators(gens, n)
+                        continue
+                    found += 1
+                    yield field, n, gens, ref, rng, denominators
+
+
+def draw_lattice(rng, field, n, denominators):
+    while True:
+        gens = sparse_generators(rng, field, n, denominators)
+        ref = ref_canonical(gens, n)
+        if ref is not None:
+            return Lattice.from_generators(gens, n), ref
+
+
+def as_lists(lat):
+    return [list(col) for col in lat.columns]
+
+
+def test_operations_match_scalar_reference():
+    for field, n, gens, ref, rng, dens in sample_cases():
+        lat = Lattice.from_generators(gens, n)
+        assert as_lists(lat) == ref
+        other, ref_other = draw_lattice(rng, field, n, dens)
+        third, ref_third = draw_lattice(rng, field, n, dens)
+        assert as_lists(lat.sum(other)) == reference_canonicalize(ref + ref_other, n)
+        assert as_lists(lat.dual()) == ref_dual(ref)
+        meet = ref_dual(reference_canonicalize(
+            ref_dual(ref) + ref_dual(ref_other) + ref_dual(ref_third), n))
+        assert as_lists(lat.intersect(other, third)) == meet
+        c = rng.randint(-3, 3)
+        t = ValuedScalar.t_power(field, c)
+        assert as_lists(lat.scale(c)) == reference_canonicalize(
+            [[t * e for e in col] for col in ref], n)
+        # Vectors in the lattice (integral combinations of the generators),
+        # and the same vectors moved by t^-1 along one axis.
+        for _ in range(3):
+            coeffs = [sparse_scalar(rng, field, dens) for _ in gens]
+            coeffs = [x if x.is_integral() else ValuedScalar.zero(field) for x in coeffs]
+            v = [sum((a * col[i] for a, col in zip(coeffs, gens)), ValuedScalar.zero(field))
+                 for i in range(n)]
+            assert lat.contains(v) and ref_contains(ref, v)
+            v[rng.randrange(n)] += ValuedScalar.t_power(field, lat.pivots[0] - 1)
+            assert lat.contains(v) == ref_contains(ref, v)
+        for a, b, ra, rb in ((lat, other, ref, ref_other), (other, lat, ref_other, ref)):
+            assert a.contains_lattice(b) == all(ref_contains(ra, col) for col in rb)
+        s, m = lat.sum(other), lat.intersect(other)
+        assert s.contains_lattice(lat) and lat.contains_lattice(m)
+        assert not lat.contains_lattice(lat.scale(-1))
+
+
+def test_contains_clears_the_whole_vector():
+    # L = <(1, 1), (0, t^2)> holds (1, 1 + t^2/(1+t)) = (1, 1) + (0, t^2)/(1+t).
+    # Clearing each entry's denominator on its own gives (1, 1 + t + t^2),
+    # which is not in L; the vector must be multiplied by one unit.
+    f = RATIONAL
+    lat = Lattice.from_columns([[S(0), S(0)], [Z(), S(2)]])
+    one_plus_t = LaurentPoly(f, {0: f.one, 1: f.one})
+    v = [S(0), ValuedScalar(LaurentPoly(f, {0: f.one, 1: f.one, 2: f.one}), one_plus_t)]
+    assert lat.contains(v)
+    assert not lat.contains([S(0), ValuedScalar(v[1].num)])
+
+
+def test_equality_key_matches_modules():
+    for field, n, gens, ref, rng, dens in sample_cases():
+        lat = Lattice.from_generators(gens, n)
+        # The same module from other generators: integral column operations,
+        # a unit multiple of one column, a redundant column and a shuffle.
+        cols = [list(col) for col in gens]
+        for _ in range(4):
+            if len(cols) > 1:
+                a, b = rng.sample(range(len(cols)), 2)
+                m = random_scalar(rng, field, 0, 2)
+                cols[a] = [x + m * y for x, y in zip(cols[a], cols[b])]
+        unit = ValuedScalar(LaurentPoly(field, {0: field.one, 1: field.one}),
+                            LaurentPoly(field, {0: field.one, 2: field.one}))
+        cols[0] = [unit * x for x in cols[0]]
+        r = random_scalar(rng, field, 0, 1)
+        cols.append([r * x for x in cols[-1]])
+        rng.shuffle(cols)
+        same = Lattice.from_generators(cols, n)
+        assert same == lat and hash(same) == hash(lat) and same is not lat
+        assert all(type(x) is int for x in _flatten(lat.key[2]))
+        other, ref_other = draw_lattice(rng, field, n, dens)
+        assert (other == lat) == (ref_other == ref)
+        assert lat.scale(1) != lat and lat.dual().dual() == lat
+
+
+def _flatten(key):
+    for x in key:
+        if isinstance(x, tuple):
+            yield from _flatten(x)
+        else:
+            yield x
+
+
+def test_random_lattice_is_not_a_multiple_of_e():
+    """The generator must not collapse to t^low E: dense entries made the
+    t^low coefficient matrix almost always invertible (0 of 20 draws over
+    GF(101) and 2 of 20 over Q differed from t^-3 E)."""
+    for field in (GF(101), RATIONAL):
+        rng = random.Random(1)
+        e = Lattice.standard(3, field)
+        draws = [random_lattice(rng, 3, field) for _ in range(20)]
+        assert sum(lat != e.scale(lat.pivots[0]) for lat in draws) >= 8
