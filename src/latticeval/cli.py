@@ -145,6 +145,10 @@ def cmd_gen(args) -> int:
     rng = random.Random(args.seed)
     field = serialize.field_from_str(args.field)
     n = args.n
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
+    if args.kind != "close" and args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
     if args.kind == "triple":
         lattices = [random_lattice(rng, n, field) for _ in range(args.k)]
         indices = random_index(rng, n, args.k)
@@ -162,8 +166,15 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # Exit code 2 means an inconclusive verification, so a usage error
+    # becomes one "error:" line and exit code 1 in main.
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticeval",
         description="Exact lattice-valuation computations and conjecture checks",
     )
@@ -218,9 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

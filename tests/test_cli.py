@@ -190,6 +190,30 @@ def test_oversized_prime_field_is_an_error(capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "0"],
+    ["--n", "-2"],
+    ["--k", "0"],
+    ["--kind", "apartment", "--k", "0"],
+    ["--kind", "close", "--n", "0"],
+], ids=["n0", "n-2", "k0", "apartment-k0", "close-n0"])
+def test_gen_rejects_bad_sizes(capsys, argv):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute-f", "inst.json", "--indices", "-1,2,2"],
+    [],
+], ids=["option-like-value", "no-subcommand"])
+def test_usage_error_exits_1(capsys, argv):
+    # Exit code 2 is reserved for an inconclusive verification.
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_index_sum_mismatch_is_an_error(capsys, tmp_path):
     e = Lattice.standard(2, RATIONAL)
     path = write_instance(tmp_path, [e, e], (1, 2))
