@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .densepoly import addmul, cross, from_poly, to_poly
 from .lattices import Lattice, SingularMatrixError, identity_matrix
 from .scalars import BaseField, LaurentPoly, ValuedScalar
 from .truncated import polynomial_column
@@ -191,81 +192,101 @@ def invert_matrix(m: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:
 def relative_position(first: Lattice, second: Lattice) -> list[list[LaurentPoly]]:
     """basis(first)^{-1} basis(second) as a row-major matrix of Laurent
     polynomials."""
-    cols = first.coordinates(second.basis)
-    n = first.n
-    return [[cols[c][r] for c in range(n)] for r in range(n)]
+    return [[to_poly(first.field, e) for e in row]
+            for row in _relative_pairs(first, second)]
+
+
+def _relative_pairs(first: Lattice, second: Lattice) -> list[list]:
+    """``relative_position`` in ``densepoly`` pairs."""
+    cols = first.pair_coordinates(second.pair_basis())
+    return [list(row) for row in zip(*cols)]
 
 
 def smith_transform(m: list[list[LaurentPoly]]):
     """Fraction-free Smith diagonalization over O = F[[t]].
 
     Returns (exps, C) with C a row-major matrix in GL_n(O) such that
-    R . m . C = diag(t^{e_i} w_i) for some R in GL_n(O) and units w_i.  The
-    pivots are chosen as in ``smith_form`` (minimal valuation, ties broken by
-    lowest (row, column)), but a step multiplies by the pivot unit u instead
-    of dividing by it, so every entry stays a Laurent polynomial.  Each row
-    and column is then a unit multiple of the one ``smith_form`` has at the
-    same step: the valuations and pivots agree, and C differs from its column
-    transform only by a diagonal of units.
+    R . m . C = diag(t^{e_i} w_i) for some R in GL_n(O) and units w_i; see
+    ``_smith_pairs``, which does the work in ``densepoly`` pairs.
+    """
+    field = m[0][0].field
+    exps, c = _smith_pairs([[from_poly(e) for e in row] for row in m], field)
+    return exps, [[to_poly(field, e) for e in row] for row in c]
+
+
+def _smith_pairs(m, field):
+    """``smith_transform`` on a row-major matrix of ``densepoly`` pairs.
+
+    The pivots are chosen as in ``smith_form`` (minimal valuation, ties
+    broken by lowest (row, column)), but a step multiplies by the pivot unit
+    u instead of dividing by it, so every entry stays a Laurent polynomial.
+    Each row and column is then a unit multiple of the one ``smith_form`` has
+    at the same step: the valuations and pivots agree, and C differs from its
+    column transform only by a diagonal of units.
     """
     n = len(m)
     m = [row[:] for row in m]
-    field = m[0][0].field
-    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
-    c = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    p = field.p
+    one = (0, [field.one])
+    c = [[one if i == j else None for j in range(n)] for i in range(n)]
     exps: list[int] = []
     for i in range(n):
         pos = best = None
         for rr in range(i, n):
             for cc in range(i, n):
-                if m[rr][cc].is_zero():
-                    continue
-                v = m[rr][cc].valuation()
-                if best is None or v < best:
-                    best, pos = v, (rr, cc)
+                e = m[rr][cc]
+                if e is not None and (best is None or e[0] < best):
+                    best, pos = e[0], (rr, cc)
         if pos is None:
             raise SingularMatrixError("singular matrix in Smith form")
         rr, cc = pos
         m[i], m[rr] = m[rr], m[i]
         for row in m + c:
             row[i], row[cc] = row[cc], row[i]
-        u = m[i][i].shift(-best)
+        u = (0, m[i][i][1])
         for rr in range(i + 1, n):
-            if not m[rr][i].is_zero():
-                q = m[rr][i].shift(-best)
-                m[rr] = [u * x - q * y for x, y in zip(m[rr], m[i])]
+            x = m[rr][i]
+            if x is not None:
+                q = (x[0] - best, x[1])
+                m[rr] = [cross(u, z, q, y, p) for z, y in zip(m[rr], m[i])]
         # Column i is now zero below the pivot, so a column step clears row i
         # and scales the rest of column cc by u.
         for cc in range(i + 1, n):
-            if not m[i][cc].is_zero():
-                q = m[i][cc].shift(-best)
+            x = m[i][cc]
+            if x is not None:
+                q = (x[0] - best, x[1])
                 for row in c:
-                    row[cc] = u * row[cc] - q * row[i]
+                    row[cc] = cross(u, row[cc], q, row[i], p)
                 for row in m[i + 1:]:
-                    row[cc] = u * row[cc]
-                m[i][cc] = zero
+                    row[cc] = cross(u, row[cc], None, None, p)
+                m[i][cc] = None
         exps.append(best)
     return exps, c
 
 
-def _smith_frame(first: Lattice, second: Lattice) -> list[list[LaurentPoly]]:
+def _smith_frame(first: Lattice, second: Lattice) -> list[list]:
     """Columns x_i = (basis(second) . C)_i t^{-e_i} of the Smith frame of the
-    pair.  basis(first)^{-1} x_i is column i of R^{-1} diag(w), so the frame
-    spans first, and v(det frame) is the pivot sum of first."""
-    exps, c = smith_transform(relative_position(first, second))
-    b = second.basis
+    pair, in ``densepoly`` pairs.  basis(first)^{-1} x_i is column i of
+    R^{-1} diag(w), so the frame spans first, and v(det frame) is the pivot
+    sum of first."""
+    p = first.field.p
+    exps, c = _smith_pairs(_relative_pairs(first, second), first.field)
+    b = second.pair_basis()
     frame = []
     for j, e in enumerate(exps):
-        col = [LaurentPoly.zero(first.field)] * first.n
+        col = [None] * first.n
         for k, bk in enumerate(b):
-            if not c[k][j].is_zero():
-                col = [x + y * c[k][j] for x, y in zip(col, bk)]
-        frame.append([x.shift(-e) for x in col])
+            ckj = c[k][j]
+            if ckj is not None:
+                col = [x if y is None else addmul(x, y, ckj, 1, p)
+                       for x, y in zip(col, bk)]
+        frame.append([None if x is None else (x[0] - e, x[1]) for x in col])
     return frame
 
 
 def _frame_points(frame, det_valuation: int, lattices):
-    """The point of each lattice in the frame, or None if one is not in it.
+    """The point of each lattice in the frame of ``densepoly`` pair columns,
+    or None if one is not in it.
 
     For a lattice K let Y = basis(K)^{-1} X and m_i the least valuation in
     column i of Y.  K = <t^{-c_i} x_i> iff Y diag(t^{-c}) lies in GL_n(O).
@@ -275,7 +296,8 @@ def _frame_points(frame, det_valuation: int, lattices):
     """
     points = []
     for lat in lattices:
-        least = [min(e.valuation() for e in col) for col in lat.coordinates(frame)]
+        least = [min(e[0] for e in col if e is not None)
+                 for col in lat.pair_coordinates(frame)]
         if det_valuation - sum(lat.pivots) != sum(least):
             return None
         points.append(ApartmentPoint(tuple(least)))
@@ -306,10 +328,11 @@ def common_apartment(lattices):
     for i, j in pairs:
         first = lattices[i]
         if i == j:
-            frame = first.basis
+            frame = first.pair_basis()
         else:
             frame = _smith_frame(first, lattices[j])
         points = _frame_points(frame, sum(first.pivots), lattices)
         if points is not None:
-            return Apartment(frame), points
+            apt = Apartment([[to_poly(first.field, e) for e in col] for col in frame])
+            return apt, points
     return None

@@ -4,6 +4,7 @@ random instance generation over JSON files."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -147,7 +148,11 @@ def cmd_gen(args) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
-    if args.kind != "close" and args.k < 1:
+    if args.kind == "close":
+        if args.k != 3:
+            raise ValueError(f"--kind close writes three lattices, so --k must be 3, "
+                             f"got {args.k}")
+    elif args.k < 1:
         raise ValueError(f"--k must be at least 1, got {args.k}")
     if args.kind == "triple":
         lattices = [random_lattice(rng, n, field) for _ in range(args.k)]
@@ -173,7 +178,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` fills a
+    fresh namespace on each call, so nothing carries over between calls."""
     parser = _Parser(
         prog="latticeval",
         description="Exact lattice-valuation computations and conjecture checks",

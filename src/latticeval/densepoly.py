@@ -1,0 +1,154 @@
+"""Laurent polynomials as (valuation, dense coefficient list) pairs.
+
+A nonzero Laurent polynomial c_0 t^v + c_1 t^{v+1} + ... + c_d t^{v+d} is the
+pair (v, [c_0, ..., c_d]) with c_0 and c_d nonzero; ``None`` stands for zero.
+Over Q (p is None) the coefficients are integers or ``Fraction``s, over F_p
+residues in [0, p).  A shift by t^k only moves v, and the inner loops run over
+plain lists, with no dict and no field object per coefficient.
+
+This is the arithmetic kernel of ``detval.det_poly`` (fraction-free Bareiss on
+integer lists), of ``Lattice.coordinates`` (forward substitution) and of the
+apartment frame search (the fraction-free Smith transform of the relative
+position).  ``divexact`` needs integer coefficients over Q.
+"""
+
+from __future__ import annotations
+
+from .scalars import LaurentPoly
+
+
+def from_poly(poly: LaurentPoly):
+    """The pair of a ``LaurentPoly``, or None for zero."""
+    co = poly.coeffs
+    if not co:
+        return None
+    if len(co) == 1:
+        ((lo, x),) = co.items()
+        return lo, [x]
+    lo = min(co)
+    dense = [0] * (max(co) - lo + 1)
+    for e, x in co.items():
+        dense[e - lo] = x
+    return lo, dense
+
+
+def to_poly(field, pair) -> LaurentPoly:
+    """The ``LaurentPoly`` over ``field`` of a pair or None."""
+    if pair is None:
+        return LaurentPoly.zero(field)
+    v, coeffs = pair
+    return LaurentPoly(field, {v + k: c for k, c in enumerate(coeffs)})
+
+
+def cross(a, z, x, y, p):
+    """a*z - x*y for a nonzero a; any of z, x, y may be None.  The result is
+    reduced mod p when p is set and stripped of zero end coefficients, or
+    None."""
+    if x is None or y is None:
+        if z is None:
+            return None
+        v, out = a[0] + z[0], conv(a[1], z[1], 1)
+    elif z is None:
+        v, out = x[0] + y[0], conv(x[1], y[1], -1)
+    else:
+        return _merge(a[0] + z[0], conv(a[1], z[1], 1), x[0] + y[0],
+                      conv(x[1], y[1], -1), p)
+    # One product of stripped polynomials over a domain needs no stripping.
+    if p is not None:
+        out = [c % p for c in out]
+    return v, out
+
+
+def addmul(acc, f, g, s, p):
+    """acc + s*f*g for nonzero f and g and an integer s; acc may be None.
+    Reduced and stripped as in ``cross``."""
+    v, out = f[0] + g[0], conv(f[1], g[1], s)
+    if acc is None:
+        if p is not None:
+            out = [c % p for c in out]
+        return v, out
+    return _merge(v, out, acc[0], acc[1], p)
+
+
+def _merge(v, out, w, low, p):
+    """t^v out + t^w low, reduced and stripped; out is consumed, low only
+    read."""
+    if v > w:
+        out[:0] = [0] * (v - w)
+        v = w
+    w -= v
+    out.extend([0] * (w + len(low) - len(out)))
+    for k, c in enumerate(low, w):
+        out[k] += c
+    if p is not None:
+        out = [c % p for c in out]
+    lo, hi = 0, len(out)
+    while lo < hi and not out[lo]:
+        lo += 1
+    if lo == hi:
+        return None
+    while not out[hi - 1]:
+        hi -= 1
+    return v + lo, out[lo:hi]
+
+
+def conv(f, g, s):
+    """The coefficient list of s * f * g."""
+    if len(f) == 1:
+        c = s * f[0]
+        return [c * x for x in g]
+    if len(g) == 1:
+        c = s * g[0]
+        return [c * x for x in f]
+    out = [0] * (len(f) + len(g) - 1)
+    for j, c in enumerate(f):
+        if c:
+            c *= s
+            for k, x in enumerate(g, j):
+                out[k] += c * x
+    return out
+
+
+def divexact(a, b, p):
+    """Exact quotient a / b of nonzero pairs over Z (p is None) or F_p, by
+    long division from the top coefficient.  Raises ``ValueError`` if the
+    division leaves a remainder."""
+    av, al = a
+    bv, bl = b
+    nb = len(bl)
+    nq = len(al) - nb + 1
+    if nq < 1:
+        raise ValueError("inexact polynomial division")
+    lead = bl[-1]
+    inv = None if p is None else pow(lead, -1, p)
+    rem = list(al)
+    q = [0] * nq
+    for k in range(nq - 1, -1, -1):
+        c = rem[k + nb - 1]
+        if p is None:
+            c, r = divmod(c, lead)
+            if r:
+                raise ValueError("inexact polynomial division")
+        else:
+            c = c * inv % p
+        if c:
+            q[k] = c
+            for j in range(nb - 1):
+                rem[k + j] -= c * bl[j]
+    if any(rem[:nb - 1] if p is None else (c % p for c in rem[:nb - 1])):
+        raise ValueError("inexact polynomial division")
+    return av - bv, q
+
+
+def forward_substitute(below, pivots, col, p):
+    """x with T x = col, T lower triangular with diagonal t^{pivots[i]} and
+    the nonzero entries left of the diagonal in row i given as (j, pair) in
+    below[i].  Each division by a pivot is a shift of the valuation."""
+    x = []
+    for i, d in enumerate(pivots):
+        acc = col[i]
+        for j, b in below[i]:
+            if x[j] is not None:
+                acc = addmul(acc, b, x[j], -1, p)
+        x.append(None if acc is None else (acc[0] - d, acc[1]))
+    return x

@@ -6,13 +6,14 @@ ultrametric inequality, the maximum over module elements is attained on
 subsets of any fixed generating basis, so the search space collapses to
 prod_j C(n, i_j) exact determinant evaluations over Laurent polynomials.
 
-Each determinant is fraction-free Bareiss elimination on plain integers.
-Over Q every column is first multiplied by the lcm of its entries'
-denominators, and the product of those lcms divides the result at the end;
-over F_p the coefficients stay residues.  Every Bareiss quotient is a minor
-of the integer matrix, so each division by the previous pivot is exact and
-its long division from the top coefficient stays in the integers; a
-remainder can only mean a fault and raises ``ValueError``.
+Each determinant is fraction-free Bareiss elimination on plain integers, in
+the (valuation, coefficient list) pairs of ``densepoly``.  Over Q every
+column is first multiplied by the lcm of its entries' denominators, and the
+product of those lcms divides the result at the end; over F_p the
+coefficients stay residues.  Every Bareiss quotient is a minor of the
+integer matrix, so each division by the previous pivot is exact and its long
+division from the top coefficient stays in the integers; a remainder can
+only mean a fault and raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from .densepoly import cross, divexact, from_poly
 from .lattices import Lattice
 from .metric import binary_f, distance, fundamental_weight, pair
 from .scalars import LaurentPoly, ValuedScalar
@@ -45,24 +47,15 @@ def det_poly(mat: list[list[LaurentPoly]]) -> LaurentPoly:
     scale = 1
     m = [[None] * n for _ in range(n)]
     for c in range(n):
-        col = [mat[r][c].coeffs for r in range(n)]
         if p is None:
-            mult = math.lcm(*{x.denominator for co in col for x in co.values()})
+            mult = math.lcm(*{x.denominator for r in range(n)
+                              for x in mat[r][c].coeffs.values()})
             scale *= mult
-        for r, co in enumerate(col):
-            if not co:
-                continue
-            if len(co) == 1:
-                ((lo, x),) = co.items()
-                dense = [x]
-            else:
-                lo = min(co)
-                dense = [0] * (max(co) - lo + 1)
-                for e, x in co.items():
-                    dense[e - lo] = x
-            if p is None:
-                dense = [x.numerator * (mult // x.denominator) for x in dense]
-            m[r][c] = (lo, dense)
+        for r in range(n):
+            e = from_poly(mat[r][c])
+            if e is not None and p is None:
+                e = e[0], [x.numerator * (mult // x.denominator) for x in e[1]]
+            m[r][c] = e
     sign = 1
     prev = None
     for i in range(n - 1):
@@ -81,8 +74,8 @@ def det_poly(mat: list[list[LaurentPoly]]) -> LaurentPoly:
                 z, y = row[c], row_i[c]
                 if z is None and (x is None or y is None):
                     continue
-                num = _cross(piv, z, x, y, p)
-                row[c] = num if prev is None or num is None else _divexact(num, prev, p)
+                num = cross(piv, z, x, y, p)
+                row[c] = num if prev is None or num is None else divexact(num, prev, p)
             row[i] = None
         prev = piv
     d = m[n - 1][n - 1]
@@ -92,87 +85,6 @@ def det_poly(mat: list[list[LaurentPoly]]) -> LaurentPoly:
     if p is None:
         return LaurentPoly(field, {v + k: Fraction(sign * c, scale) for k, c in enumerate(coeffs)})
     return LaurentPoly(field, {v + k: (sign * c) % p for k, c in enumerate(coeffs)})
-
-
-def _cross(a, z, x, y, p):
-    """a*z - x*y on (valuation, coefficient list) pairs, None standing for
-    zero (at least one product is nonzero); the result is reduced mod p when
-    p is set and stripped of zero end coefficients, or None."""
-    if x is None or y is None:
-        v, out = a[0] + z[0], _conv(a[1], z[1], 1)
-    elif z is None:
-        v, out = x[0] + y[0], _conv(x[1], y[1], -1)
-    else:
-        v, w = a[0] + z[0], x[0] + y[0]
-        out, low = _conv(a[1], z[1], 1), _conv(x[1], y[1], -1)
-        if v > w:
-            v, w, out, low = w, v, low, out
-        w -= v
-        out.extend([0] * (w + len(low) - len(out)))
-        for k, c in enumerate(low, w):
-            out[k] += c
-        if p is not None:
-            out = [c % p for c in out]
-        lo, hi = 0, len(out)
-        while lo < hi and not out[lo]:
-            lo += 1
-        if lo == hi:
-            return None
-        while not out[hi - 1]:
-            hi -= 1
-        return v + lo, out[lo:hi]
-    # One product of stripped polynomials over a domain needs no stripping.
-    if p is not None:
-        out = [c % p for c in out]
-    return v, out
-
-
-def _conv(f, g, s):
-    """The coefficient list of s * f * g."""
-    if len(f) == 1:
-        c = s * f[0]
-        return [c * x for x in g]
-    if len(g) == 1:
-        c = s * g[0]
-        return [c * x for x in f]
-    out = [0] * (len(f) + len(g) - 1)
-    for j, c in enumerate(f):
-        if c:
-            c *= s
-            for k, x in enumerate(g, j):
-                out[k] += c * x
-    return out
-
-
-def _divexact(a, b, p):
-    """Exact quotient a / b of nonzero (valuation, coefficient list) pairs
-    over Z (p is None) or F_p, by long division from the top coefficient.
-    Raises ``ValueError`` if the division leaves a remainder."""
-    av, al = a
-    bv, bl = b
-    nb = len(bl)
-    nq = len(al) - nb + 1
-    if nq < 1:
-        raise ValueError("inexact polynomial division")
-    lead = bl[-1]
-    inv = None if p is None else pow(lead, -1, p)
-    rem = list(al)
-    q = [0] * nq
-    for k in range(nq - 1, -1, -1):
-        c = rem[k + nb - 1]
-        if p is None:
-            c, r = divmod(c, lead)
-            if r:
-                raise ValueError("inexact polynomial division")
-        else:
-            c = c * inv % p
-        if c:
-            q[k] = c
-            for j in range(nb - 1):
-                rem[k + j] -= c * bl[j]
-    if any(rem[:nb - 1] if p is None else (c % p for c in rem[:nb - 1])):
-        raise ValueError("inexact polynomial division")
-    return av - bv, q
 
 
 def det_scalar(mat: list[list[ValuedScalar]]) -> ValuedScalar:

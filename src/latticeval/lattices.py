@@ -17,6 +17,7 @@ denominator).  Equality and hashing are one tuple comparison.
 
 from __future__ import annotations
 
+from .densepoly import forward_substitute, from_poly, to_poly
 from .scalars import BaseField, LaurentPoly, ValuedScalar
 from .truncated import SingularMatrixError, canonical_basis, polynomial_column
 
@@ -36,7 +37,7 @@ def _integral(columns) -> bool:
 class Lattice:
     """Immutable lattice; two instances are equal iff the modules coincide."""
 
-    __slots__ = ("n", "field", "basis", "pivots", "key", "_hash")
+    __slots__ = ("n", "field", "basis", "pivots", "key", "_hash", "_below")
 
     def __init__(self, n: int, field: BaseField, basis: tuple[Column, ...]):
         self.n = n
@@ -47,6 +48,9 @@ class Lattice:
         rational = field.p is None
         self.key = (n, field.p, tuple(_entry_key(e, rational) for col in basis for e in col))
         self._hash = None
+        # Row i of the basis left of its pivot as densepoly pairs, built on
+        # the first call to ``pair_coordinates``.
+        self._below = None
 
     @classmethod
     def from_columns(cls, columns) -> "Lattice":
@@ -135,22 +139,25 @@ class Lattice:
         """basis^{-1} . c for each column c of Laurent polynomials, by forward
         substitution.  The basis is lower triangular with pivots t^{d_i}, so
         each division by a pivot is a shift and the result stays polynomial."""
-        n = self.n
-        below = [
-            [(j, self.basis[j][i]) for j in range(i) if self.basis[j][i].coeffs]
-            for i in range(n)
-        ]
-        out = []
-        for col in columns:
-            x: list[LaurentPoly] = []
-            for i in range(n):
-                acc = col[i]
-                for j, b in below[i]:
-                    if not x[j].is_zero():
-                        acc = acc - b * x[j]
-                x.append(acc.shift(-self.pivots[i]))
-            out.append(x)
-        return out
+        field = self.field
+        zero = LaurentPoly.zero(field)
+        return [[zero if e is None else to_poly(field, e) for e in x]
+                for x in self.pair_coordinates([[from_poly(e) for e in col]
+                                                for col in columns])]
+
+    def pair_coordinates(self, columns) -> list[list]:
+        """``coordinates`` on columns of ``densepoly`` pairs, giving pairs."""
+        if self._below is None:
+            self._below = tuple(
+                tuple((j, from_poly(self.basis[j][i])) for j in range(i)
+                      if self.basis[j][i].coeffs)
+                for i in range(self.n))
+        p = self.field.p
+        return [forward_substitute(self._below, self.pivots, col, p) for col in columns]
+
+    def pair_basis(self) -> list[list]:
+        """The canonical basis as columns of ``densepoly`` pairs."""
+        return [[from_poly(e) for e in col] for col in self.basis]
 
     def basis_inverse(self) -> list[list[ValuedScalar]]:
         """basis^{-1} as a row-major matrix (lower triangular, like basis)."""

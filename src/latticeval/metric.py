@@ -8,7 +8,8 @@ polynomial entries (``Lattice.coordinates``), and its exponents come from the
 exact truncated kernel in ``truncated``.  ``smith_form`` is the fraction-field
 elimination with both row transforms; the library no longer calls it, and
 the tests keep it as the reference for ``smith_exponents`` and for the
-fraction-free transform of ``apartment.smith_transform``.
+exponents of ``apartment.smith_transform``, the fraction-free column
+transform that the apartment frame search runs on ``densepoly`` pairs.
 """
 
 from __future__ import annotations

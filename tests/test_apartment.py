@@ -14,12 +14,13 @@ from latticeval.apartment import (
     invert_matrix,
     kuhn_munkres,
     relative_position,
+    smith_transform,
 )
 from latticeval.detval import det_scalar, multi_f, star_cost
 from latticeval.lattices import Lattice, SingularMatrixError, identity_matrix, matmul
 from latticeval.metric import binary_f, smith_form
 from latticeval.randgen import random_apartment_instance, random_scalar, random_unimodular
-from latticeval.scalars import GF, RATIONAL, ValuedScalar
+from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
 
 
 def test_kuhn_munkres_examples():
@@ -251,3 +252,108 @@ def test_common_apartment_matches_reference():
             assert (apartment_witness(apt2, pts2, idx)
                     == apartment_witness(ref_apt, ref_points, idx))
     assert outcomes[True] and outcomes[False]
+
+
+def reference_smith_transform(m):
+    """The Laurent-polynomial body that ``smith_transform`` had before it ran
+    on densepoly pairs: the same pivots, tie-break and u*x - q*y steps, in
+    ``LaurentPoly`` arithmetic."""
+    n = len(m)
+    m = [row[:] for row in m]
+    field = m[0][0].field
+    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    c = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    exps = []
+    for i in range(n):
+        pos = best = None
+        for rr in range(i, n):
+            for cc in range(i, n):
+                if m[rr][cc].is_zero():
+                    continue
+                v = m[rr][cc].valuation()
+                if best is None or v < best:
+                    best, pos = v, (rr, cc)
+        if pos is None:
+            raise SingularMatrixError("singular matrix in Smith form")
+        rr, cc = pos
+        m[i], m[rr] = m[rr], m[i]
+        for row in m + c:
+            row[i], row[cc] = row[cc], row[i]
+        u = m[i][i].shift(-best)
+        for rr in range(i + 1, n):
+            if not m[rr][i].is_zero():
+                q = m[rr][i].shift(-best)
+                m[rr] = [u * x - q * y for x, y in zip(m[rr], m[i])]
+        for cc in range(i + 1, n):
+            if not m[i][cc].is_zero():
+                q = m[i][cc].shift(-best)
+                for row in c:
+                    row[cc] = u * row[cc] - q * row[i]
+                for row in m[i + 1:]:
+                    row[cc] = u * row[cc]
+                m[i][cc] = zero
+        exps.append(best)
+    return exps, c
+
+
+def _random_poly(rng, field, density):
+    """Zero with probability 1 - density, else a sparse polynomial on
+    exponents -1..2, so equal valuations (ties) are common."""
+    if rng.random() > density:
+        return LaurentPoly.zero(field)
+    coeffs = {e: field.from_int(rng.randint(-3, 3)) for e in range(-1, 3)
+              if rng.random() < 0.5}
+    poly = LaurentPoly(field, coeffs)
+    return poly if not poly.is_zero() else LaurentPoly.t_power(field, rng.randint(-1, 2))
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF(2), GF(3), GF(101)], ids=repr)
+def test_smith_transform_matches_reference(field):
+    rng = random.Random(field.p or 0)
+    singular = 0
+    for n in (1, 2, 3, 4):
+        for trial in range(30):
+            m = [[_random_poly(rng, field, (0.4, 0.7, 1.0)[trial % 3]) for _ in range(n)]
+                 for _ in range(n)]
+            if n > 1 and trial % 5 == 4:
+                # A row that is a multiple of another makes m singular.
+                a, b = rng.sample(range(n), 2)
+                f = _random_poly(rng, field, 1.0)
+                m[a] = [f * x for x in m[b]]
+            try:
+                expected = reference_smith_transform(m)
+            except SingularMatrixError:
+                singular += 1
+                with pytest.raises(SingularMatrixError):
+                    smith_transform(m)
+                continue
+            assert smith_transform(m) == expected
+    assert singular >= 10
+
+
+def test_common_apartment_uses_no_laurentpoly_arithmetic(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("LaurentPoly arithmetic inside common_apartment")
+
+    rng = random.Random(71)
+    configs = []
+    for field in (RATIONAL, GF(2), GF(3), GF(101)):
+        for n, k in ((2, 2), (3, 3), (4, 3)):
+            apt, pts, _ = random_apartment_instance(rng, n, k, field, window=3)
+            lats = [apt.lattice(p) for p in pts]
+            if rng.random() < 1 / 2:
+                lats[0] = _perturbed(rng, lats[0])
+            configs.append(lats)
+
+    def run():
+        out = []
+        for lats in configs:
+            found = common_apartment(lats)
+            out.append(None if found is None else (found[0].basis, found[1]))
+        return out
+
+    expected = run()
+    assert any(r is None for r in expected) and any(r is not None for r in expected)
+    for name in ("__mul__", "__sub__", "__add__", "__neg__", "divexact"):
+        monkeypatch.setattr(LaurentPoly, name, forbidden)
+    assert run() == expected

@@ -1,12 +1,16 @@
 """CLI subcommands: outputs, exit codes, and byte-for-byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import latticeval
 from latticeval.cli import main
 from latticeval import serialize
 from latticeval.lattices import Lattice
@@ -196,11 +200,42 @@ def test_oversized_prime_field_is_an_error(capsys):
     ["--k", "0"],
     ["--kind", "apartment", "--k", "0"],
     ["--kind", "close", "--n", "0"],
-], ids=["n0", "n-2", "k0", "apartment-k0", "close-n0"])
+    ["--kind", "close", "--k", "0"],
+    ["--kind", "close", "--k", "7"],
+], ids=["n0", "n-2", "k0", "apartment-k0", "close-n0", "close-k0", "close-k7"])
 def test_gen_rejects_bad_sizes(capsys, argv):
     code, out, err = run(capsys, "gen", *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, tmp_path):
+    """The parser is built once per process; calls in one process give the
+    output and exit code of separate processes, and no option carries over."""
+    _, out, _ = run(capsys, "gen", "--kind", "apartment", "--field", "prime:3",
+                    "--seed", "1")
+    inst = tmp_path / "apt.json"
+    inst.write_text(out)
+    calls = [
+        ["verify", str(inst), "--json", "--strategy", "apartment", "--seed", "4"],
+        ["verify", str(inst)],
+        ["verify", str(inst), "--bogus"],
+        ["gen", "--kind", "close", "--n", "2", "--seed", "8"],
+        ["gen"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(latticeval.__file__)))
+    in_process = [run(capsys, *argv) for argv in calls]
+    for argv, (code, out, err) in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "latticeval.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    (json_code, json_out, _), (_, text_out, _), (code, out, err), _, (_, gen_out, _) = in_process
+    assert json_code == 0 and json.loads(json_out)["status"] == "verified"
+    assert text_out.startswith(("verified:", "inconclusive:"))
+    assert code == 1 and out == "" and len(err.strip().splitlines()) == 1
+    assert err.startswith("error:")
+    payload = json.loads(gen_out)
+    assert payload["seed"] == 0 and payload["field"] == "rational"
 
 
 @pytest.mark.parametrize("argv", [

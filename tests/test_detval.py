@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from latticeval.densepoly import divexact as _divexact
 from latticeval.detval import (
-    _divexact,
     det_poly,
     det_scalar,
     edge_reduction_check,
