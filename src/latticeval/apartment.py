@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .densepoly import addmul, cross, from_poly, to_poly
+from .detval import det_poly
 from .lattices import Lattice, SingularMatrixError, identity_matrix
 from .scalars import BaseField, LaurentPoly, ValuedScalar
 from .truncated import polynomial_column
@@ -112,9 +113,10 @@ class Apartment:
         # polynomials; clearing a column's denominators multiplies x_i by a
         # unit, which changes no lattice of the apartment.
         self.basis = tuple(tuple(polynomial_column(col)) for col in basis)
-        # The canonical basis spans the frame's lattice, so its pivot sum is
-        # v(det frame); dependent columns raise SingularMatrixError.
-        self.det_valuation = sum(Lattice.from_columns(self.basis).pivots)
+        det = det_poly(self.basis)
+        if det.is_zero():
+            raise SingularMatrixError("frame columns are dependent")
+        self.det_valuation = det.valuation()
 
     @classmethod
     def standard(cls, n: int, field: BaseField) -> "Apartment":

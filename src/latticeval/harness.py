@@ -90,7 +90,11 @@ def verify_star(idx, lattices, strategy: str, seed: int = 0, budget: int = 10000
     change of coordinates; abstains when the triple is not close), "apartment"
     (assignment witness when a common frame is found), "enumerate" (every
     lattice between the intersection and the sum, prime fields only), and
-    "random" (seeded random diagonal candidates in random frames).
+    "random" (seeded random diagonal candidates in random frames).  The
+    budget bounds the work of the two searches: "enumerate" tests at most
+    ``budget`` triangular fills for membership, accepted or not, and
+    "random" draws at most ``budget`` candidates; "close" and "apartment"
+    examine one candidate each and ignore it.
     """
     idx = tuple(idx)
     lattices = list(lattices)
@@ -138,43 +142,39 @@ def _verify_apartment(idx, lattices, lhs):
 def _between_lattices(lattices, budget):
     """Every lattice Q with intersect(all) <= Q <= sum(all), generated through
     canonical triangular matrices in the coordinates of the sum (prime field
-    required); truncated at the budget."""
+    required); at most ``budget`` fills are tested for membership."""
     total = lattices[0].sum(*lattices[1:])
     meet = lattices[0].intersect(*lattices[1:])
     field = lattices[0].field
     if field.is_rational:
         raise ValueError("enumeration requires a prime base field")
     n = lattices[0].n
-    ginv = total.basis_inverse()
     g = [list(row) for row in zip(*total.columns)]
-    floor = meet.transform(ginv)  # standard(n) contains floor
+    floor = Lattice.from_columns(total.coordinates(meet.basis))  # standard(n) contains floor
     # Any intermediate lattice has nonnegative pivots summing to at most
     # val det(floor), so this pivot scan (with the membership filter) is
     # exhaustive.
     bound = sum(floor.pivots)
-    produced = 0
+    tested = 0
     for pivots in itertools.product(range(bound + 1), repeat=n):
         if sum(pivots) > bound:
             continue
         for fill in _triangular_fills(n, pivots, field):
-            if produced >= budget:
+            if tested >= budget:
                 return
+            tested += 1
             cand = Lattice.from_columns(fill)
-            if not cand.contains_lattice(floor):
-                continue
-            produced += 1
-            yield cand.transform(g)
+            if cand.contains_lattice(floor):
+                yield cand.transform(g)
 
 
 def _triangular_fills(n, pivots, field):
     """All canonical lower-triangular matrices with the given pivot exponents
-    and integral below-diagonal entries reduced modulo the row pivot."""
+    and integral below-diagonal entries reduced modulo the row pivot, in
+    lexicographic order of the slot coefficients."""
     slots = [(i, j) for j in range(n) for i in range(j + 1, n) if pivots[i] > 0]
-    ranges = [
-        list(itertools.product(range(field.p), repeat=pivots[i])) for i, _ in slots
-    ]
     zero = LaurentPoly.zero(field)
-    for choice in itertools.product(*ranges):
+    for flat in itertools.product(range(field.p), repeat=sum(pivots[i] for i, _ in slots)):
         cols = [
             [
                 LaurentPoly.t_power(field, pivots[j]) if i == j else zero
@@ -182,10 +182,11 @@ def _triangular_fills(n, pivots, field):
             ]
             for j in range(n)
         ]
-        for (i, j), coeffs in zip(slots, choice):
-            cols[j][i] = LaurentPoly(
-                field, {e: field.from_int(c) for e, c in enumerate(coeffs)}
-            )
+        start = 0
+        for i, j in slots:
+            coeffs = flat[start:start + pivots[i]]
+            start += pivots[i]
+            cols[j][i] = LaurentPoly(field, dict(enumerate(coeffs)))
         yield cols
 
 

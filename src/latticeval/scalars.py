@@ -5,6 +5,13 @@ field F, which is either the rationals or a prime field F_p.  Every scalar has
 an exactly computable valuation (lowest t-exponent of its series expansion)
 and leading coefficient; there is no floating point, and series are truncated
 only at a proven exact bound (see ``truncated``).
+
+Each ``LaurentPoly`` operation is one loop over ``BaseField`` operations,
+shared by Q and F_p.  The one rational-only piece is the primitive PRS gcd
+(Brown 1971) that ``poly_gcd`` uses over Q to reduce fractions without
+coefficient growth.  The library's hot paths run on the ``truncated`` and
+``densepoly`` kernels; this module carries input fractions and the reference
+implementations that the tests compare those kernels against.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ def _is_prime(n: int) -> bool:
 class BaseField:
     """The coefficient field: rationals (p is None) or integers mod a prime."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int | None = None):
         if p is not None:
@@ -52,6 +59,8 @@ class BaseField:
             if not _is_prime(p):
                 raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
+        self.zero = Fraction(0) if p is None else 0
+        self.one = Fraction(1) if p is None else 1
 
     @property
     def is_rational(self) -> bool:
@@ -61,14 +70,6 @@ class BaseField:
         if self.p is None:
             return Fraction(k)
         return k % self.p
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
@@ -165,11 +166,7 @@ class LaurentPoly:
         f = self.field
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = f.add(out.get(e, f.zero), c)
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = f.add(out.get(e, f.zero), c)
         return LaurentPoly(f, out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -181,36 +178,13 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         f = self.field
-        if f.is_rational and len(self.coeffs) > 1 and len(other.coeffs) > 1:
-            return self._mul_rational(other)
+        add, mul, zero = f.add, f.mul, f.zero
         out: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                s = f.add(out.get(e, f.zero), f.mul(c1, c2))
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = add(out.get(e, zero), mul(c1, c2))
         return LaurentPoly(f, out)
-
-    def _mul_rational(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Convolution with denominators cleared, so the inner loop runs over
-        machine integers instead of fractions."""
-        da = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        db = math.lcm(*(c.denominator for c in other.coeffs.values()))
-        a = {e: int(c * da) for e, c in self.coeffs.items()}
-        b = {e: int(c * db) for e, c in other.coeffs.items()}
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        den = da * db
-        return LaurentPoly(
-            self.field,
-            {e: Fraction(c, den) for e, c in out.items() if c},
-        )
 
     def scale(self, c) -> "LaurentPoly":
         f = self.field
@@ -226,74 +200,12 @@ class LaurentPoly:
         if self.is_zero():
             return LaurentPoly.zero(self.field)
         f = self.field
-        if f.is_rational:
-            return self._divexact_rational(other)
         vs, vo = self.valuation(), other.valuation()
-        a = {e - vs: c for e, c in self.coeffs.items()}
-        b = {e - vo: c for e, c in other.coeffs.items()}
-        db = max(b)
-        inv_lead = f.inv(b[db])
-        quot: dict = {}
-        while a:
-            da = max(a)
-            if da < db:
-                raise ValueError("inexact polynomial division")
-            q = f.mul(a[da], inv_lead)
-            quot[da - db] = q
-            for e, c in b.items():
-                k = e + da - db
-                s = f.sub(a.get(k, f.zero), f.mul(c, q))
-                if s:
-                    a[k] = s
-                else:
-                    a.pop(k, None)
-        return LaurentPoly(f, {e + vs - vo: c for e, c in quot.items()})
-
-    def _divexact_rational(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division over the rationals via integer pseudo-division:
-        clear denominators, run the remainder loop over machine integers, and
-        restore the scale factors at the end."""
-        vs, vo = self.valuation(), other.valuation()
-        da = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        db = math.lcm(*(c.denominator for c in other.coeffs.values()))
-        a = {e - vs: int(c * da) for e, c in self.coeffs.items()}
-        b = {e - vo: int(c * db) for e, c in other.coeffs.items()}
-        dega, degb = max(a), max(b)
-        if dega < degb:
+        rem = {e - vs: c for e, c in self.coeffs.items()}
+        quot = _divide(rem, {e - vo: c for e, c in other.coeffs.items()}, f)
+        if rem:
             raise ValueError("inexact polynomial division")
-        lb = b[degb]
-        quot: dict = {}
-        # Invariant after s steps: lb^s * a0 = quot * b + a.
-        steps_left = dega - degb + 1
-        while a:
-            d = max(a)
-            if d < degb:
-                raise ValueError("inexact polynomial division")
-            c = a[d]
-            for k in quot:
-                quot[k] *= lb
-            quot[d - degb] = quot.get(d - degb, 0) + c
-            nxt = {k: v * lb for k, v in a.items()}
-            for k, v in b.items():
-                kk = k + d - degb
-                s = nxt.get(kk, 0) - c * v
-                if s:
-                    nxt[kk] = s
-                else:
-                    nxt.pop(kk, None)
-            a = nxt
-            steps_left -= 1
-        # Bring the quotient to the uniform scale lb^(dega-degb+1).
-        extra = lb ** steps_left
-        den = lb ** (dega - degb + 1) * da
-        return LaurentPoly(
-            self.field,
-            {
-                k + vs - vo: Fraction(v * extra * db, den)
-                for k, v in quot.items()
-                if v
-            },
-        )
+        return LaurentPoly(f, {e + vs - vo: c for e, c in quot.items()})
 
     def __eq__(self, other):
         return (
@@ -322,7 +234,9 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if f.is_rational:
         return _gcd_rational(a, b)
     while not b.is_zero():
-        a, b = b, _poly_mod(a, b)
+        rem = dict(a.coeffs)
+        _divide(rem, b.coeffs, f)
+        a, b = b, LaurentPoly(f, rem)
     if a.is_zero():
         return a
     return a.scale(f.inv(a.coeffs[max(a.coeffs)]))
@@ -331,43 +245,12 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 def _gcd_rational(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Primitive-PRS gcd over Z (avoids Fraction coefficient blowup)."""
     pa, pb = _primitive_int(a), _primitive_int(b)
-    if pa and pb and _coprime_mod_p(pa, pb):
-        return LaurentPoly.one(a.field)
     while pb:
         pa, pb = pb, _primitive(_pseudo_rem(pa, pb))
     if not pa:
         return LaurentPoly.zero(a.field)
     lead = pa[-1]
     return LaurentPoly(a.field, {e: Fraction(c, lead) for e, c in enumerate(pa) if c})
-
-
-_GCD_PRIMES = (2147483647, 2147483629, 2147483587)
-
-
-def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
-    """True if the integer polynomials are provably coprime over Q: for a
-    prime p not dividing either leading coefficient, deg gcd(a, b) over Q is
-    at most deg gcd(a mod p, b mod p), so a constant modular gcd certifies
-    coprimality.  False means unknown (the caller falls back to the PRS)."""
-    for p in _GCD_PRIMES:
-        if a[-1] % p == 0 or b[-1] % p == 0:
-            continue
-        ra = [c % p for c in a]
-        rb = [c % p for c in b]
-        while rb and any(rb):
-            lead_inv = pow(rb[-1], p - 2, p)
-            db = len(rb) - 1
-            while len(ra) - 1 >= db:
-                coef = ra[-1] * lead_inv % p
-                for i in range(db + 1):
-                    ra[len(ra) - 1 - db + i] = (ra[len(ra) - 1 - db + i] - coef * rb[i]) % p
-                while ra and ra[-1] == 0:
-                    ra.pop()
-                if not ra:
-                    break
-            ra, rb = rb, ra
-        return len(ra) == 1
-    return False
 
 
 def _primitive_int(p: LaurentPoly) -> list[int]:
@@ -410,22 +293,25 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _poly_mod(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    f = a.field
-    rem = dict(a.coeffs)
-    db = max(b.coeffs)
-    inv_lead = f.inv(b.coeffs[db])
+def _divide(rem: dict, b: dict, f: BaseField) -> dict:
+    """Long division by the nonzero b, as ordinary polynomials in t: returns
+    the quotient and leaves the remainder in ``rem``."""
+    sub, mul, zero = f.sub, f.mul, f.zero
+    db = max(b)
+    inv_lead = f.inv(b[db])
+    quot: dict = {}
     while rem and max(rem) >= db:
         da = max(rem)
-        q = f.mul(rem[da], inv_lead)
-        for e, c in b.coeffs.items():
+        q = mul(rem[da], inv_lead)
+        quot[da - db] = q
+        for e, c in b.items():
             k = e + da - db
-            s = f.sub(rem.get(k, f.zero), f.mul(c, q))
+            s = sub(rem.get(k, zero), mul(c, q))
             if s:
                 rem[k] = s
             else:
                 rem.pop(k, None)
-    return LaurentPoly(f, rem)
+    return quot
 
 
 class ValuedScalar:

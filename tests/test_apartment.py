@@ -63,6 +63,23 @@ def test_apartment_single_index_is_unary():
         assert apartment_multi_f(apt, [pt], (n,)) == lat.unary_f()
 
 
+@pytest.mark.parametrize("field", [RATIONAL, GF(2), GF(101)], ids=repr)
+def test_frame_det_valuation_matches_canonical_pivots(field):
+    """det_valuation is v(det frame): the pivot sum of the frame's lattice;
+    dependent columns raise SingularMatrixError."""
+    rng = random.Random(64)
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        shifts = [rng.randint(-3, 3) for _ in range(n)]
+        frame = [[e * ValuedScalar.t_power(field, k) for e in col]
+                 for col, k in zip(random_unimodular(rng, n, field), shifts)]
+        apt = Apartment(frame)
+        assert apt.det_valuation == sum(shifts)
+        assert apt.det_valuation == sum(Lattice.from_columns(apt.basis).pivots)
+        with pytest.raises(SingularMatrixError):
+            Apartment([frame[0]] * n if n > 1 else [[ValuedScalar.zero(field)]])
+
+
 def test_witness_example():
     apt = Apartment.standard(2, RATIONAL)
     e = Lattice.standard(2, RATIONAL)

@@ -107,6 +107,24 @@ def test_wide_exponent_spread_is_fast(capsys, tmp_path):
     assert elapsed < 1.0, f"distance took {elapsed:.2f}s"
 
 
+def test_enumerate_budget_bounds_run_time(capsys, tmp_path):
+    """The floor of this instance has pivots (8, 6, 4), so the enumeration
+    scans pivot vectors up to a sum of 18 over F_2; with the budget counting
+    only accepted candidates this run did not finish in 20 s."""
+    _, out, _ = run(capsys, "gen", "--kind", "apartment", "--field", "prime:2",
+                    "--seed", "4", "--n", "3")
+    inst = tmp_path / "apt.json"
+    inst.write_text(out)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(latticeval.__file__)))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "latticeval.cli", "verify", str(inst),
+                           "--strategy", "enumerate", "--budget", "300"],
+                          capture_output=True, text=True, env=env, timeout=20)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 2 and proc.stdout.startswith("inconclusive:")
+    assert elapsed < 10.0, f"enumerate took {elapsed:.2f}s"
+
+
 def test_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -278,7 +296,10 @@ def test_malformed_instance_is_an_error(capsys, tmp_path, mangle):
     ("apartment", {"field": "rational", "frame": 5, "points": [], "indices": []}),
     ("konig", {"field": "prime:2", "n": 2, "subspaces": 7}),
     ("hungarian", 5),
-], ids=["apartment-frame-int", "konig-subspaces-int", "hungarian-int"])
+    ("apartment", {"field": "prime:3", "points": [[0, 1]], "indices": [2], "frame": [
+        [{"num": [[0, "1"]]}, {"num": [[0, "2"]]}],
+        [{"num": [[0, "2"]]}, {"num": [[0, "1"]]}]]}),
+], ids=["apartment-frame-int", "konig-subspaces-int", "hungarian-int", "apartment-singular"])
 def test_malformed_frame_input_is_an_error(capsys, tmp_path, command, data):
     if command == "hungarian":
         arg = json.dumps(data)

@@ -104,6 +104,28 @@ def test_verify_zero_budget_is_inconclusive():
     assert report.candidates_examined == 0
 
 
+@pytest.mark.parametrize("budget", [0, 1, 7, 40])
+def test_enumerate_budget_bounds_membership_tests(monkeypatch, budget):
+    """The budget counts every fill tested for membership, accepted or not;
+    the floor of this rank-3 apartment instance over F_2 has pivot sum 18,
+    so the unbounded enumeration tests far more than 40 fills."""
+    apt, points, idx = random_apartment_instance(random.Random(4), 3, 3, F2)
+    lats = [apt.lattice(pt) for pt in points]
+    calls = []
+    contains = Lattice.contains_lattice
+
+    def counted(self, other):
+        calls.append(other)
+        assert len(calls) <= budget, "membership test beyond the budget"
+        return contains(self, other)
+
+    monkeypatch.setattr(Lattice, "contains_lattice", counted)
+    report = verify_star(idx, lats, "enumerate", budget=budget)
+    assert report.candidates_examined <= len(calls)
+    if report.status == "inconclusive":
+        assert len(calls) == budget
+
+
 def test_verify_random_is_deterministic():
     rng = random.Random(74)
     lats = [random_lattice(rng, 2, RATIONAL, -1, 1) for _ in range(3)]

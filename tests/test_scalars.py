@@ -1,5 +1,6 @@
 """Exact arithmetic in the fraction field of Laurent polynomials."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeval.densepoly import conv, from_poly
 from latticeval.scalars import (
     GF,
     RATIONAL,
@@ -172,3 +174,114 @@ def test_monomial_products_match_generic_path():
         via_fast = s * mono
         via_slow = ValuedScalar(s.num * mono.num, s.den * mono.den)
         assert via_fast == via_slow
+
+
+# -- LaurentPoly arithmetic: one loop over BaseField operations per field ----
+
+POLY_FIELDS = [RATIONAL, GF(2), GF(3), GF(101)]
+
+
+@st.composite
+def polys(draw, field, nonzero=False, max_len=5):
+    """A Laurent polynomial with up to max_len terms on consecutive exponents;
+    rational coefficients have small numerators and denominators."""
+    lo = draw(st.integers(-3, 3))
+    length = draw(st.integers(1 if nonzero else 0, max_len))
+    if field.is_rational:
+        coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    else:
+        coeff = st.integers(0, field.p - 1)
+    coeffs = draw(st.lists(coeff, min_size=length, max_size=length))
+    poly = LaurentPoly(field, {lo + k: c for k, c in enumerate(coeffs)})
+    if nonzero and poly.is_zero():
+        poly = LaurentPoly.t_power(field, lo)
+    return poly
+
+
+def cleared(poly):
+    """(valuation, integer coefficient list, common denominator) of a nonzero
+    polynomial."""
+    v, coeffs = from_poly(poly)
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    return v, [int(c * den) for c in coeffs], den
+
+
+def monic(poly):
+    """The ordinary polynomial of poly (t-power stripped), scaled monic."""
+    f = poly.field
+    p = poly.shift(-poly.valuation())
+    return p.scale(f.inv(p.coeffs[max(p.coeffs)]))
+
+
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_products_match_conv(field, data):
+    a = data.draw(polys(field, nonzero=True))
+    b = data.draw(polys(field, nonzero=True))
+    (va, la, da), (vb, lb, db) = cleared(a), cleared(b)
+    out = conv(la, lb, 1)
+    if field.is_rational:
+        expected = {va + vb + k: Fraction(c, da * db) for k, c in enumerate(out)}
+    else:
+        expected = {va + vb + k: c % field.p for k, c in enumerate(out)}
+    assert a * b == LaurentPoly(field, expected)
+    assert (a * LaurentPoly.zero(field)).is_zero()
+
+
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_divexact_inverts_products(field, data):
+    a = data.draw(polys(field))
+    b = data.draw(polys(field, nonzero=True))
+    assert (a * b).divexact(b) == a
+    if not a.is_zero():
+        assert (a * b).divexact(a) == b
+
+
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inexact_division_raises(field, data):
+    """a*b + c*t^k is not a multiple of b when b is no monomial: modulo b it
+    is c*t^k, and t is a unit modulo b."""
+    a = data.draw(polys(field, nonzero=True))
+    b = data.draw(polys(field, nonzero=True))
+    if b.is_monomial():
+        b = b + b.shift(1)
+    k = data.draw(st.integers(-4, 4))
+    c = field.one if field.is_rational else data.draw(st.integers(1, field.p - 1))
+    with pytest.raises(ValueError):
+        (a * b + LaurentPoly.t_power(field, k, c)).divexact(b)
+
+
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gcd_of_common_multiples(field, data):
+    a = data.draw(polys(field, nonzero=True, max_len=4))
+    b = data.draw(polys(field, max_len=4))
+    g = data.draw(polys(field, nonzero=True, max_len=3))
+    d = poly_gcd(a * g, b * g)
+    assert d.valuation() == 0 and d.coeffs[max(d.coeffs)] == field.one
+    d.divexact(g)  # raises unless g divides d
+    assert poly_gcd(b * g, a * g) == d
+
+
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gcd_of_coprime_pairs_is_one(field, data):
+    """a and a*q + c*t^k share no factor but units, so the gcd is 1, and the
+    gcd of their multiples by g is monic(g)."""
+    one = LaurentPoly.one(field)
+    a = data.draw(polys(field, nonzero=True))
+    q = data.draw(polys(field))
+    k = data.draw(st.integers(-4, 4))
+    c = field.one if field.is_rational else data.draw(st.integers(1, field.p - 1))
+    b = a * q + LaurentPoly.t_power(field, k, c)
+    assert poly_gcd(a, b) == one
+    assert poly_gcd(b, a) == one
+    g = data.draw(polys(field, nonzero=True, max_len=3))
+    assert poly_gcd(a * g, b * g) == monic(g)
