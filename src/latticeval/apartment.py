@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .densepoly import addmul, cross, from_poly, to_poly
+from .densepoly import combine, cross, from_poly, to_poly
 from .detval import det_poly
 from .lattices import Lattice, SingularMatrixError, identity_matrix
 from .scalars import BaseField, LaurentPoly, ValuedScalar
@@ -276,12 +276,7 @@ def _smith_frame(first: Lattice, second: Lattice) -> list[list]:
     b = second.pair_basis()
     frame = []
     for j, e in enumerate(exps):
-        col = [None] * first.n
-        for k, bk in enumerate(b):
-            ckj = c[k][j]
-            if ckj is not None:
-                col = [x if y is None else addmul(x, y, ckj, 1, p)
-                       for x, y in zip(col, bk)]
+        col = combine(b, [row[j] for row in c], p)
         frame.append([None if x is None else (x[0] - e, x[1]) for x in col])
     return frame
 

@@ -7,9 +7,10 @@ residues in [0, p).  A shift by t^k only moves v, and the inner loops run over
 plain lists, with no dict and no field object per coefficient.
 
 This is the arithmetic kernel of ``detval.det_poly`` (fraction-free Bareiss on
-integer lists), of ``Lattice.coordinates`` (forward substitution) and of the
+integer lists), of ``Lattice.coordinates`` (forward substitution), of the
 apartment frame search (the fraction-free Smith transform of the relative
-position).  ``divexact`` needs integer coefficients over Q.
+position) and of the enumeration's change of coordinates (``combine``).
+``divexact`` needs integer coefficients over Q.
 """
 
 from __future__ import annotations
@@ -68,6 +69,16 @@ def addmul(acc, f, g, s, p):
             out = [c % p for c in out]
         return v, out
     return _merge(v, out, acc[0], acc[1], p)
+
+
+def combine(cols, coeffs, p):
+    """sum_k coeffs[k] * cols[k] for columns of pairs and pair (or None)
+    coefficients, as a column of pairs."""
+    out = [None] * len(cols[0])
+    for col, c in zip(cols, coeffs):
+        if c is not None:
+            out = [x if y is None else addmul(x, y, c, 1, p) for x, y in zip(out, col)]
+    return out
 
 
 def _merge(v, out, w, low, p):

@@ -14,6 +14,7 @@ from .apartment import (
     common_apartment,
 )
 from .closecase import SubspaceTriple, residue_subspace, residue_witness
+from .densepoly import combine, to_poly
 from .detval import det_poly, multi_f, star_cost
 from .lattices import Lattice
 from .metric import binary_f
@@ -149,7 +150,7 @@ def _between_lattices(lattices, budget):
     if field.is_rational:
         raise ValueError("enumeration requires a prime base field")
     n = lattices[0].n
-    g = [list(row) for row in zip(*total.columns)]
+    basis = total.pair_basis()
     floor = Lattice.from_columns(total.coordinates(meet.basis))  # standard(n) contains floor
     # Any intermediate lattice has nonnegative pivots summing to at most
     # val det(floor), so this pivot scan (with the membership filter) is
@@ -165,7 +166,10 @@ def _between_lattices(lattices, budget):
             tested += 1
             cand = Lattice.from_columns(fill)
             if cand.contains_lattice(floor):
-                yield cand.transform(g)
+                # Back from the coordinates of the sum: basis(total) . basis(cand).
+                yield Lattice.from_columns([
+                    [to_poly(field, e) for e in combine(basis, col, field.p)]
+                    for col in cand.pair_basis()])
 
 
 def _triangular_fills(n, pivots, field):

@@ -4,10 +4,13 @@ A lattice is stored through its unique canonical basis: a lower-triangular
 column-echelon form whose pivots are pure powers t^{d_i} on the diagonal, with
 every other entry in a pivot's row reduced modulo t^{d_i}.  Its entries are
 Laurent polynomials (``basis``, a tuple of columns), so every operation here
-stays polynomial: a division by a pivot is a shift.  ``ValuedScalar`` appears
-only at the input boundary, where ``truncated.canonical_basis`` clears each
-generator column's denominators, and in the ``columns`` view, a fresh tuple of
-``ValuedScalar`` wrappers built on each access and never stored.
+stays polynomial: a division by a pivot is a shift.  ``ValuedScalar`` is
+needed only for a generator entry with a denominator, which
+``truncated.canonical_basis`` clears column by column; JSON entries without
+one are read as Laurent polynomials.  It also appears in the ``columns`` view
+(a fresh tuple of wrappers built on each access and never stored) and in
+``solve``, ``basis_inverse`` and ``transform``, which no library operation
+calls.
 
 Equal modules have equal canonical bases, so each lattice carries ``key``, a
 tuple of plain ints built once: (n, p, then per entry its sorted (exponent,

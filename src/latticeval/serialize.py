@@ -68,12 +68,16 @@ def scalar_to_json(s: ValuedScalar):
     return out
 
 
-def scalar_from_json(data, field: BaseField) -> ValuedScalar:
+def _entry_from_json(data, field: BaseField):
+    """A matrix entry: a ``LaurentPoly`` when it has no "den", so a canonical
+    basis is read without building a fraction, else a ``ValuedScalar``."""
     _check(isinstance(data, dict) and "num" in data,
            'a scalar must be an object with a "num" polynomial')
     num = poly_from_json(data["num"], field)
-    den = poly_from_json(data["den"], field) if "den" in data else None
-    _check(den is None or not den.is_zero(), "a scalar has a zero denominator")
+    if "den" not in data:
+        return num
+    den = poly_from_json(data["den"], field)
+    _check(not den.is_zero(), "a scalar has a zero denominator")
     return ValuedScalar(num, den)
 
 
@@ -92,10 +96,8 @@ def lattice_from_json(data, field: BaseField) -> Lattice:
     _check(isinstance(columns, list)
            and all(isinstance(col, list) and len(col) == n for col in columns),
            f'lattice "columns" must be a list of lists of {n} scalars')
-    cols = [[scalar_from_json(e, field) for e in col] for col in columns]
-    if len(cols) == n:
-        return Lattice.from_columns(cols)
-    return Lattice.from_generators(cols, n)
+    return Lattice.from_generators([[_entry_from_json(e, field) for e in col]
+                                    for col in columns], n)
 
 
 def instance_to_json(lattices, indices):
@@ -145,7 +147,7 @@ def apartment_from_json(data):
     _check(isinstance(indices, list) and len(indices) == len(points)
            and all(_is_int(i) and i >= 0 for i in indices),
            'apartment "indices" must hold one nonnegative integer per point')
-    apt = Apartment([[scalar_from_json(e, field) for e in col] for col in frame])
+    apt = Apartment([[_entry_from_json(e, field) for e in col] for col in frame])
     return apt, [ApartmentPoint(tuple(p)) for p in points], tuple(indices)
 
 

@@ -13,6 +13,14 @@ there on everything is polynomial.  Let s be the least valuation of the
 entries, so L' = t^{-s} L lies in O^n; the canonical basis of L is that of L'
 multiplied by t^s, and each entry is read as a series modulo t^N.
 
+0. Already canonical.  If there are exactly n columns, zero above the
+   diagonal, with each pivot exactly t^{d_i} and every entry in row i of an
+   earlier column supported below t^{d_i}, they are returned unchanged.  Such
+   a basis is unique: if B and B' = B U are two, U in GL_n(O), then U is
+   lower triangular and its diagonal entries t^{d'_i - d_i} are units, so
+   d' = d and u_ii = 1; by induction on i - j, B'_ij - B_ij = t^{d_i} u_ij
+   is both supported below t^{d_i} and divisible by it, hence zero.  So the
+   pass accepts exactly the fixed points of the elimination below.
 1. Elimination modulo t^N.  Work on columns of polynomials of degree < N.
    Every step adds an O-multiple of one column to another, multiplies a
    column by a unit of O, or drops multiples of t^N.  So the final matrix is
@@ -226,16 +234,16 @@ def _series_columns(columns, shift, prec, p):
 
 
 def polynomial_column(col) -> list[LaurentPoly]:
-    """A column of ``ValuedScalar`` or ``LaurentPoly`` entries, multiplied by
+    """A column of ``ValuedScalar`` and ``LaurentPoly`` entries, multiplied by
     the product of its distinct denominators (a unit of O), as Laurent
     polynomials; no gcd is taken."""
     if all(type(e) is LaurentPoly for e in col):
         return list(col)
-    dens = {e.den for e in col if len(e.den.coeffs) > 1}
+    dens = {e.den for e in col if type(e) is not LaurentPoly and len(e.den.coeffs) > 1}
     out = []
     for e in col:
-        x = e.num
-        for d in dens - {e.den}:
+        x, own = (e, None) if type(e) is LaurentPoly else (e.num, e.den)
+        for d in dens - {own}:
             x = x * d
         out.append(x)
     return out
@@ -254,11 +262,27 @@ def _degree_bound(columns, n, shift):
     return sum(sorted(deltas, reverse=True)[:n])
 
 
+def _is_canonical(columns):
+    """Step 0 of the module docstring: whether the columns are canonical."""
+    one = columns[0][0].field.one
+    for i, col in enumerate(columns):
+        pivot = col[i].coeffs
+        if len(pivot) != 1 or any(e.coeffs for e in col[:i]):
+            return False
+        ((d, c),) = pivot.items()
+        if c != one or any(prev[i].coeffs and max(prev[i].coeffs) >= d
+                           for prev in columns[:i]):
+            return False
+    return True
+
+
 def canonical_basis(columns, n: int) -> tuple[tuple[LaurentPoly, ...], ...]:
     """The canonical basis (lower-triangular column echelon form, pivots
     t^{d_i}, row i of earlier columns reduced below t^{d_i}) of the lattice
     generated by the given columns of length n."""
     columns = [polynomial_column(col) for col in columns]
+    if len(columns) == n and _is_canonical(columns):
+        return tuple(map(tuple, columns))
     field = columns[0][0].field
     p = field.p
     shift = _least_valuation(columns)

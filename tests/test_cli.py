@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +15,8 @@ import latticeval
 from latticeval.cli import main
 from latticeval import serialize
 from latticeval.lattices import Lattice
-from latticeval.scalars import RATIONAL, ValuedScalar
+from latticeval.randgen import random_unimodular
+from latticeval.scalars import RATIONAL, LaurentPoly, ValuedScalar
 
 
 def run(capsys, *argv):
@@ -123,6 +125,36 @@ def test_enumerate_budget_bounds_run_time(capsys, tmp_path):
     elapsed = time.monotonic() - start
     assert proc.returncode == 2 and proc.stdout.startswith("inconclusive:")
     assert elapsed < 10.0, f"enumerate took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("kind, field, seed", [
+    ("apartment", "prime:101", 1), ("apartment", "prime:2", 4), ("triple", "rational", 3)])
+def test_generators_print_as_canonical_bases(capsys, tmp_path, kind, field, seed):
+    """A gen instance read from its canonical bases, or from each basis times
+    a random unimodular matrix (same lattices, non-canonical generators),
+    gives the same stdout."""
+    _, out, _ = run(capsys, "gen", "--kind", kind, "--field", field,
+                    "--seed", str(seed), "--k", "2")
+    canonical = json.loads(out)
+    lattices, _, f = serialize.instance_from_json(canonical)
+    rng = random.Random(seed)
+    generators = dict(canonical, lattices=[])
+    for lat in lattices:
+        u = random_unimodular(rng, lat.n, f)
+        cols = [[sum((b[i] * c.num for b, c in zip(lat.basis, col)), LaurentPoly.zero(f))
+                 for i in range(lat.n)] for col in u]
+        generators["lattices"].append(
+            {"n": lat.n, "columns": [[{"num": serialize.poly_to_json(e)} for e in col]
+                                     for col in cols]})
+    assert generators["lattices"] != canonical["lattices"]
+    paths = []
+    for name, data in (("canonical.json", canonical), ("generators.json", generators)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(data))
+    for argv in (["compute-f", "--json"], ["distance", "--json"],
+                 ["verify", "--json", "--strategy", "apartment"]):
+        first, second = (run(capsys, argv[0], str(path), *argv[1:]) for path in paths)
+        assert first == second and first[0] in (0, 2)
 
 
 def test_error_exit_code(capsys, tmp_path):
@@ -359,11 +391,47 @@ def fuzzed_indices(draw, part, n, count):
     return part([part(b - a) for a, b in zip([0] + cuts, cuts + [n])])
 
 
+def near_canonical_columns(draw, part, n, field, coeffs, offset):
+    """A canonical basis as ``lattice_to_json`` writes it (pivots t^{d_i}
+    with d_i in offset + [-2, 2], row i of earlier columns below t^{d_i}),
+    kept as it is or with one perturbation, such as an unreduced entry or a
+    pivot coefficient of 2."""
+    d = [offset + draw(st.integers(-2, 2)) for _ in range(n)]
+
+    def entry(i, j):
+        if i == j:
+            return {"num": [[d[i], "1"]]}
+        if i < j or draw(st.booleans()):
+            return {"num": []}
+        return {"num": [[d[i] - draw(st.integers(1, 3)), draw(st.sampled_from(coeffs))]]}
+
+    cols = [[entry(i, j) for i in range(n)] for j in range(n)]
+    kind = draw(st.sampled_from(["none", "unreduced entry", "pivot coefficient",
+                                 "two-term pivot", "above the diagonal",
+                                 "redundant column", "denominator"]))
+    j, i = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+    c = draw(st.sampled_from(coeffs))
+    if kind == "unreduced entry":
+        cols[j][i]["num"].append([d[i] + draw(st.integers(0, 1)), c])
+    elif kind == "pivot coefficient":
+        cols[i][i]["num"] = [[d[i], "1/2" if field == "rational" else "2"]]
+    elif kind == "two-term pivot":
+        cols[i][i]["num"].append([d[i] + 1, c])
+    elif kind == "above the diagonal":
+        cols[i][j]["num"] = [[d[j], c]]
+    elif kind == "redundant column":
+        cols.append(cols[j])
+    elif kind == "denominator":
+        cols[j][i]["den"] = [[0, "1"], [1, "1"]]
+    return [part([part(e) for e in col]) for col in cols]
+
+
 @st.composite
 def fuzzed_instances(draw):
     """An instance of rank n <= 4, each lattice at its own offset in
-    [-3000, 3000], in which at most one part, picked at random, is replaced
-    by arbitrary shallow JSON."""
+    [-3000, 3000] and given by random generators or by a near-canonical
+    basis, in which at most one part, picked at random, is replaced by
+    arbitrary shallow JSON."""
     part = corrupter(draw)
     n = draw(st.integers(1, 4))
     count = draw(st.integers(1, 3))
@@ -371,8 +439,12 @@ def fuzzed_instances(draw):
 
     def lattice():
         offset = fuzzed_offset(draw)
-        cols = [part([fuzzed_scalar(draw, part, coeffs, i == j, offset) for i in range(n)])
-                for j in range(n + draw(st.integers(0, 1)))]
+        if draw(st.booleans()):
+            cols = near_canonical_columns(draw, part, n, field, coeffs, offset)
+        else:
+            cols = [part([fuzzed_scalar(draw, part, coeffs, i == j, offset)
+                          for i in range(n)])
+                    for j in range(n + draw(st.integers(0, 1)))]
         return part({"n": part(n), "columns": part(cols)})
 
     return part({

@@ -11,6 +11,8 @@ from latticeval.harness import (
     SHAPE_12_34,
     SHAPE_41_23,
     NetworkShape,
+    _between_lattices,
+    _triangular_fills,
     asymptotic_check,
     positivity_check,
     scale_config,
@@ -124,6 +126,37 @@ def test_enumerate_budget_bounds_membership_tests(monkeypatch, budget):
     assert report.candidates_examined <= len(calls)
     if report.status == "inconclusive":
         assert len(calls) == budget
+
+
+def transformed_between_lattices(lattices, budget):
+    """The enumeration mapping each accepted fill back with
+    ``Lattice.transform`` on the ``ValuedScalar`` columns of the sum, as it
+    did before the polynomial product of the two bases replaced it."""
+    total = lattices[0].sum(*lattices[1:])
+    meet = lattices[0].intersect(*lattices[1:])
+    n = total.n
+    g = [list(row) for row in zip(*total.columns)]
+    floor = Lattice.from_columns(total.coordinates(meet.basis))
+    bound = sum(floor.pivots)
+    tested = 0
+    for pivots in itertools.product(range(bound + 1), repeat=n):
+        if sum(pivots) > bound:
+            continue
+        for fill in _triangular_fills(n, pivots, total.field):
+            if tested >= budget:
+                return
+            tested += 1
+            cand = Lattice.from_columns(fill)
+            if cand.contains_lattice(floor):
+                yield cand.transform(g)
+
+
+@pytest.mark.parametrize("field, seed, n", [(F2, 4, 3), (GF(3), 1, 2), (GF(101), 1, 3)])
+def test_between_lattices_match_transform(field, seed, n):
+    apt, points, _ = random_apartment_instance(random.Random(seed), n, 3, field)
+    lats = [apt.lattice(pt) for pt in points]
+    got = list(_between_lattices(lats, 300))
+    assert got and got == list(transformed_between_lattices(lats, 300))
 
 
 def test_verify_random_is_deterministic():

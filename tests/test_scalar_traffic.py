@@ -2,7 +2,8 @@
 ``poly_gcd`` call and no ``ValuedScalar`` arithmetic on inputs like those of
 the three benchmark workloads: those run on the ``truncated`` and
 ``densepoly`` kernels, and ``scalars`` only carries input fractions and the
-test references."""
+test references.  A canonical instance file loads without building any
+``ValuedScalar`` or running an elimination."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticeval import closecase, detval, metric, scalars, subspaces
+from latticeval import cli, closecase, detval, metric, scalars, subspaces, truncated
 from latticeval.cli import main
 from latticeval.detval import multi_f, star_cost
 from latticeval.harness import verify_star
@@ -125,6 +126,35 @@ def test_operations_make_no_scalar_arithmetic(monkeypatch, tmp_path):
     for owner, name in FORBIDDEN:
         monkeypatch.setattr(owner, name, forbidden)
     assert {name: op() for name, op in ops} == expected
+
+
+def test_canonical_instance_loads_in_one_pass(monkeypatch, tmp_path, capsys):
+    """A ``gen`` instance holds canonical bases without denominators, so
+    loading it builds no ``ValuedScalar`` and runs no elimination."""
+    assert main(["gen", "--kind", "apartment", "--field", "prime:101", "--seed", "1"]) == 0
+    path = tmp_path / "inst.json"
+    path.write_text(capsys.readouterr().out)
+    scalars_built, eliminations = [], []
+
+    def counted(owner, name, calls):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    # Every ValuedScalar goes through __init__ or the _reduced constructor.
+    counted(ValuedScalar, "__init__", scalars_built)
+    counted(ValuedScalar, "_reduced", scalars_built)
+    counted(truncated, "_hermite", eliminations)
+    lattices, _, _ = cli._load_instance(str(path))
+    assert len(lattices) == 3
+    assert scalars_built == [] and eliminations == []
+    # The counters are live: a scalar entry is still built as one.
+    ValuedScalar.one(lattices[0].field)
+    assert scalars_built
 
 
 def test_forbidden_methods_are_reached_by_fractions(monkeypatch):

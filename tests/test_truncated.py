@@ -1,11 +1,15 @@
-"""Differential tests of the truncated F[t]/t^N kernel, of the polynomial
-relative position and of the fraction-free Smith transform against the
-fraction-field routes they replaced, which are kept here as the references."""
+"""Differential tests of the truncated F[t]/t^N kernel (its one-pass
+recognition of canonical input included), of the polynomial relative position
+and of the fraction-free Smith transform against the fraction-field routes
+they replaced, which are kept here as the references."""
+
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from latticeval import truncated
 from latticeval.apartment import relative_position, smith_transform
 from latticeval.detval import det_poly
 from latticeval.lattices import Lattice, SingularMatrixError, matmul
@@ -190,6 +194,95 @@ def test_smith_exponents_match_smith_form(case):
     for j, e in enumerate(exps):
         col = [sum((rel_poly[r][k] * c[k][j] for k in range(n)), zero) for r in range(n)]
         assert min(x.valuation() for x in col) == e
+
+
+def counted_hermite(mp):
+    """Count the eliminations ``canonical_basis`` runs while mp is active."""
+    calls = []
+    hermite = truncated._hermite
+
+    def counted(*args):
+        calls.append(args[1])
+        return hermite(*args)
+
+    mp.setattr(truncated, "_hermite", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_canonical_input_is_returned_without_elimination(field, data):
+    n = data.draw(st.integers(1, 4))
+    try:
+        lat = Lattice.from_generators(columns(data.draw, field, n), n)
+    except SingularMatrixError:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_hermite(mp)
+        basis = canonical_basis(lat.basis, n)
+    assert calls == []
+    assert basis == lat.basis
+    assert wrapped_canonical_basis(lat.basis, n) == reference_canonicalize(lat.columns, n)
+
+
+PERTURBATIONS = ("unreduced entry", "pivot coefficient", "two-term pivot",
+                 "above the diagonal", "redundant column", "denominator")
+
+
+def perturbed(kind, lat):
+    """The canonical basis of lat as scalar columns with one perturbation
+    that breaks the canonical shape, or None where the kind cannot apply."""
+    f, n, d = lat.field, lat.n, lat.pivots
+    cols = [list(col) for col in lat.columns]
+    one = ValuedScalar.one(f)
+    t = LaurentPoly.t_power(f, 1)
+    if kind == "unreduced entry":
+        cols[0][n - 1] = cols[0][n - 1] + ValuedScalar.t_power(f, d[n - 1])
+    elif kind == "pivot coefficient":
+        if f.p == 2:
+            return None
+        c = Fraction(1, 2) if f.is_rational else f.from_int(2)
+        cols[0][0] = ValuedScalar.t_power(f, d[0], c)
+    elif kind == "two-term pivot":
+        cols[n - 1][n - 1] = cols[n - 1][n - 1] * (one + ValuedScalar(t))
+    elif kind == "above the diagonal":
+        cols[1][0] = ValuedScalar.t_power(f, d[0])
+    elif kind == "redundant column":
+        cols.append([a + b for a, b in zip(cols[0], cols[n - 1])])
+    else:
+        # A nonzero entry left of a pivot; dividing it by 1 + t turns the
+        # pivot of its column into t^{d_j} (1 + t) once denominators are
+        # cleared, unless 1 + t divides the entry.
+        fractions = [(j, i, ValuedScalar(cols[j][i].num, LaurentPoly.one(f) + t))
+                     for j in range(n) for i in range(j + 1, n)]
+        found = next((x for x in fractions if x[2].den.coeffs != {0: f.one}), None)
+        if found is None:
+            return None
+        j, i, e = found
+        cols[j][i] = e
+    return cols
+
+
+@pytest.mark.parametrize("kind", PERTURBATIONS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_near_canonical_input_is_eliminated(kind, data):
+    field = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(2, 4))
+    try:
+        lat = Lattice.from_generators(columns(data.draw, field, n), n)
+    except SingularMatrixError:
+        return
+    cols = perturbed(kind, lat)
+    assume(cols is not None)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_hermite(mp)
+        got = outcome(wrapped_canonical_basis, cols, n)
+    assert calls, "a perturbed basis passed the canonical-shape check"
+    assert got == outcome(reference_canonicalize, cols, n)
+    if kind == "redundant column":
+        assert canonical_basis(cols, n) == lat.basis
 
 
 def test_high_valuation_pivots_need_doubling():
