@@ -1,14 +1,18 @@
 """Apartments: families of lattices diagonal in one frame, exact maximal
-assignments with integer dual potentials, and the resulting witness lattices."""
+assignments with integer dual potentials, and the resulting witness lattices.
+
+The common-apartment search runs on ``densepoly`` pairs; the frame of a pair
+comes from ``densepoly.smith``, the Smith elimination that also gives
+``metric.relative_invariants``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .densepoly import combine, cross, from_poly, to_poly
+from .densepoly import combine, smith, to_poly
 from .detval import det_poly
 from .lattices import Lattice, SingularMatrixError, identity_matrix
-from .scalars import BaseField, LaurentPoly, ValuedScalar
+from .scalars import BaseField, ValuedScalar
 from .truncated import polynomial_column
 
 
@@ -191,89 +195,15 @@ def invert_matrix(m: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:
     return [row[n:] for row in aug]
 
 
-def relative_position(first: Lattice, second: Lattice) -> list[list[LaurentPoly]]:
-    """basis(first)^{-1} basis(second) as a row-major matrix of Laurent
-    polynomials."""
-    return [[to_poly(first.field, e) for e in row]
-            for row in _relative_pairs(first, second)]
-
-
-def _relative_pairs(first: Lattice, second: Lattice) -> list[list]:
-    """``relative_position`` in ``densepoly`` pairs."""
-    cols = first.pair_coordinates(second.pair_basis())
-    return [list(row) for row in zip(*cols)]
-
-
-def smith_transform(m: list[list[LaurentPoly]]):
-    """Fraction-free Smith diagonalization over O = F[[t]].
-
-    Returns (exps, C) with C a row-major matrix in GL_n(O) such that
-    R . m . C = diag(t^{e_i} w_i) for some R in GL_n(O) and units w_i; see
-    ``_smith_pairs``, which does the work in ``densepoly`` pairs.
-    """
-    field = m[0][0].field
-    exps, c = _smith_pairs([[from_poly(e) for e in row] for row in m], field)
-    return exps, [[to_poly(field, e) for e in row] for row in c]
-
-
-def _smith_pairs(m, field):
-    """``smith_transform`` on a row-major matrix of ``densepoly`` pairs.
-
-    The pivots are chosen as in ``smith_form`` (minimal valuation, ties
-    broken by lowest (row, column)), but a step multiplies by the pivot unit
-    u instead of dividing by it, so every entry stays a Laurent polynomial.
-    Each row and column is then a unit multiple of the one ``smith_form`` has
-    at the same step: the valuations and pivots agree, and C differs from its
-    column transform only by a diagonal of units.
-    """
-    n = len(m)
-    m = [row[:] for row in m]
-    p = field.p
-    one = (0, [field.one])
-    c = [[one if i == j else None for j in range(n)] for i in range(n)]
-    exps: list[int] = []
-    for i in range(n):
-        pos = best = None
-        for rr in range(i, n):
-            for cc in range(i, n):
-                e = m[rr][cc]
-                if e is not None and (best is None or e[0] < best):
-                    best, pos = e[0], (rr, cc)
-        if pos is None:
-            raise SingularMatrixError("singular matrix in Smith form")
-        rr, cc = pos
-        m[i], m[rr] = m[rr], m[i]
-        for row in m + c:
-            row[i], row[cc] = row[cc], row[i]
-        u = (0, m[i][i][1])
-        for rr in range(i + 1, n):
-            x = m[rr][i]
-            if x is not None:
-                q = (x[0] - best, x[1])
-                m[rr] = [cross(u, z, q, y, p) for z, y in zip(m[rr], m[i])]
-        # Column i is now zero below the pivot, so a column step clears row i
-        # and scales the rest of column cc by u.
-        for cc in range(i + 1, n):
-            x = m[i][cc]
-            if x is not None:
-                q = (x[0] - best, x[1])
-                for row in c:
-                    row[cc] = cross(u, row[cc], q, row[i], p)
-                for row in m[i + 1:]:
-                    row[cc] = cross(u, row[cc], None, None, p)
-                m[i][cc] = None
-        exps.append(best)
-    return exps, c
-
-
 def _smith_frame(first: Lattice, second: Lattice) -> list[list]:
     """Columns x_i = (basis(second) . C)_i t^{-e_i} of the Smith frame of the
-    pair, in ``densepoly`` pairs.  basis(first)^{-1} x_i is column i of
-    R^{-1} diag(w), so the frame spans first, and v(det frame) is the pivot
-    sum of first."""
+    pair, in ``densepoly`` pairs, with (e, C) from ``densepoly.smith`` on the
+    relative position basis(first)^{-1} basis(second).  basis(first)^{-1} x_i
+    is column i of R^{-1} diag(w), so the frame spans first, and v(det frame)
+    is the pivot sum of first."""
     p = first.field.p
-    exps, c = _smith_pairs(_relative_pairs(first, second), first.field)
     b = second.pair_basis()
+    exps, c = smith([list(row) for row in zip(*first.pair_coordinates(b))], p)
     frame = []
     for j, e in enumerate(exps):
         col = combine(b, [row[j] for row in c], p)

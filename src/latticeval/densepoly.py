@@ -8,14 +8,16 @@ plain lists, with no dict and no field object per coefficient.
 
 This is the arithmetic kernel of ``detval.det_poly`` (fraction-free Bareiss on
 integer lists), of ``Lattice.coordinates`` (forward substitution), of the
-apartment frame search (the fraction-free Smith transform of the relative
-position) and of the enumeration's change of coordinates (``combine``).
+enumeration's change of coordinates (``combine``) and of the library's one
+Smith elimination (``smith``), which gives both the invariant factors of
+``metric.relative_invariants`` and the frame of the apartment search.
 ``divexact`` needs integer coefficients over Q.
 """
 
 from __future__ import annotations
 
 from .scalars import LaurentPoly
+from .truncated import SingularMatrixError
 
 
 def from_poly(poly: LaurentPoly):
@@ -79,6 +81,59 @@ def combine(cols, coeffs, p):
         if c is not None:
             out = [x if y is None else addmul(x, y, c, 1, p) for x, y in zip(out, col)]
     return out
+
+
+def smith(m, p):
+    """Fraction-free Smith diagonalization over O = F[[t]] of a nonsingular
+    row-major matrix of pairs.
+
+    Returns (exps, C) with C a row-major matrix of pairs in GL_n(O) such that
+    R . m . C = diag(t^{e_i} w_i) for some R in GL_n(O) and units w_i; the
+    e_i are the Smith exponents, weakly increasing.  The pivots are chosen as
+    in ``metric.smith_form`` (minimal valuation, ties broken by lowest (row,
+    column)), but a step multiplies by the pivot unit u instead of dividing
+    by it, so every entry stays a Laurent polynomial.  Each row and column is
+    then a unit multiple of the one ``smith_form`` has at the same step: the
+    valuations and pivots agree, and C differs from its column transform
+    only by a diagonal of units.
+    """
+    n = len(m)
+    m = [row[:] for row in m]
+    one = (0, [1])
+    c = [[one if i == j else None for j in range(n)] for i in range(n)]
+    exps: list[int] = []
+    for i in range(n):
+        pos = best = None
+        for rr in range(i, n):
+            for cc in range(i, n):
+                e = m[rr][cc]
+                if e is not None and (best is None or e[0] < best):
+                    best, pos = e[0], (rr, cc)
+        if pos is None:
+            raise SingularMatrixError("singular matrix in Smith form")
+        rr, cc = pos
+        m[i], m[rr] = m[rr], m[i]
+        for row in m + c:
+            row[i], row[cc] = row[cc], row[i]
+        u = (0, m[i][i][1])
+        for rr in range(i + 1, n):
+            x = m[rr][i]
+            if x is not None:
+                q = (x[0] - best, x[1])
+                m[rr] = [cross(u, z, q, y, p) for z, y in zip(m[rr], m[i])]
+        # Column i is now zero below the pivot, so a column step clears row i
+        # and scales the rest of column cc by u.
+        for cc in range(i + 1, n):
+            x = m[i][cc]
+            if x is not None:
+                q = (x[0] - best, x[1])
+                for row in c:
+                    row[cc] = cross(u, row[cc], q, row[i], p)
+                for row in m[i + 1:]:
+                    row[cc] = cross(u, row[cc], None, None, p)
+                m[i][cc] = None
+        exps.append(best)
+    return exps, c
 
 
 def _merge(v, out, w, low, p):

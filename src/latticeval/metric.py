@@ -4,21 +4,20 @@ The distance d(L, M) is the unique weakly decreasing integer vector
 (a_1, ..., a_n) such that some g carries L to the elementary lattice and M to
 <t^{-a_1}e_1, ..., t^{-a_n}e_n>.  It is computed from the Smith form of
 basis(L)^{-1} basis(M) over the valuation ring.  That product has Laurent
-polynomial entries (``Lattice.coordinates``), and its exponents come from the
-exact truncated kernel in ``truncated``.  ``smith_form`` is the fraction-field
+polynomial entries (``Lattice.pair_coordinates``), and its exponents come
+from ``densepoly.smith``, the fraction-free elimination that also gives the
+frame of the apartment search.  ``smith_form`` is the fraction-field
 elimination with both row transforms; the library no longer calls it, and
-the tests keep it as the reference for ``smith_exponents`` and for the
-exponents of ``apartment.smith_transform``, the fraction-free column
-transform that the apartment frame search runs on ``densepoly`` pairs.
+the tests keep it as the reference for both.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .densepoly import smith
 from .lattices import Lattice, identity_matrix
 from .scalars import ValuedScalar
-from .truncated import smith_exponents
 
 Coweight = tuple[int, ...]
 
@@ -119,9 +118,13 @@ def relative_invariants(l: Lattice, m: Lattice) -> Coweight:
     """The dominant coweight (a_1 >= ... >= a_n) of M relative to L."""
     if l.n != m.n:
         raise ValueError("rank mismatch")
+    # The columns of basis(L)^{-1} basis(M), read as rows: the transpose has
+    # the same invariant factors.
+    exps, _ = smith(l.pair_coordinates(m.pair_basis()), l.field.p)
     # v(det rel) is the difference of the two pivot sums.
-    exps = smith_exponents(l.coordinates(m.basis), l.unary_f() - m.unary_f())
-    return tuple(-e for e in exps)
+    if sum(exps) != l.unary_f() - m.unary_f():
+        raise ValueError("determinant valuation does not match the matrix")
+    return tuple(sorted((-e for e in exps), reverse=True))
 
 
 def distance(l: Lattice, m: Lattice) -> Coweight:

@@ -1,5 +1,5 @@
-"""Exact column elimination in (F[t]/t^N)^n: canonical bases and Smith
-exponents without the fraction field.
+"""Exact column elimination in (F[t]/t^N)^n: canonical bases without the
+fraction field.
 
 Notation: O = F[[t]], v the t-adic valuation, and for a full-rank lattice L
 in F((t))^n, D(L) = v(det B) for any basis B of L.
@@ -42,15 +42,6 @@ multiplied by t^s, and each entry is read as a series modulo t^N.
    N > B is accepted.  The search starts at a small N
    and doubles it, never beyond B + 1; failing at N = B + 1 proves that no
    maximal minor is nonzero, and ``SingularMatrixError`` is raised.
-
-Smith exponents.  If A is integral and N > D = v(det A), then A and A + t^N X
-have the same invariant factors for every integral X, because t^D A^{-1} is
-integral and so I + t^N A^{-1} X lies in GL_n(O).  ``smith_exponents`` takes
-columns of Laurent polynomials (a relative position basis(L)^{-1} basis(M) has
-them, since canonical pivots are monomials) and v(det) (there, the difference
-of two pivot sums), shifts the matrix to be integral, and runs the
-min-valuation elimination modulo t^{D+1}; the exponents it finds must sum to
-D.
 
 Coefficients.  Over F_p a series is a list of N residues.  Over Q it is a list
 of N integers: a column may be multiplied by any nonzero rational, a unit, so
@@ -188,30 +179,6 @@ def _hermite(cols, n, prec, p):
     return pivots
 
 
-def _smith(cols, n, prec, p):
-    """Smith exponents modulo t^prec by min-valuation full pivoting; None
-    when the remaining block vanishes modulo t^prec."""
-    exps = []
-    for i in range(n):
-        at = v = None
-        for j in range(i, n):
-            for r in range(i, n):
-                vr = _valuation(cols[j][r])
-                if vr is not None and (v is None or vr < v):
-                    at, v = (j, r), vr
-        if at is None:
-            return None
-        j, r = at
-        cols[i], cols[j] = cols[j], cols[i]
-        for col in cols[i:]:
-            col[i], col[r] = col[r], col[i]
-        cols[i] = _normalize_pivot(cols[i], i, v, prec, p)
-        for j in range(i + 1, n):
-            _reduce_by(cols, j, i, v, prec, p)
-        exps.append(v)
-    return exps
-
-
 def _series_columns(columns, shift, prec, p):
     """Columns of Laurent polynomials as series of t^{-shift} * entry modulo
     t^prec; over Q each column is scaled by a nonzero rational to primitive
@@ -243,8 +210,8 @@ def polynomial_column(col) -> list[LaurentPoly]:
     out = []
     for e in col:
         x, own = (e, None) if type(e) is LaurentPoly else (e.num, e.den)
-        for d in dens - {own}:
-            x = x * d
+        for d in dens:
+            x = x if d == own else x * d
         out.append(x)
     return out
 
@@ -319,18 +286,3 @@ def _read_basis(cols, pivots, shift, field):
         basis.append(tuple(entries))
     return tuple(basis)
 
-
-def smith_exponents(columns, val_det: int) -> list[int]:
-    """Weakly increasing Smith exponents of a nonsingular square matrix,
-    given as columns of Laurent polynomials, whose determinant has valuation
-    val_det."""
-    n = len(columns)
-    p = columns[0][0].field.p
-    shift = _least_valuation(columns)
-    if shift is None:
-        raise SingularMatrixError("zero matrix has no Smith form")
-    prec = val_det - n * shift + 1
-    exps = _smith(_series_columns(columns, shift, prec, p), n, prec, p)
-    if exps is None or sum(exps) != prec - 1:
-        raise ValueError("determinant valuation does not match the matrix")
-    return sorted(e + shift for e in exps)

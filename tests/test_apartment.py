@@ -13,9 +13,8 @@ from latticeval.apartment import (
     common_apartment,
     invert_matrix,
     kuhn_munkres,
-    relative_position,
-    smith_transform,
 )
+from latticeval.densepoly import from_poly, smith, to_poly
 from latticeval.detval import det_scalar, multi_f, star_cost
 from latticeval.lattices import Lattice, SingularMatrixError, identity_matrix, matmul
 from latticeval.metric import binary_f, smith_form
@@ -217,7 +216,7 @@ def reference_common_apartment(lattices):
             frame_rows = b
         else:
             rel = [[ValuedScalar(e) for e in row]
-                   for row in relative_position(first, lattices[j])]
+                   for row in zip(*first.coordinates(lattices[j].basis))]
             _, _, rinv = smith_form(rel)
             frame_rows = matmul(b, rinv)
         frame_inv = invert_matrix(frame_rows)
@@ -271,10 +270,17 @@ def test_common_apartment_matches_reference():
     assert outcomes[True] and outcomes[False]
 
 
+def smith_transform(m):
+    """``densepoly.smith`` on a row-major matrix of Laurent polynomials."""
+    field = m[0][0].field
+    exps, c = smith([[from_poly(e) for e in row] for row in m], field.p)
+    return exps, [[to_poly(field, e) for e in row] for row in c]
+
+
 def reference_smith_transform(m):
-    """The Laurent-polynomial body that ``smith_transform`` had before it ran
-    on densepoly pairs: the same pivots, tie-break and u*x - q*y steps, in
-    ``LaurentPoly`` arithmetic."""
+    """The Laurent-polynomial body that the fraction-free Smith transform had
+    before it ran on densepoly pairs: the same pivots, tie-break and
+    u*x - q*y steps, in ``LaurentPoly`` arithmetic."""
     n = len(m)
     m = [row[:] for row in m]
     field = m[0][0].field

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from latticeval import metric
 from latticeval.detval import multi_f
 from latticeval.lattices import Lattice
 from latticeval.metric import (
@@ -14,7 +15,7 @@ from latticeval.metric import (
     reverse_negate,
     smith_form,
 )
-from latticeval.randgen import random_lattice, random_valdet0
+from latticeval.randgen import random_apartment_instance, random_lattice, random_valdet0
 from latticeval.scalars import GF, RATIONAL, ValuedScalar
 
 
@@ -32,6 +33,31 @@ def test_distance_examples():
     assert distance(e, e) == (0, 0)
     assert distance(e, m) == (2, -1)
     assert distance(m, e) == (1, -2)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF(2), GF(3), GF(101)], ids=repr)
+def test_distance_in_one_frame_is_the_sorted_difference(field):
+    # An oracle independent of any elimination: for L = <t^{-a_i} x_i> and
+    # M = <t^{-b_i} x_i>, basis(L)^{-1} basis(M) is diag(t^{a - b}) up to
+    # GL_n(O) on both sides, so d(L, M) is b - a in decreasing order.
+    rng = random.Random(field.p or 0)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            apt, (a, b), _ = random_apartment_instance(rng, n, 2, field, window=5)
+            expected = tuple(sorted((y - x for x, y in zip(a.c, b.c)), reverse=True))
+            assert distance(apt.lattice(a), apt.lattice(b)) == expected
+
+
+def test_relative_invariants_reject_wrong_determinant_valuation(monkeypatch):
+    e = Lattice.standard(2, RATIONAL)
+    m = Lattice.from_columns([[S(-2), Z()], [Z(), S(1)]])
+    relative_invariants.cache_clear()
+    # The true exponents are (-2, 1), which sum to v(det) = -1.
+    monkeypatch.setattr(metric, "smith", lambda rel, p: ([-2, 2], None))
+    with pytest.raises(ValueError):
+        relative_invariants(e, m)
+    monkeypatch.undo()
+    assert relative_invariants(e, m) == (2, -1)
 
 
 def test_antisymmetry_reverse_negate():

@@ -3,9 +3,12 @@
 the three benchmark workloads: those run on the ``truncated`` and
 ``densepoly`` kernels, and ``scalars`` only carries input fractions and the
 test references.  A canonical instance file loads without building any
-``ValuedScalar`` or running an elimination."""
+``ValuedScalar`` or running an elimination, and the relative invariants of two
+canonical lattices build no ``LaurentPoly`` and call nothing in
+``truncated``."""
 
 import contextlib
+import inspect
 import io
 import json
 import random
@@ -112,6 +115,18 @@ def run_cli(path):
     return code, out.getvalue(), err.getvalue()
 
 
+def counted(monkeypatch, owner, name, calls):
+    """Replace owner.name by a wrapper that records each call's arguments in
+    calls."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_operations_make_no_scalar_arithmetic(monkeypatch, tmp_path):
     def forbidden(*args):
         raise AssertionError("scalar arithmetic inside a library operation")
@@ -135,20 +150,10 @@ def test_canonical_instance_loads_in_one_pass(monkeypatch, tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(capsys.readouterr().out)
     scalars_built, eliminations = [], []
-
-    def counted(owner, name, calls):
-        fn = getattr(owner, name)
-
-        def wrapper(*args):
-            calls.append(args)
-            return fn(*args)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
     # Every ValuedScalar goes through __init__ or the _reduced constructor.
-    counted(ValuedScalar, "__init__", scalars_built)
-    counted(ValuedScalar, "_reduced", scalars_built)
-    counted(truncated, "_hermite", eliminations)
+    counted(monkeypatch, ValuedScalar, "__init__", scalars_built)
+    counted(monkeypatch, ValuedScalar, "_reduced", scalars_built)
+    counted(monkeypatch, truncated, "_hermite", eliminations)
     lattices, _, _ = cli._load_instance(str(path))
     assert len(lattices) == 3
     assert scalars_built == [] and eliminations == []
@@ -170,3 +175,26 @@ def test_forbidden_methods_are_reached_by_fractions(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", forbidden)
     with pytest.raises(AssertionError):
         Lattice.from_columns(cols)
+
+
+def test_relative_invariants_stay_on_pairs(monkeypatch):
+    """The Smith elimination reads the lattices' canonical bases as
+    ``densepoly`` pairs, with no ``LaurentPoly`` round trip and no
+    ``truncated`` kernel."""
+    rng = random.Random(7)
+    pairs = [generic_lattices(rng, field, n, count=2)
+             for field in (RATIONAL, GF(2), GF(101)) for n in (2, 3, 4)]
+    pairs += [close_lattices(rng, GF(3), count=2)]
+    metric.relative_invariants.cache_clear()
+    expected = [distance(l, m) for l, m in pairs]
+    metric.relative_invariants.cache_clear()
+    polys_built, kernel_calls = [], []
+    counted(monkeypatch, LaurentPoly, "__init__", polys_built)
+    for name, fn in inspect.getmembers(truncated, inspect.isfunction):
+        if fn.__module__ == truncated.__name__:
+            counted(monkeypatch, truncated, name, kernel_calls)
+    assert [distance(l, m) for l, m in pairs] == expected
+    assert polys_built == [] and kernel_calls == []
+    # The counters are live: a generator matrix is canonicalised by the kernel.
+    Lattice.from_generators([list(c) for c in pairs[0][0].basis][::-1], pairs[0][0].n)
+    assert polys_built and kernel_calls

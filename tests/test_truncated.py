@@ -1,7 +1,8 @@
 """Differential tests of the truncated F[t]/t^N kernel (its one-pass
-recognition of canonical input included), of the polynomial relative position
-and of the fraction-free Smith transform against the fraction-field routes
-they replaced, which are kept here as the references."""
+recognition of canonical input included), of the polynomial relative position,
+of ``relative_invariants`` and of the fraction-free Smith elimination
+``densepoly.smith`` against the fraction-field routes they replaced, which are
+kept here as the references."""
 
 from fractions import Fraction
 
@@ -10,12 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latticeval import truncated
-from latticeval.apartment import relative_position, smith_transform
+from latticeval.densepoly import from_poly, smith, to_poly
 from latticeval.detval import det_poly
 from latticeval.lattices import Lattice, SingularMatrixError, matmul
 from latticeval.metric import relative_invariants, smith_form
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
-from latticeval.truncated import canonical_basis, smith_exponents
+from latticeval.truncated import canonical_basis
 
 FIELDS = (RATIONAL, GF(2), GF(3), GF(101))
 
@@ -169,7 +170,7 @@ def test_singular_generators_raise(case):
 
 @settings(max_examples=150, deadline=None)
 @given(generator_pairs())
-def test_smith_exponents_match_smith_form(case):
+def test_relative_invariants_match_smith_form(case):
     n, first, second = case
     try:
         l = Lattice.from_generators(first, n)
@@ -179,14 +180,13 @@ def test_smith_exponents_match_smith_form(case):
     rel = reference_relative_position(l, m)
     exps, _, _ = smith_form(rel)
     assert l.basis_inverse() == reference_inverse(l)
-    rel_poly = relative_position(l, m)
+    rel_poly = [list(row) for row in zip(*l.coordinates(m.basis))]
     assert [[ValuedScalar(e) for e in row] for row in rel_poly] == rel
-    rel_columns = [[rel[i][j].num for i in range(n)] for j in range(n)]
-    assert smith_exponents(rel_columns, l.unary_f() - m.unary_f()) == exps
     assert relative_invariants(l, m) == tuple(-e for e in exps)
     # The fraction-free transform: same exponents, C in GL_n(O), and column j
     # of rel . C has least valuation e_j, so rel . C . diag(t^{-e}) is in GL_n(O).
-    ff_exps, c = smith_transform(rel_poly)
+    ff_exps, c = smith([[from_poly(e) for e in row] for row in rel_poly], l.field.p)
+    c = [[to_poly(l.field, e) for e in row] for row in c]
     assert ff_exps == exps
     assert all(e.valuation() >= 0 for row in c for e in row)
     assert det_poly(c).valuation() == 0
@@ -293,10 +293,3 @@ def test_high_valuation_pivots_need_doubling():
     assert wrapped_canonical_basis(gens, 2) == reference_canonicalize(gens, 2)
     assert canonical_basis(gens, 2)[1][1] == LaurentPoly.t_power(f, 20)
 
-
-def test_smith_exponents_reject_wrong_determinant_valuation():
-    one = LaurentPoly.one(RATIONAL)
-    zero = LaurentPoly.zero(RATIONAL)
-    t = LaurentPoly.t_power(RATIONAL, 1)
-    with pytest.raises(ValueError):
-        smith_exponents([[one, zero], [zero, t]], 2)
