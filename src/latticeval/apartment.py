@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .densepoly import combine, smith, to_poly
+from .densepoly import smith, to_poly
 from .detval import det_poly
 from .lattices import Lattice, SingularMatrixError, identity_matrix
 from .scalars import BaseField, ValuedScalar
@@ -197,18 +197,17 @@ def invert_matrix(m: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:
 
 def _smith_frame(first: Lattice, second: Lattice) -> list[list]:
     """Columns x_i = (basis(second) . C)_i t^{-e_i} of the Smith frame of the
-    pair, in ``densepoly`` pairs, with (e, C) from ``densepoly.smith`` on the
-    relative position basis(first)^{-1} basis(second).  basis(first)^{-1} x_i
+    pair, in ``densepoly`` pairs: ``densepoly.smith`` on the relative
+    position basis(first)^{-1} basis(second) gives e and, carrying the rows
+    of basis(second), basis(second) . C.  basis(first)^{-1} x_i
     is column i of R^{-1} diag(w), so the frame spans first, and v(det frame)
     is the pivot sum of first."""
     p = first.field.p
     b = second.pair_basis()
-    exps, c = smith([list(row) for row in zip(*first.pair_coordinates(b))], p)
-    frame = []
-    for j, e in enumerate(exps):
-        col = combine(b, [row[j] for row in c], p)
-        frame.append([None if x is None else (x[0] - e, x[1]) for x in col])
-    return frame
+    rel = [list(row) for row in zip(*first.pair_coordinates(b))]
+    exps, bc = smith(rel, p, [list(row) for row in zip(*b)])
+    return [[None if x is None else (x[0] - e, x[1]) for x in col]
+            for col, e in zip(zip(*bc), exps)]
 
 
 def _frame_points(frame, det_valuation: int, lattices):

@@ -83,13 +83,15 @@ def combine(cols, coeffs, p):
     return out
 
 
-def smith(m, p):
+def smith(m, p, carry):
     """Fraction-free Smith diagonalization over O = F[[t]] of a nonsingular
     row-major matrix of pairs.
 
-    Returns (exps, C) with C a row-major matrix of pairs in GL_n(O) such that
-    R . m . C = diag(t^{e_i} w_i) for some R in GL_n(O) and units w_i; the
-    e_i are the Smith exponents, weakly increasing.  The pivots are chosen as
+    Returns (exps, carry . C) with C in GL_n(O) such that R . m . C =
+    diag(t^{e_i} w_i) for some R in GL_n(O) and units w_i; the e_i are the
+    Smith exponents, weakly increasing.  The column swaps and steps that
+    build C act in place on ``carry``, a list of rows of n pairs: identity
+    rows give C itself, ``[]`` only the exponents.  The pivots are chosen as
     in ``metric.smith_form`` (minimal valuation, ties broken by lowest (row,
     column)), but a step multiplies by the pivot unit u instead of dividing
     by it, so every entry stays a Laurent polynomial.  Each row and column is
@@ -99,8 +101,6 @@ def smith(m, p):
     """
     n = len(m)
     m = [row[:] for row in m]
-    one = (0, [1])
-    c = [[one if i == j else None for j in range(n)] for i in range(n)]
     exps: list[int] = []
     for i in range(n):
         pos = best = None
@@ -113,7 +113,7 @@ def smith(m, p):
             raise SingularMatrixError("singular matrix in Smith form")
         rr, cc = pos
         m[i], m[rr] = m[rr], m[i]
-        for row in m + c:
+        for row in m + carry:
             row[i], row[cc] = row[cc], row[i]
         u = (0, m[i][i][1])
         for rr in range(i + 1, n):
@@ -127,13 +127,13 @@ def smith(m, p):
             x = m[i][cc]
             if x is not None:
                 q = (x[0] - best, x[1])
-                for row in c:
+                for row in carry:
                     row[cc] = cross(u, row[cc], q, row[i], p)
                 for row in m[i + 1:]:
                     row[cc] = cross(u, row[cc], None, None, p)
                 m[i][cc] = None
         exps.append(best)
-    return exps, c
+    return exps, carry
 
 
 def _merge(v, out, w, low, p):

@@ -206,7 +206,7 @@ def _verify_random(idx, lattices, lhs, seed, budget):
 
     def candidates():
         for _ in range(budget):
-            frame = Apartment(random_unimodular(rng, n, field, degree=1))
+            frame = Apartment(random_unimodular(rng, n, field))
             point = ApartmentPoint(
                 tuple(rng.randint(-window - 1, window + 1) for _ in range(n))
             )

@@ -120,7 +120,7 @@ def relative_invariants(l: Lattice, m: Lattice) -> Coweight:
         raise ValueError("rank mismatch")
     # The columns of basis(L)^{-1} basis(M), read as rows: the transpose has
     # the same invariant factors.
-    exps, _ = smith(l.pair_coordinates(m.pair_basis()), l.field.p)
+    exps, _ = smith(l.pair_coordinates(m.pair_basis()), l.field.p, [])
     # v(det rel) is the difference of the two pivot sums.
     if sum(exps) != l.unary_f() - m.unary_f():
         raise ValueError("determinant valuation does not match the matrix")

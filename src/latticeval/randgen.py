@@ -40,15 +40,16 @@ def random_lattice(rng, n: int, field: BaseField, low: int = -3, high: int = 3) 
             continue
 
 
-def random_unimodular(rng, n: int, field: BaseField, degree: int = 1, ops: int | None = None):
-    """Random integral matrix of determinant-valuation zero, built from
-    elementary column operations on the identity (column-major)."""
+def random_unimodular(rng, n: int, field: BaseField):
+    """Random integral matrix of determinant-valuation zero, built from 2n
+    elementary column operations on the identity (column-major), each adding
+    a multiple of degree at most 1 in t."""
     cols = [list(col) for col in Lattice.standard(n, field).columns]
     if n < 2:
         return cols
-    for _ in range(ops if ops is not None else 2 * n):
+    for _ in range(2 * n):
         a, b = rng.sample(range(n), 2)
-        m = random_scalar(rng, field, 0, degree)
+        m = random_scalar(rng, field, 0, 1)
         for i in range(n):
             cols[a][i] = cols[a][i] + m * cols[b][i]
     return cols

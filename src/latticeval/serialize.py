@@ -57,6 +57,8 @@ def poly_from_json(data, field: BaseField) -> LaurentPoly:
     for term in data:
         _check(isinstance(term, list) and len(term) == 2 and _is_int(term[0]),
                f"bad polynomial term {term!r}: expected [integer, coefficient]")
+        if term[0] in coeffs:
+            raise InstanceError(f"duplicate exponent {term[0]} in a polynomial")
         coeffs[term[0]] = _coefficient(term[1], field)
     return LaurentPoly(field, coeffs)
 

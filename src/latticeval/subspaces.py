@@ -79,25 +79,14 @@ class Subspace:
 
     @lru_cache(maxsize=65536)
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the projection of self mod other."""
-        f = self.field
-        if not self.rows or not other.rows:
-            return Subspace.zero(self.n, f)
-        pivots = [next(i for i, c in enumerate(r) if c) for r in other.rows]
-        residues = [
-            _reduce(list(r), [list(b) for b in other.rows], pivots, f)
-            for r in self.rows
-        ]
-        combos = _nullspace(residues, f)
-        vecs = []
-        for combo in combos:
-            v = [f.zero] * self.n
-            for coef, row in zip(combo, self.rows):
-                if coef:
-                    for i in range(self.n):
-                        v[i] = f.add(v[i], f.mul(coef, row[i]))
-            vecs.append(v)
-        return Subspace.span(vecs, self.n, f)
+        """U ∩ W by Zassenhaus's algorithm: in the reduced echelon form of the
+        rows (u | u), u in U, and (w | 0), w in W, the rows whose left half is
+        zero carry a basis of U ∩ W in their right half."""
+        n, f = self.n, self.field
+        zero = (f.zero,) * n
+        rows = [u + u for u in self.rows] + [w + zero for w in other.rows]
+        echelon = rref(rows, 2 * n, f)
+        return Subspace.span([r[n:] for r in echelon if not any(r[:n])], n, f)
 
     def __eq__(self, other):
         return (
@@ -114,38 +103,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(n={self.n}, dim={self.dim})"
-
-
-def _nullspace(rows, field: BaseField):
-    """Basis of the kernel of the matrix whose rows are given (as row vectors
-    acting by left combination: solutions x with sum_i x_i rows[i] = 0)."""
-    k = len(rows)
-    if k == 0:
-        return []
-    n = len(rows[0])
-    # Transpose-free: run elimination on rows, tracking combination matrix.
-    mat = [list(r) + [field.one if i == j else field.zero for j in range(k)] for i, r in enumerate(rows)]
-    pivots = []
-    rank_rows = []
-    for row in mat:
-        for b, p in zip(rank_rows, pivots):
-            if row[p]:
-                coef = row[p]
-                for i in range(len(row)):
-                    row[i] = field.sub(row[i], field.mul(coef, b[i]))
-        lead = next((i for i in range(n) if row[i]), None)
-        if lead is None:
-            continue
-        inv = field.inv(row[lead])
-        for i in range(len(row)):
-            row[i] = field.mul(row[i], inv)
-        rank_rows.append(row)
-        pivots.append(lead)
-    kernel = []
-    for row in mat:
-        if not any(row[:n]) and any(row[n:]):
-            kernel.append(tuple(row[n:]))
-    return kernel
 
 
 def rank_of(vectors, n: int, field: BaseField) -> int:

@@ -8,17 +8,23 @@ import pytest
 from latticeval.apartment import (
     Apartment,
     ApartmentPoint,
+    _smith_frame,
     apartment_multi_f,
     apartment_witness,
     common_apartment,
     invert_matrix,
     kuhn_munkres,
 )
-from latticeval.densepoly import from_poly, smith, to_poly
+from latticeval.densepoly import combine, from_poly, smith, to_poly
 from latticeval.detval import det_scalar, multi_f, star_cost
 from latticeval.lattices import Lattice, SingularMatrixError, identity_matrix, matmul
 from latticeval.metric import binary_f, smith_form
-from latticeval.randgen import random_apartment_instance, random_scalar, random_unimodular
+from latticeval.randgen import (
+    random_apartment_instance,
+    random_lattice,
+    random_scalar,
+    random_unimodular,
+)
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
 
 
@@ -169,8 +175,6 @@ def test_common_apartment_rejects_generic_triples():
     # A triple with no common frame must never produce one that fails the
     # round-trip; None is the expected answer for most random triples.
     rng = random.Random(68)
-    from latticeval.randgen import random_lattice
-
     for _ in range(10):
         lats = [random_lattice(rng, 2, GF(2), -2, 2) for _ in range(3)]
         found = common_apartment(lats)
@@ -270,10 +274,16 @@ def test_common_apartment_matches_reference():
     assert outcomes[True] and outcomes[False]
 
 
+def identity_pairs(n):
+    """The n x n identity in ``densepoly`` pairs: carried through
+    ``densepoly.smith``, it comes out as the column transform C."""
+    return [[(0, [1]) if i == j else None for j in range(n)] for i in range(n)]
+
+
 def smith_transform(m):
     """``densepoly.smith`` on a row-major matrix of Laurent polynomials."""
     field = m[0][0].field
-    exps, c = smith([[from_poly(e) for e in row] for row in m], field.p)
+    exps, c = smith([[from_poly(e) for e in row] for row in m], field.p, identity_pairs(len(m)))
     return exps, [[to_poly(field, e) for e in row] for row in c]
 
 
@@ -352,6 +362,33 @@ def test_smith_transform_matches_reference(field):
                 continue
             assert smith_transform(m) == expected
     assert singular >= 10
+
+
+def reference_smith_frame(first, second):
+    """The Smith frame as ``_smith_frame`` built it before ``smith`` carried
+    the basis: C from an identity carry, then column j of basis(second) . C
+    by ``combine``, shifted by t^{-e_j}."""
+    p = first.field.p
+    b = second.pair_basis()
+    rel = [list(row) for row in zip(*first.pair_coordinates(b))]
+    exps, c = smith(rel, p, identity_pairs(first.n))
+    frame = []
+    for j, e in enumerate(exps):
+        col = combine(b, [row[j] for row in c], p)
+        frame.append([None if x is None else (x[0] - e, x[1]) for x in col])
+    return frame
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF(2), GF(3), GF(101)], ids=repr)
+def test_smith_frame_carry_matches_combine(field):
+    rng = random.Random(73 + (field.p or 0))
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            first, second = (random_lattice(rng, n, field, -2, 2) for _ in range(2))
+            assert _smith_frame(first, second) == reference_smith_frame(first, second)
+            apt, pts, _ = random_apartment_instance(rng, n, 2, field, window=3)
+            first, second = (apt.lattice(pt) for pt in pts)
+            assert _smith_frame(first, second) == reference_smith_frame(first, second)
 
 
 def test_common_apartment_uses_no_laurentpoly_arithmetic(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import latticeval
 from latticeval.cli import main
-from latticeval import serialize
+from latticeval import representatives, serialize
 from latticeval.lattices import Lattice
 from latticeval.randgen import random_unimodular
 from latticeval.scalars import RATIONAL, LaurentPoly, ValuedScalar
@@ -215,6 +215,19 @@ def test_konig_subcommand(capsys, tmp_path):
     assert len(payload["witness"]) == 2
 
 
+def test_konig_scans_subsets_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    scan = representatives._min_subset
+    monkeypatch.setattr(representatives, "_min_subset",
+                        lambda subspaces: calls.append(1) or scan(subspaces))
+    inst = tmp_path / "k.json"
+    inst.write_text(json.dumps({"n": 3, "field": "prime:3", "subspaces": [
+        [[1, 0, 0]], [[1, 0, 0], [0, 1, 2]], [[0, 1, 2]], [[1, 1, 1]]]}))
+    code, out, _ = run(capsys, "konig", str(inst))
+    assert code == 0 and json.loads(out)["value"] == 3
+    assert len(calls) == 1
+
+
 def test_hungarian_subcommand(capsys):
     code, out, _ = run(capsys, "hungarian", "[[0,2],[1,3]]")
     assert code == 0
@@ -304,6 +317,20 @@ def test_index_sum_mismatch_is_an_error(capsys, tmp_path):
     path = write_instance(tmp_path, [e, e], (1, 2))
     code, _, err = run(capsys, "verify", str(path))
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("terms", [[[0, "1"], [0, "2"]], [[0, "1"], [0, "0"]]],
+                         ids=["two-values", "cancelling-zero"])
+def test_duplicate_exponent_is_an_error(capsys, tmp_path, terms):
+    e = Lattice.standard(2, RATIONAL)
+    data = serialize.instance_to_json([e, e], (1, 1))
+    data["lattices"][0]["columns"][0][0] = {"num": terms}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "compute-f", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "duplicate exponent" in err
 
 
 @pytest.mark.parametrize("mangle", [

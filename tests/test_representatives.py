@@ -140,3 +140,27 @@ def test_coordinate_consistency():
 def test_subset_cap():
     with pytest.raises(ValueError):
         konig_linear_value([Subspace.full(2, F2)] * 21)
+
+
+def _check_intersection(u, w):
+    """Every row of U ∩ W lies in U and in W, and its dimension is
+    dim U + dim W - dim(U + W): together these determine U ∩ W."""
+    both = u.intersect(w)
+    assert all(u.contains(v) and w.contains(v) for v in both.rows)
+    assert both.dim == u.dim + w.dim - u.sum(w).dim
+    assert Subspace.span(both.rows, u.n, u.field) == both
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (4, 2)])
+def test_intersection_of_all_subspace_pairs(n, p):
+    subspaces = all_subspaces(n, GF(p))
+    for u, w in itertools.product(subspaces, repeat=2):
+        _check_intersection(u, w)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF(101)], ids=repr)
+def test_intersection_of_random_subspace_pairs(field):
+    rng = random.Random(field.p or 0)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        _check_intersection(random_subspace(rng, n, field), random_subspace(rng, n, field))

@@ -185,7 +185,8 @@ def test_relative_invariants_match_smith_form(case):
     assert relative_invariants(l, m) == tuple(-e for e in exps)
     # The fraction-free transform: same exponents, C in GL_n(O), and column j
     # of rel . C has least valuation e_j, so rel . C . diag(t^{-e}) is in GL_n(O).
-    ff_exps, c = smith([[from_poly(e) for e in row] for row in rel_poly], l.field.p)
+    eye = [[(0, [1]) if i == j else None for j in range(n)] for i in range(n)]
+    ff_exps, c = smith([[from_poly(e) for e in row] for row in rel_poly], l.field.p, eye)
     c = [[to_poly(l.field, e) for e in row] for row in c]
     assert ff_exps == exps
     assert all(e.valuation() >= 0 for row in c for e in row)
