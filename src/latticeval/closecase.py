@@ -119,12 +119,14 @@ def extract_triple(l: Lattice, m: Lattice, n_lat: Lattice) -> SubspaceTriple:
 def residue_subspace(base: Lattice, lat: Lattice) -> Subspace | None:
     """The image of lat in t^{-1}base / base = F^n, in the coordinates of the
     basis of base, or None when lat is not inside t^{-1}base.  The caller
-    guarantees base <= lat."""
+    guarantees base <= lat.  The coordinates are ``densepoly`` pairs (v, c):
+    the residue coefficient is c[0] when v = -1 and zero when v >= 0."""
+    zero = base.field.zero
     vectors = []
-    for col in base.coordinates(lat.basis):
-        if any(x.valuation() < -1 for x in col):
+    for col in base.pair_coordinates(lat.pair_basis()):
+        if any(x is not None and x[0] < -1 for x in col):
             return None
-        vectors.append([x.coefficient(-1) for x in col])
+        vectors.append([x[1][0] if x is not None and x[0] == -1 else zero for x in col])
     return Subspace.span(vectors, base.n, base.field)
 
 

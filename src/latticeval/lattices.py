@@ -16,6 +16,13 @@ Equal modules have equal canonical bases, so each lattice carries ``key``, a
 tuple of plain ints built once: (n, p, then per entry its sorted (exponent,
 coefficient) pairs, a coefficient over Q being its numerator and
 denominator).  Equality and hashing are one tuple comparison.
+
+``dual`` is an involution, so each lattice remembers its dual once computed
+and the dual points back to it: ``intersect``, which is the dual of the sum of
+the duals, canonicalises only the sum and its dual when it meets lattices it
+has met before.  The memo is a slot of the object, not a process-wide cache:
+it lives and dies with the lattice and has no bound to tune.  The reference
+cycle between a lattice and its dual is freed by the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ def _integral(columns) -> bool:
 class Lattice:
     """Immutable lattice; two instances are equal iff the modules coincide."""
 
-    __slots__ = ("n", "field", "basis", "pivots", "key", "_hash", "_below")
+    __slots__ = ("n", "field", "basis", "pivots", "key", "_hash", "_below", "_dual")
 
     def __init__(self, n: int, field: BaseField, basis: tuple[Column, ...]):
         self.n = n
@@ -54,6 +61,8 @@ class Lattice:
         # Row i of the basis left of its pivot as densepoly pairs, built on
         # the first call to ``pair_coordinates``.
         self._below = None
+        # The dual lattice, set by the first call to ``dual`` on either side.
+        self._dual = None
 
     @classmethod
     def from_columns(cls, columns) -> "Lattice":
@@ -124,12 +133,21 @@ class Lattice:
 
     def dual(self) -> "Lattice":
         """Dual lattice under the standard bilinear form: the inverse
-        transpose, whose columns are the rows of basis^{-1}."""
-        inv = self.coordinates(_unit_columns(self.n, self.field))
-        return Lattice.from_columns([[col[i] for col in inv] for i in range(self.n)])
+        transpose, whose columns are the rows of basis^{-1}.  Computed once per
+        object; since dual(dual L) = L, the result remembers L as its own dual,
+        so a second call on either returns the stored lattice."""
+        if self._dual is None:
+            inv = self.coordinates(_unit_columns(self.n, self.field))
+            d = Lattice.from_columns([[col[i] for col in inv] for i in range(self.n)])
+            d._dual = self
+            self._dual = d
+        return self._dual
 
     def intersect(self, *others: "Lattice") -> "Lattice":
-        """Largest common submodule, via dual(intersection) = sum of duals."""
+        """Largest common submodule, via dual(intersection) = sum of duals.
+        The duals of the inputs are the ones ``dual`` stored on them, so
+        intersecting lattices met before canonicalises only the sum and its
+        dual."""
         return self.dual().sum(*(m.dual() for m in others)).dual()
 
     def scale(self, c: int) -> "Lattice":

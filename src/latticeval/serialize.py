@@ -43,8 +43,9 @@ def poly_to_json(p: LaurentPoly):
 
 
 def _coefficient(data, field: BaseField):
-    _check(isinstance(data, (str, int, float)) and not isinstance(data, bool),
-           f"bad coefficient {data!r}: expected a number or a string")
+    # The messages of the two per-entry checks are formatted only on failure.
+    if not isinstance(data, (str, int, float)) or isinstance(data, bool):
+        raise InstanceError(f"bad coefficient {data!r}: expected a number or a string")
     try:
         return field.parse(str(data))
     except (ValueError, ZeroDivisionError):
@@ -55,8 +56,8 @@ def poly_from_json(data, field: BaseField) -> LaurentPoly:
     _check(isinstance(data, list), "a polynomial must be a list of [exponent, coefficient] pairs")
     coeffs = {}
     for term in data:
-        _check(isinstance(term, list) and len(term) == 2 and _is_int(term[0]),
-               f"bad polynomial term {term!r}: expected [integer, coefficient]")
+        if not (isinstance(term, list) and len(term) == 2 and _is_int(term[0])):
+            raise InstanceError(f"bad polynomial term {term!r}: expected [integer, coefficient]")
         if term[0] in coeffs:
             raise InstanceError(f"duplicate exponent {term[0]} in a polynomial")
         coeffs[term[0]] = _coefficient(term[1], field)

@@ -9,35 +9,44 @@ from .scalars import BaseField
 
 
 def rref(vectors, n: int, field: BaseField):
-    """Reduced row-echelon basis (tuple of tuples) of the span of vectors."""
-    rows = [list(v) for v in vectors if any(v)]
+    """Reduced row-echelon basis (tuple of tuples) of the span of vectors.
+
+    Rows are plain lists of field elements and each row operation is one list
+    comprehension, reduced mod p over F_p, with no field call per entry."""
+    p = field.p
     basis: list[list] = []
     pivots: list[int] = []
-    for row in rows:
-        row = _reduce(row, basis, pivots, field)
+    for v in vectors:
+        if not any(v):
+            continue
+        row = _reduce(v, basis, pivots, p)
         lead = next((i for i, c in enumerate(row) if c), None)
         if lead is None:
             continue
         inv = field.inv(row[lead])
-        row = [field.mul(c, inv) for c in row]
-        for b, p in zip(basis, pivots):
+        row = [c * inv for c in row] if p is None else [c * inv % p for c in row]
+        for k, b in enumerate(basis):
             if b[lead]:
-                coef = b[lead]
-                for i in range(n):
-                    b[i] = field.sub(b[i], field.mul(coef, row[i]))
+                basis[k] = _axpy(b, b[lead], row, p)
         basis.append(row)
         pivots.append(lead)
     order = sorted(range(len(basis)), key=lambda k: pivots[k])
     return tuple(tuple(basis[k]) for k in order)
 
 
-def _reduce(row, basis, pivots, field: BaseField):
-    row = list(row)
-    for b, p in zip(basis, pivots):
-        if row[p]:
-            coef = row[p]
-            for i in range(len(row)):
-                row[i] = field.sub(row[i], field.mul(coef, b[i]))
+def _axpy(x, c, y, p):
+    """The list x - c*y, reduced mod p unless p is None."""
+    if p is None:
+        return [a - c * b for a, b in zip(x, y)]
+    return [(a - c * b) % p for a, b in zip(x, y)]
+
+
+def _reduce(row, basis, pivots, p):
+    """row minus its multiples of the echelon rows in basis (lists or
+    tuples, with the given pivot columns); row itself if none applies."""
+    for b, q in zip(basis, pivots):
+        if row[q]:
+            row = _axpy(row, row[q], b, p)
     return row
 
 
@@ -71,7 +80,7 @@ class Subspace:
 
     def contains(self, v) -> bool:
         pivots = [next(i for i, c in enumerate(r) if c) for r in self.rows]
-        return not any(_reduce(list(v), [list(r) for r in self.rows], pivots, self.field))
+        return not any(_reduce(v, self.rows, pivots, self.field.p))
 
     @lru_cache(maxsize=65536)
     def sum(self, other: "Subspace") -> "Subspace":

@@ -333,6 +333,32 @@ def test_duplicate_exponent_is_an_error(capsys, tmp_path, terms):
     assert "duplicate exponent" in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"num": [[0]]}, "bad polynomial term [0]: expected [integer, coefficient]"),
+    ({"num": [["0", "1"]]}, "bad polynomial term ['0', '1']: expected [integer, coefficient]"),
+    ({"num": [[0, True]]}, "bad coefficient True: expected a number or a string"),
+    ({"num": [[0, None]]}, "bad coefficient None: expected a number or a string"),
+    ({"num": [[0, "x"]]}, "bad coefficient 'x' for field QQ"),
+], ids=["short-term", "string-exponent", "bool-coefficient", "null-coefficient",
+        "unparsable-coefficient"])
+def test_bad_term_or_coefficient_is_an_error(capsys, tmp_path, entry, message):
+    e = Lattice.standard(2, RATIONAL)
+    data = serialize.instance_to_json([e, e], (1, 1))
+    data["lattices"][1]["columns"][1][0] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "compute-f", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(latticeval.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "latticeval", "hungarian", "[[1]]"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["value"] == 1
+
+
 @pytest.mark.parametrize("mangle", [
     lambda d: d["lattices"][0].update(columns=5),
     lambda d: d.update(lattices=7),

@@ -14,6 +14,7 @@ import time
 from latticeval import serialize
 from latticeval.closecase import (
     SubspaceTriple,
+    residue_subspace,
     build_network,
     candidate_costs,
     close_candidates,
@@ -113,6 +114,45 @@ def test_verify_close_matches_reference_on_random_triples():
         lats = [random_lattice(rng, n, field, -2, 2) for _ in range(3)]
         statuses.add(_same_report(random_index(rng, n, 3), lats))
     assert statuses == {"verified", "inconclusive"}
+
+
+def reference_residue_subspace(base, lat):
+    """``residue_subspace`` on the ``LaurentPoly`` coordinates of lat."""
+    vectors = []
+    for col in base.coordinates(lat.basis):
+        if any(x.valuation() < -1 for x in col):
+            return None
+        vectors.append([x.coefficient(-1) for x in col])
+    return Subspace.span(vectors, base.n, base.field)
+
+
+def test_residue_subspace_matches_laurent_route():
+    rng = random.Random(604)
+    results = set()
+    for trial in range(120):
+        field = (RATIONAL, GF(2), GF(3), GF(101))[trial % 4]
+        n = 1 + trial % 4
+        if trial % 3 == 0:
+            g_lat = random_lattice(rng, n, field, -2, 2)
+            g = [[g_lat.columns[j][i] for j in range(n)] for i in range(n)]
+            lats = [lat.transform(g) for lat in random_close_triple(rng, n, field)]
+        else:
+            lats = [random_lattice(rng, n, field, -2, 2) for _ in range(3)]
+        meet = lats[0].intersect(*lats[1:])
+        for base in (meet, meet.scale(1)):
+            for lat in lats:
+                got = residue_subspace(base, lat)
+                assert got == reference_residue_subspace(base, lat)
+                if got is not None:
+                    assert [[type(x) for x in r] for r in got.rows] == [
+                        [type(field.zero)] * n for _ in got.rows]
+                results.add(got is None)
+    assert results == {True, False}
+    # t^{-2} e_1 is not inside t^{-1}E.
+    e = Lattice.standard(2, GF(3))
+    far = Lattice.from_generators([[LaurentPoly.t_power(GF(3), -2), LaurentPoly.zero(GF(3))]]
+                                  + list(e.basis), 2)
+    assert residue_subspace(e, far) is None and reference_residue_subspace(e, far) is None
 
 
 def test_close_witness_matches_reference():

@@ -318,3 +318,52 @@ def test_random_lattice_is_not_a_multiple_of_e():
         e = Lattice.standard(3, field)
         draws = [random_lattice(rng, 3, field) for _ in range(20)]
         assert sum(lat != e.scale(lat.pivots[0]) for lat in draws) >= 8
+
+
+# -- the memoised dual against the unmemoised route ---------------------------
+
+def unmemoised_dual(lat):
+    """The dual as ``Lattice.dual`` computes it on a first call: the
+    coordinates of the unit columns, transposed and canonicalised."""
+    n, field = lat.n, lat.field
+    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    inv = lat.coordinates([[one if i == j else zero for i in range(n)] for j in range(n)])
+    return Lattice.from_columns([[col[i] for col in inv] for i in range(n)])
+
+
+def fresh_lattices(rng, field, n, count):
+    out = []
+    while len(out) < count:
+        try:
+            out.append(Lattice.from_generators(
+                sparse_generators(rng, field, n, rng.random() < 0.5), n))
+        except SingularMatrixError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_memoised_dual_and_intersect_match_unmemoised_route(field):
+    rng = random.Random(field.p or 0)
+    for n in range(1, 5):
+        for _ in range(4):
+            lats = fresh_lattices(rng, field, n, 3)
+            a, b, c = lats
+            refs = [unmemoised_dual(x) for x in lats]
+            assert [unmemoised_dual(r) for r in refs] == lats
+            meet = unmemoised_dual(refs[0].sum(refs[1], refs[2]))
+            pair = unmemoised_dual(refs[0].sum(refs[1]))
+            # The second round reads the duals stored by the first.
+            for _ in range(2):
+                assert [x.dual() for x in lats] == refs
+                assert all(x.dual().dual() is x for x in lats)
+                assert a.intersect(b, c) == meet and c.intersect(a, b) == meet
+                assert a.intersect(b, a, b) == pair and b.intersect(a) == pair
+                assert a.intersect(a) == a and a.intersect() == a
+            # The memo belongs to the object: an equal lattice built apart
+            # computes its own dual, equal to the stored one.
+            twin = Lattice(n, field, a.basis)
+            assert twin.dual() == a.dual() and twin.dual() is not a.dual()
+            # A dual reached from the dual side links back the same way.
+            d = unmemoised_dual(b)
+            assert d.dual() == b and d.dual().dual() is d

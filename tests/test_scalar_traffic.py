@@ -5,7 +5,8 @@ the three benchmark workloads: those run on the ``truncated`` and
 test references.  A canonical instance file loads without building any
 ``ValuedScalar`` or running an elimination, and the relative invariants of two
 canonical lattices build no ``LaurentPoly`` and call nothing in
-``truncated``."""
+``truncated``.  A lattice computes its dual once, and the residue subspace of
+the close case is read from ``densepoly`` pairs."""
 
 import contextlib
 import inspect
@@ -16,8 +17,9 @@ from fractions import Fraction
 
 import pytest
 
-from latticeval import cli, closecase, detval, metric, scalars, subspaces, truncated
+from latticeval import cli, closecase, detval, lattices, metric, scalars, subspaces, truncated
 from latticeval.cli import main
+from latticeval.closecase import residue_subspace
 from latticeval.detval import multi_f, star_cost
 from latticeval.harness import verify_star
 from latticeval.lattices import Lattice, SingularMatrixError
@@ -198,3 +200,39 @@ def test_relative_invariants_stay_on_pairs(monkeypatch):
     # The counters are live: a generator matrix is canonicalised by the kernel.
     Lattice.from_generators([list(c) for c in pairs[0][0].basis][::-1], pairs[0][0].n)
     assert polys_built and kernel_calls
+
+
+def test_intersect_canonicalises_stored_duals_once(monkeypatch):
+    """The meet of three lattices is dual(dual L + dual M + dual N): the first
+    call canonicalises three duals, the sum and its dual; a second call on the
+    same lattices finds their duals stored and canonicalises only the sum and
+    its dual."""
+    for field in (RATIONAL, GF(3), GF(101)):
+        lats = generic_lattices(random.Random(13), field, 3)
+        canonicalised = []
+        counted(monkeypatch, lattices, "canonical_basis", canonicalised)
+        first = lats[0].intersect(*lats[1:])
+        assert len(canonicalised) == 5
+        canonicalised.clear()
+        assert lats[0].intersect(*lats[1:]) == first
+        assert len(canonicalised) == 2
+        monkeypatch.undo()
+
+
+def test_residue_subspace_builds_no_laurent_poly(monkeypatch):
+    """The residue coordinates are read from ``pair_coordinates``, with no
+    ``LaurentPoly`` per entry."""
+    rng = random.Random(17)
+    cases = []
+    for field in (RATIONAL, GF(3), GF(101)):
+        for lats in (close_lattices(rng, field), generic_lattices(rng, field, 3)):
+            cases.append((lats[0].intersect(*lats[1:]), lats))
+    expected = [[residue_subspace(meet, lat) for lat in lats] for meet, lats in cases]
+    assert None in expected[1] and None not in expected[0]
+    polys_built = []
+    counted(monkeypatch, LaurentPoly, "__init__", polys_built)
+    assert [[residue_subspace(meet, lat) for lat in lats] for meet, lats in cases] == expected
+    assert polys_built == []
+    # The counter is live.
+    LaurentPoly.zero(RATIONAL)
+    assert polys_built

@@ -1,0 +1,103 @@
+"""Row operations over the residue field against the element-wise route.
+
+``reference_rref`` and ``reference_contains`` are the elimination as it was
+written with one ``field.mul``/``field.sub`` call per entry; ``rref`` and
+``Subspace.contains`` now do each row operation as one list comprehension.
+The outputs must agree entry for entry, element types included."""
+
+import random
+
+import pytest
+
+from latticeval.scalars import GF, RATIONAL
+from latticeval.subspaces import Subspace, rref
+
+FIELDS = (RATIONAL, GF(2), GF(3), GF(101))
+
+
+def _reference_reduce(row, basis, pivots, field):
+    row = list(row)
+    for b, p in zip(basis, pivots):
+        if row[p]:
+            coef = row[p]
+            for i in range(len(row)):
+                row[i] = field.sub(row[i], field.mul(coef, b[i]))
+    return row
+
+
+def reference_rref(vectors, n, field):
+    rows = [list(v) for v in vectors if any(v)]
+    basis, pivots = [], []
+    for row in rows:
+        row = _reference_reduce(row, basis, pivots, field)
+        lead = next((i for i, c in enumerate(row) if c), None)
+        if lead is None:
+            continue
+        inv = field.inv(row[lead])
+        row = [field.mul(c, inv) for c in row]
+        for b in basis:
+            if b[lead]:
+                coef = b[lead]
+                for i in range(n):
+                    b[i] = field.sub(b[i], field.mul(coef, row[i]))
+        basis.append(row)
+        pivots.append(lead)
+    order = sorted(range(len(basis)), key=lambda k: pivots[k])
+    return tuple(tuple(basis[k]) for k in order)
+
+
+def reference_contains(sub, v):
+    pivots = [next(i for i, c in enumerate(r) if c) for r in sub.rows]
+    return not any(_reference_reduce(v, [list(r) for r in sub.rows], pivots, sub.field))
+
+
+def random_rows(rng, field, n):
+    """Rows with entries in {-2, ..., 2} (or F_p), some zero rows, some
+    duplicates and some combinations of earlier rows."""
+    rows = []
+    for _ in range(rng.randint(0, n + 2)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([field.zero] * n)
+        elif kind < 0.3 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.45 and len(rows) > 1:
+            u, w = rng.sample(rows, 2)
+            c = field.from_int(rng.randint(-2, 2))
+            rows.append([field.add(x, field.mul(c, y)) for x, y in zip(u, w)])
+        else:
+            rows.append([field.from_int(rng.randint(-2, 2)) if rng.random() < 0.6
+                         else field.zero for _ in range(n)])
+    return rows
+
+
+def typed(rows):
+    return [[(type(x), x) for x in r] for r in rows]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_rref_matches_elementwise_reference(field):
+    rng = random.Random(field.p or 0)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = random_rows(rng, field, n)
+        got = rref(rows, n, field)
+        assert isinstance(got, tuple) and all(isinstance(r, tuple) for r in got)
+        assert typed(got) == typed(reference_rref(rows, n, field))
+        # Zassenhaus input: (u | u) and (w | 0) rows on 2n columns.
+        other = random_rows(rng, field, n)
+        zassenhaus = [u + u for u in rows] + [w + [field.zero] * n for w in other]
+        assert typed(rref(zassenhaus, 2 * n, field)) == typed(
+            reference_rref(zassenhaus, 2 * n, field))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_contains_matches_elementwise_reference(field):
+    rng = random.Random(7 + (field.p or 0))
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        sub = Subspace.span(random_rows(rng, field, n), n, field)
+        for v in random_rows(rng, field, n) + [list(r) for r in sub.rows]:
+            assert sub.contains(v) == reference_contains(sub, v)
+            assert sub.contains(tuple(v)) == sub.contains(v)
+        assert sub.contains([field.zero] * n)
