@@ -1,19 +1,21 @@
 """Apartments: families of lattices diagonal in one frame, exact maximal
 assignments with integer dual potentials, and the resulting witness lattices.
 
-The common-apartment search runs on ``densepoly`` pairs; the frame of a pair
-comes from ``densepoly.smith``, the Smith elimination that also gives
-``metric.relative_invariants``."""
+A frame is stored as columns of ``densepoly`` pairs, like a lattice basis.
+The common-apartment search runs on them; the frame of a pair comes from
+``densepoly.smith``, the Smith elimination that also gives
+``metric.relative_invariants``, and that elimination already places the two
+lattices of the pair in it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .densepoly import smith, to_poly
+from .densepoly import integer_column, shift, smith
 from .detval import det_poly
 from .lattices import Lattice, SingularMatrixError, identity_matrix
 from .scalars import BaseField, ValuedScalar
-from .truncated import polynomial_column
+from .truncated import column_field, polynomial_column
 
 
 @dataclass(frozen=True)
@@ -107,29 +109,37 @@ class Apartment:
     """A frame x_1..x_n of linearly independent columns; the lattices diagonal
     in this frame with integer exponents form the apartment."""
 
-    def __init__(self, basis):
+    def __init__(self, basis, field: BaseField | None = None, det_valuation: int | None = None):
+        """A frame of pair, ``ValuedScalar`` or ``LaurentPoly`` columns;
+        ``field`` may be left out unless every entry is a pair or None.  A
+        caller that knows v(det frame) passes it with a frame of pairs, and
+        neither is checked; otherwise the determinant is computed and a
+        dependent frame rejected.  Clearing a column's denominators
+        multiplies x_i by a unit, which changes no lattice of the apartment."""
         n = len(basis)
         if any(len(col) != n for col in basis):
             raise ValueError("frame must be square")
+        if field is None:
+            field = column_field(basis)
+        if det_valuation is None:
+            basis = [polynomial_column(col, field.p) for col in basis]
+            det = det_poly([integer_column(col, field.p)[0] for col in basis], field)
+            if det is None:
+                raise SingularMatrixError("frame columns are dependent")
+            det_valuation = det[0]
         self.n = n
-        self.field = basis[0][0].field
-        # Columns of ValuedScalar or LaurentPoly entries, stored as Laurent
-        # polynomials; clearing a column's denominators multiplies x_i by a
-        # unit, which changes no lattice of the apartment.
-        self.basis = tuple(tuple(polynomial_column(col)) for col in basis)
-        det = det_poly(self.basis)
-        if det.is_zero():
-            raise SingularMatrixError("frame columns are dependent")
-        self.det_valuation = det.valuation()
+        self.field = field
+        self.basis = tuple(map(tuple, basis))
+        self.det_valuation = det_valuation
 
     @classmethod
     def standard(cls, n: int, field: BaseField) -> "Apartment":
-        return cls(Lattice.standard(n, field).basis)
+        return cls(Lattice.standard(n, field).basis, field, 0)
 
     def lattice(self, point) -> Lattice:
         """The lattice <t^{-c_1} x_1, ..., t^{-c_n} x_n>."""
-        return Lattice.from_columns([[e.shift(-c) for e in col]
-                                     for col, c in zip(self.basis, point.c)])
+        return Lattice.from_columns([[shift(e, -c) for e in col]
+                                     for col, c in zip(self.basis, point.c)], self.field)
 
 
 @dataclass(frozen=True)
@@ -195,19 +205,18 @@ def invert_matrix(m: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:
     return [row[n:] for row in aug]
 
 
-def _smith_frame(first: Lattice, second: Lattice) -> list[list]:
-    """Columns x_i = (basis(second) . C)_i t^{-e_i} of the Smith frame of the
-    pair, in ``densepoly`` pairs: ``densepoly.smith`` on the relative
-    position basis(first)^{-1} basis(second) gives e and, carrying the rows
-    of basis(second), basis(second) . C.  basis(first)^{-1} x_i
-    is column i of R^{-1} diag(w), so the frame spans first, and v(det frame)
-    is the pivot sum of first."""
-    p = first.field.p
-    b = second.pair_basis()
+def _smith_frame(first: Lattice, second: Lattice):
+    """(frame, e): the columns x_i = (basis(second) . C)_i t^{-e_i} of the
+    Smith frame of the pair, in ``densepoly`` pairs, and the Smith exponents
+    e.  ``densepoly.smith`` on the relative position basis(first)^{-1}
+    basis(second) gives e and, carrying the rows of basis(second),
+    basis(second) . C.  basis(first)^{-1} x_i is column i of R^{-1}
+    diag(w), so first is the point 0 of the frame, second the point -e,
+    and v(det frame) is the pivot sum of first."""
+    b = second.basis
     rel = [list(row) for row in zip(*first.pair_coordinates(b))]
-    exps, bc = smith(rel, p, [list(row) for row in zip(*b)])
-    return [[None if x is None else (x[0] - e, x[1]) for x in col]
-            for col, e in zip(zip(*bc), exps)]
+    exps, bc = smith(rel, first.field.p, [list(row) for row in zip(*b)])
+    return [[shift(x, -e) for x in col] for col, e in zip(zip(*bc), exps)], exps
 
 
 def _frame_points(frame, det_valuation: int, lattices):
@@ -235,30 +244,30 @@ def common_apartment(lattices):
 
     For each ordered pair (L, M) of the inputs, the Smith frame of their
     relative position is one apartment through L and M, and it is accepted
-    iff every input is diagonal in it.  Two lattices lie in many apartments,
-    so this can miss a common apartment even when the pair has distinct
-    relative invariants.  Returns (Apartment, [ApartmentPoint]) or None.
+    iff every other input is diagonal in it; L and M need no test, since
+    the elimination places them at the points 0 and -e.  Two lattices lie
+    in many apartments, so this can miss a common apartment even when the
+    pair has distinct relative invariants.  Returns (Apartment,
+    [ApartmentPoint]) or None.
     """
     lattices = list(lattices)
     if not lattices:
         return None
+    zero = ApartmentPoint((0,) * lattices[0].n)
     if len(lattices) == 1:
-        pairs = [(0, 0)]
-    else:
-        pairs = [
-            (i, j)
-            for i in range(len(lattices))
-            for j in range(len(lattices))
-            if i != j
-        ]
-    for i, j in pairs:
-        first = lattices[i]
-        if i == j:
-            frame = first.pair_basis()
-        else:
-            frame = _smith_frame(first, lattices[j])
-        points = _frame_points(frame, sum(first.pivots), lattices)
-        if points is not None:
-            apt = Apartment([[to_poly(first.field, e) for e in col] for col in frame])
-            return apt, points
+        lat = lattices[0]
+        return Apartment(lat.basis, lat.field, sum(lat.pivots)), [zero]
+    for i, first in enumerate(lattices):
+        det_valuation = sum(first.pivots)
+        for j, second in enumerate(lattices):
+            if i == j:
+                continue
+            frame, exps = _smith_frame(first, second)
+            known = {i: zero, j: ApartmentPoint(tuple(-e for e in exps))}
+            rest = _frame_points(frame, det_valuation,
+                                 [lat for k, lat in enumerate(lattices) if k not in known])
+            if rest is not None:
+                rest = iter(rest)
+                points = [known[k] if k in known else next(rest) for k in range(len(lattices))]
+                return Apartment(frame, first.field, det_valuation), points
     return None

@@ -37,8 +37,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .densepoly import combine
 from .lattices import Lattice
-from .scalars import LaurentPoly
 from .subspaces import Subspace
 
 # Which of U1, U2, U3 each indecomposable type meets (cf. the nine-type table).
@@ -123,7 +123,7 @@ def residue_subspace(base: Lattice, lat: Lattice) -> Subspace | None:
     the residue coefficient is c[0] when v = -1 and zero when v >= 0."""
     zero = base.field.zero
     vectors = []
-    for col in base.pair_coordinates(lat.pair_basis()):
+    for col in base.pair_coordinates(lat.basis):
         if any(x is not None and x[0] < -1 for x in col):
             return None
         vectors.append([x[1][0] if x is not None and x[0] == -1 else zero for x in col])
@@ -259,11 +259,12 @@ def residue_witness(base: Lattice, triple: SubspaceTriple, i: int, j: int, k: in
         raise AssertionError("no candidate achieves the minimum; theorem violated")
     if w is None:
         return base.scale(1), value
+    # Each row c of W gives the generator t^{-1} base . c, a combination of
+    # the basis columns with the constant pairs t^{-1} c_k.
+    p = base.field.p
     gens = list(base.basis)
-    for row in w.rows:
-        gens.append([sum((col[r].scale(c) for col, c in zip(base.basis, row) if c),
-                         LaurentPoly.zero(base.field)).shift(-1) for r in range(base.n)])
-    return Lattice.from_generators(gens, base.n), value
+    gens += [combine(base.basis, [(-1, [c]) if c else None for c in row], p) for row in w.rows]
+    return Lattice.from_generators(gens, base.n, base.field), value
 
 
 @lru_cache(maxsize=4096)

@@ -4,25 +4,35 @@ A nonzero Laurent polynomial c_0 t^v + c_1 t^{v+1} + ... + c_d t^{v+d} is the
 pair (v, [c_0, ..., c_d]) with c_0 and c_d nonzero; ``None`` stands for zero.
 Over Q (p is None) the coefficients are integers or ``Fraction``s, over F_p
 residues in [0, p).  A shift by t^k only moves v, and the inner loops run over
-plain lists, with no dict and no field object per coefficient.
+plain lists, with no dict and no field object per coefficient.  No function
+here mutates a pair it is given, so pairs and their lists may be shared.
 
-This is the arithmetic kernel of ``detval.det_poly`` (fraction-free Bareiss on
-integer lists), of ``Lattice.coordinates`` (forward substitution), of the
-enumeration's change of coordinates (``combine``) and of the library's one
-Smith elimination (``smith``), which gives both the invariant factors of
+This is the one column representation of the library: ``Lattice.basis``
+holds the canonical basis as columns of pairs, ``truncated`` reads and
+returns them, and ``LaurentPoly`` is built only where a caller hands one in
+or asks for one (``from_poly``, ``to_poly``).  The module is also the
+arithmetic kernel of ``detval.det_poly`` (fraction-free Bareiss on integer
+lists), of ``Lattice.pair_coordinates`` (forward substitution), of changes
+of coordinates (``combine``) and of the library's one Smith elimination
+(``smith``), which gives both the invariant factors of
 ``metric.relative_invariants`` and the frame of the apartment search.
 ``divexact`` needs integer coefficients over Q.
 """
 
 from __future__ import annotations
 
+import math
+
 from .scalars import LaurentPoly
-from .truncated import SingularMatrixError
 
 
-def from_poly(poly: LaurentPoly):
-    """The pair of a ``LaurentPoly``, or None for zero."""
-    co = poly.coeffs
+class SingularMatrixError(ValueError):
+    """Raised when generators fail to span a full-rank module."""
+
+
+def from_terms(co: dict):
+    """The pair of an {exponent: coefficient} dict without zero values, or
+    None for the empty dict."""
     if not co:
         return None
     if len(co) == 1:
@@ -35,12 +45,46 @@ def from_poly(poly: LaurentPoly):
     return lo, dense
 
 
+def from_poly(poly: LaurentPoly):
+    """The pair of a ``LaurentPoly``, or None for zero."""
+    return from_terms(poly.coeffs)
+
+
 def to_poly(field, pair) -> LaurentPoly:
     """The ``LaurentPoly`` over ``field`` of a pair or None."""
     if pair is None:
         return LaurentPoly.zero(field)
     v, coeffs = pair
     return LaurentPoly(field, {v + k: c for k, c in enumerate(coeffs)})
+
+
+def strip(v, coeffs):
+    """The pair of t^v (c_0 + c_1 t + ...) for a list that may have zero end
+    coefficients, or None when all are zero."""
+    lo, hi = 0, len(coeffs)
+    while lo < hi and not coeffs[lo]:
+        lo += 1
+    if lo == hi:
+        return None
+    while not coeffs[hi - 1]:
+        hi -= 1
+    return v + lo, coeffs[lo:hi]
+
+
+def shift(pair, k):
+    """t^k times a pair or None."""
+    return None if pair is None else (pair[0] + k, pair[1])
+
+
+def integer_column(col, p):
+    """(col . m, m) for a column of pairs: over Q, m is the lcm of the
+    coefficient denominators, so every coefficient of col . m is an integer;
+    over F_p, m = 1 and the column is returned as it is."""
+    if p is not None:
+        return col, 1
+    m = math.lcm(*(x.denominator for e in col if e is not None for x in e[1]))
+    return [None if e is None else (e[0], [x.numerator * (m // x.denominator) for x in e[1]])
+            for e in col], m
 
 
 def cross(a, z, x, y, p):
@@ -148,14 +192,7 @@ def _merge(v, out, w, low, p):
         out[k] += c
     if p is not None:
         out = [c % p for c in out]
-    lo, hi = 0, len(out)
-    while lo < hi and not out[lo]:
-        lo += 1
-    if lo == hi:
-        return None
-    while not out[hi - 1]:
-        hi -= 1
-    return v + lo, out[lo:hi]
+    return strip(v, out)
 
 
 def conv(f, g, s):

@@ -7,9 +7,10 @@ subsets of any fixed generating basis, so the search space collapses to
 prod_j C(n, i_j) exact determinant evaluations over Laurent polynomials.
 
 Each determinant is fraction-free Bareiss elimination on plain integers, in
-the (valuation, coefficient list) pairs of ``densepoly``.  Over Q every
-column is first multiplied by the lcm of its entries' denominators, and the
-product of those lcms divides the result at the end; over F_p the
+the (valuation, coefficient list) pairs of ``densepoly`` that the lattices
+store.  Over Q every column is first multiplied by the lcm of its entries'
+denominators (``densepoly.integer_column``), once per basis column and
+call of ``multi_f_detail``, which changes no valuation; over F_p the
 coefficients stay residues.  Every Bareiss quotient is a minor of the
 integer matrix, so each division by the previous pivot is exact and its long
 division from the top coefficient stays in the integers; a remainder can
@@ -19,43 +20,55 @@ only mean a fault and raises ``ValueError``.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
-from .densepoly import cross, divexact, from_poly
+from .densepoly import cross, divexact, from_poly, integer_column
 from .lattices import Lattice
 from .metric import binary_f, distance, fundamental_weight, pair
 from .scalars import LaurentPoly, ValuedScalar
 
 
-def det_poly(mat: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Fraction-free (Bareiss) determinant of a Laurent-polynomial matrix.
+def det_poly(mat, field=None):
+    """Fraction-free (Bareiss) determinant of a row-major matrix.
 
-    Each entry becomes a pair (valuation, dense coefficient list) of
-    integers: over Q every column is multiplied by the lcm of its entries'
-    denominators and the result divided by ``scale``, the product of those
-    lcms; over F_p the coefficients are residues.  The divisions by the
-    previous pivot are exact because each quotient is a minor; a remainder
-    raises ``ValueError``.  The pivot is the first nonzero entry at or below
-    the diagonal, with a sign flip for each row swap.
+    Without ``field`` the entries are ``LaurentPoly`` and so is the result:
+    each entry becomes a pair, over Q every column is multiplied by the lcm
+    of its entries' denominators and the result divided by ``scale``, the
+    product of those lcms.  With ``field`` the entries are ``densepoly``
+    pairs, with integer coefficients over Q, and the result is a pair or
+    None for zero.  The divisions by the previous pivot are exact because
+    each quotient is a minor; a remainder raises ``ValueError``.  The pivot
+    is the first nonzero entry at or below the diagonal, with a sign flip
+    for each row swap.
     """
+    if field is not None:
+        return _bareiss([list(row) for row in mat], field.p)
     n = len(mat)
     field = mat[0][0].field
     if n == 1:
         return mat[0][0]
     p = field.p
     scale = 1
-    m = [[None] * n for _ in range(n)]
+    cols = []
     for c in range(n):
-        if p is None:
-            mult = math.lcm(*{x.denominator for r in range(n)
-                              for x in mat[r][c].coeffs.values()})
-            scale *= mult
-        for r in range(n):
-            e = from_poly(mat[r][c])
-            if e is not None and p is None:
-                e = e[0], [x.numerator * (mult // x.denominator) for x in e[1]]
-            m[r][c] = e
+        col, mult = integer_column([from_poly(row[c]) for row in mat], p)
+        scale *= mult
+        cols.append(col)
+    d = _bareiss([list(row) for row in zip(*cols)], p)
+    if d is None:
+        return LaurentPoly.zero(field)
+    v, coeffs = d
+    if p is None:
+        return LaurentPoly(field, {v + k: Fraction(c, scale) for k, c in enumerate(coeffs)})
+    return LaurentPoly(field, dict(enumerate(coeffs, v)))
+
+
+def _bareiss(m, p):
+    """The determinant of a square matrix of pairs (integers over Q), as a
+    pair or None; the rows of m are overwritten."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
     sign = 1
     prev = None
     for i in range(n - 1):
@@ -66,7 +79,7 @@ def det_poly(mat: list[list[LaurentPoly]]) -> LaurentPoly:
                     sign = -sign
                     break
             else:
-                return LaurentPoly.zero(field)
+                return None
         piv, row_i = m[i][i], m[i]
         for row in m[i + 1:]:
             x = row[i]
@@ -79,12 +92,10 @@ def det_poly(mat: list[list[LaurentPoly]]) -> LaurentPoly:
             row[i] = None
         prev = piv
     d = m[n - 1][n - 1]
-    if d is None:
-        return LaurentPoly.zero(field)
+    if d is None or sign == 1:
+        return d
     v, coeffs = d
-    if p is None:
-        return LaurentPoly(field, {v + k: Fraction(sign * c, scale) for k, c in enumerate(coeffs)})
-    return LaurentPoly(field, {v + k: (sign * c) % p for k, c in enumerate(coeffs)})
+    return v, [-c if p is None else -c % p for c in coeffs]
 
 
 def det_scalar(mat: list[list[ValuedScalar]]) -> ValuedScalar:
@@ -135,11 +146,9 @@ def multi_f_detail(idx, lattices: list[Lattice]):
     if len(idx) != len(lattices):
         raise ValueError("one index per lattice required")
     _check_index(idx, n)
-    polys = [l.basis for l in lattices]
-    col_vals = [
-        [min(e.valuation() for e in col if not e.is_zero()) for col in pc]
-        for pc in polys
-    ]
+    field = lattices[0].field
+    polys = [[integer_column(col, field.p)[0] for col in l.basis] for l in lattices]
+    col_vals = [[min(e[0] for e in col if e is not None) for col in pc] for pc in polys]
     best = None
     best_sel = None
     choices = [
@@ -151,11 +160,10 @@ def multi_f_detail(idx, lattices: list[Lattice]):
         if best is not None and ub <= best:
             continue
         cols = [polys[j][c] for j, chosen in enumerate(sel) for c in chosen]
-        mat = [[col[i] for col in cols] for i in range(n)]
-        d = det_poly(mat)
-        if d.is_zero():
+        d = det_poly(list(zip(*cols)), field)
+        if d is None:
             continue
-        v = -d.valuation()
+        v = -d[0]
         if best is None or v > best:
             best, best_sel = v, sel
     if best is None:

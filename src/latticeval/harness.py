@@ -14,11 +14,10 @@ from .apartment import (
     common_apartment,
 )
 from .closecase import SubspaceTriple, residue_subspace, residue_witness
-from .densepoly import combine, to_poly
+from .densepoly import combine, integer_column, shift, strip
 from .detval import det_poly, multi_f, star_cost
 from .lattices import Lattice
 from .metric import binary_f
-from .scalars import LaurentPoly
 from .truncated import polynomial_column
 
 
@@ -150,8 +149,8 @@ def _between_lattices(lattices, budget):
     if field.is_rational:
         raise ValueError("enumeration requires a prime base field")
     n = lattices[0].n
-    basis = total.pair_basis()
-    floor = Lattice.from_columns(total.coordinates(meet.basis))  # standard(n) contains floor
+    # In the coordinates of the sum; standard(n) contains floor.
+    floor = Lattice.from_columns(total.pair_coordinates(meet.basis), field)
     # Any intermediate lattice has nonnegative pivots summing to at most
     # val det(floor), so this pivot scan (with the membership filter) is
     # exhaustive.
@@ -164,12 +163,11 @@ def _between_lattices(lattices, budget):
             if tested >= budget:
                 return
             tested += 1
-            cand = Lattice.from_columns(fill)
+            cand = Lattice.from_columns(fill, field)
             if cand.contains_lattice(floor):
                 # Back from the coordinates of the sum: basis(total) . basis(cand).
-                yield Lattice.from_columns([
-                    [to_poly(field, e) for e in combine(basis, col, field.p)]
-                    for col in cand.pair_basis()])
+                yield Lattice.from_columns([combine(total.basis, col, field.p)
+                                            for col in cand.basis], field)
 
 
 def _triangular_fills(n, pivots, field):
@@ -177,20 +175,12 @@ def _triangular_fills(n, pivots, field):
     and integral below-diagonal entries reduced modulo the row pivot, in
     lexicographic order of the slot coefficients."""
     slots = [(i, j) for j in range(n) for i in range(j + 1, n) if pivots[i] > 0]
-    zero = LaurentPoly.zero(field)
     for flat in itertools.product(range(field.p), repeat=sum(pivots[i] for i, _ in slots)):
-        cols = [
-            [
-                LaurentPoly.t_power(field, pivots[j]) if i == j else zero
-                for i in range(n)
-            ]
-            for j in range(n)
-        ]
+        cols = [[(pivots[j], [1]) if i == j else None for i in range(n)] for j in range(n)]
         start = 0
         for i, j in slots:
-            coeffs = flat[start:start + pivots[i]]
+            cols[j][i] = strip(0, list(flat[start:start + pivots[i]]))
             start += pivots[i]
-            cols[j][i] = LaurentPoly(field, dict(enumerate(coeffs)))
         yield cols
 
 
@@ -277,8 +267,9 @@ def scale_config(bases, coweights):
         lam = tuple(int(x) for x in lam)
         if any(lam[m] < lam[m + 1] for m in range(len(lam) - 1)):
             raise ValueError("coweights must be dominant (weakly decreasing)")
-        out.append(Lattice.from_columns([[e.shift(-c) for e in polynomial_column(vec)]
-                                         for vec, c in zip(basis, lam)]))
+        field = basis[0][0].field
+        out.append(Lattice.from_columns([[shift(e, -c) for e in polynomial_column(vec, field.p)]
+                                         for vec, c in zip(basis, lam)], field))
     return out
 
 
@@ -309,17 +300,20 @@ def positivity_check(bases) -> bool:
     if not field.is_rational:
         raise ValueError("positivity needs an ordered base field")
     n = len(bases[0])
-    bases = [[polynomial_column(vec) for vec in basis] for basis in bases]
-    lattices = [Lattice.from_columns(basis) for basis in bases]
+    bases = [[polynomial_column(vec, None) for vec in basis] for basis in bases]
+    lattices = [Lattice.from_columns(basis, field) for basis in bases]
+    # Integer columns: each is multiplied by a positive integer, so no
+    # determinant changes its valuation or the sign of its leading coefficient.
+    bases = [[integer_column(vec, None)[0] for vec in basis] for basis in bases]
     for p, q, r in itertools.combinations(range(len(bases)), 3):
         for i in range(n + 1):
             for j in range(n - i + 1):
                 k = n - i - j
                 cols = bases[p][:i] + bases[q][:j] + bases[r][:k]
-                det = det_poly([[cols[c][row] for c in range(n)] for row in range(n)])
+                det = det_poly(list(zip(*cols)), field)
                 target = multi_f((i, j, k), [lattices[p], lattices[q], lattices[r]])
-                if det.is_zero() or -det.valuation() != target:
+                if det is None or -det[0] != target:
                     return False
-                if field.sign(det.leading_coefficient()) <= 0:
+                if field.sign(det[1][0]) <= 0:
                     return False
     return True

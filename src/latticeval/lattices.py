@@ -3,19 +3,21 @@
 A lattice is stored through its unique canonical basis: a lower-triangular
 column-echelon form whose pivots are pure powers t^{d_i} on the diagonal, with
 every other entry in a pivot's row reduced modulo t^{d_i}.  Its entries are
-Laurent polynomials (``basis``, a tuple of columns), so every operation here
-stays polynomial: a division by a pivot is a shift.  ``ValuedScalar`` is
-needed only for a generator entry with a denominator, which
-``truncated.canonical_basis`` clears column by column; JSON entries without
-one are read as Laurent polynomials.  It also appears in the ``columns`` view
-(a fresh tuple of wrappers built on each access and never stored) and in
-``solve``, ``basis_inverse`` and ``transform``, which no library operation
-calls.
+``densepoly`` pairs (``basis``, a tuple of n columns of n pairs or None), the
+representation that ``truncated``, ``detval``, ``metric``, the apartment
+search and the close case all work on, so every operation here stays
+polynomial and no entry changes representation: a division by a pivot is a
+shift of the pair's valuation.  ``LaurentPoly`` and ``ValuedScalar`` columns
+are accepted by ``from_generators`` and ``from_columns``, which convert each
+such column once (``truncated.polynomial_column``), and are built on request
+by ``poly_basis`` and ``columns``, views made afresh on each access and never
+stored; ``solve``, ``basis_inverse`` and ``transform`` also work on them, and
+no library operation calls those.
 
 Equal modules have equal canonical bases, so each lattice carries ``key``, a
-tuple of plain ints built once: (n, p, then per entry its sorted (exponent,
-coefficient) pairs, a coefficient over Q being its numerator and
-denominator).  Equality and hashing are one tuple comparison.
+tuple of plain ints built once from the pairs: (n, p, then per entry its
+valuation and coefficients, or () for zero, a coefficient over Q being its
+numerator and denominator).  Equality and hashing are one tuple comparison.
 
 ``dual`` is an involution, so each lattice remembers its dual once computed
 and the dual points back to it: ``intersect``, which is the dual of the sum of
@@ -27,21 +29,24 @@ cycle between a lattice and its dual is freed by the cyclic garbage collector.
 
 from __future__ import annotations
 
-from .densepoly import forward_substitute, from_poly, to_poly
+from .densepoly import forward_substitute, shift, to_poly
 from .scalars import BaseField, LaurentPoly, ValuedScalar
-from .truncated import SingularMatrixError, canonical_basis, polynomial_column
+from .truncated import SingularMatrixError, canonical_basis, column_field, polynomial_column
 
-Column = tuple[LaurentPoly, ...]
+# A column of n ``densepoly`` pairs (v, coefficients), None for zero.
+Column = tuple
 
 
-def _entry_key(poly: LaurentPoly, rational: bool) -> tuple:
+def _entry_key(pair, rational: bool) -> tuple:
+    if pair is None:
+        return ()
     if rational:
-        return tuple(sorted((k, c.numerator, c.denominator) for k, c in poly.coeffs.items()))
-    return tuple(sorted(poly.coeffs.items()))
+        return (pair[0], *[x for c in pair[1] for x in (c.numerator, c.denominator)])
+    return (pair[0], *pair[1])
 
 
 def _integral(columns) -> bool:
-    return all(e.valuation() >= 0 for col in columns for e in col)
+    return all(e is None or e[0] >= 0 for col in columns for e in col)
 
 
 class Lattice:
@@ -54,33 +59,37 @@ class Lattice:
         self.field = field
         self.basis = basis
         # Diagonal exponents d_i of the canonical pivots t^{d_i}.
-        self.pivots = tuple(min(basis[i][i].coeffs) for i in range(n))
+        self.pivots = tuple(basis[i][i][0] for i in range(n))
         rational = field.p is None
         self.key = (n, field.p, tuple(_entry_key(e, rational) for col in basis for e in col))
         self._hash = None
-        # Row i of the basis left of its pivot as densepoly pairs, built on
-        # the first call to ``pair_coordinates``.
+        # Row i of the basis left of its pivot, built on the first call to
+        # ``pair_coordinates``.
         self._below = None
         # The dual lattice, set by the first call to ``dual`` on either side.
         self._dual = None
 
     @classmethod
-    def from_columns(cls, columns) -> "Lattice":
+    def from_columns(cls, columns, field: BaseField | None = None) -> "Lattice":
         """Canonical lattice generated by exactly n independent columns."""
         n = len(columns[0])
         if len(columns) != n:
             raise ValueError("from_columns expects a square generator matrix")
-        return cls.from_generators(columns, n)
+        return cls.from_generators(columns, n, field)
 
     @classmethod
-    def from_generators(cls, columns, n: int) -> "Lattice":
+    def from_generators(cls, columns, n: int, field: BaseField | None = None) -> "Lattice":
         """Canonical lattice generated by any spanning set of columns, whose
-        entries are ``LaurentPoly`` or ``ValuedScalar``."""
+        entries are ``densepoly`` pairs, ``LaurentPoly`` or ``ValuedScalar``.
+        ``field`` may be left out unless every entry is a pair or None."""
         if not columns:
             raise SingularMatrixError("no generators")
         if any(len(c) != n for c in columns):
             raise ValueError("generator length mismatch")
-        return cls(n, columns[0][0].field, canonical_basis(columns, n))
+        if field is None:
+            field = column_field(columns)
+        p = field.p
+        return cls(n, field, canonical_basis([polynomial_column(c, p) for c in columns], n, field))
 
     @classmethod
     def standard(cls, n: int, field: BaseField) -> "Lattice":
@@ -90,9 +99,15 @@ class Lattice:
         return cls(n, field, _unit_columns(n, field))
 
     @property
+    def poly_basis(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The canonical basis as ``LaurentPoly`` columns, built afresh."""
+        field = self.field
+        return tuple(tuple(to_poly(field, e) for e in col) for col in self.basis)
+
+    @property
     def columns(self) -> tuple[tuple[ValuedScalar, ...], ...]:
         """The canonical basis as ``ValuedScalar`` columns, built afresh."""
-        return tuple(tuple(ValuedScalar(e) for e in col) for col in self.basis)
+        return tuple(tuple(ValuedScalar(e) for e in col) for col in self.poly_basis)
 
     def unary_f(self) -> int:
         """-val(det basis); the unary determinantal valuation f^t_n."""
@@ -112,16 +127,16 @@ class Lattice:
         return x
 
     def contains(self, v) -> bool:
-        """Membership of a vector of ``ValuedScalar`` or ``LaurentPoly``
+        """Membership of a vector of pair, ``ValuedScalar`` or ``LaurentPoly``
         entries.  Multiplying v by the product of its denominators, a unit,
         keeps it in or out of the lattice; then its coordinates must be
         integral."""
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
-        return _integral(self.coordinates([polynomial_column(v)]))
+        return _integral(self.pair_coordinates([polynomial_column(v, self.field.p)]))
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        return _integral(self.coordinates(other.basis))
+        return _integral(self.pair_coordinates(other.basis))
 
     def sum(self, *others: "Lattice") -> "Lattice":
         gens = list(self.basis)
@@ -129,7 +144,7 @@ class Lattice:
             if m.n != self.n:
                 raise ValueError("rank mismatch")
             gens.extend(m.basis)
-        return Lattice.from_generators(gens, self.n)
+        return Lattice.from_generators(gens, self.n, self.field)
 
     def dual(self) -> "Lattice":
         """Dual lattice under the standard bilinear form: the inverse
@@ -137,8 +152,8 @@ class Lattice:
         object; since dual(dual L) = L, the result remembers L as its own dual,
         so a second call on either returns the stored lattice."""
         if self._dual is None:
-            inv = self.coordinates(_unit_columns(self.n, self.field))
-            d = Lattice.from_columns([[col[i] for col in inv] for i in range(self.n)])
+            inv = self.pair_coordinates(_unit_columns(self.n, self.field))
+            d = Lattice.from_columns(list(zip(*inv)), self.field)
             d._dual = self
             self._dual = d
         return self._dual
@@ -154,36 +169,26 @@ class Lattice:
         """The lattice t^c . L, whose canonical basis is t^c times that of L
         (pivots and reductions shift together), so nothing is recomputed."""
         return Lattice(self.n, self.field,
-                       tuple(tuple(e.shift(c) for e in col) for col in self.basis))
-
-    def coordinates(self, columns) -> list[list[LaurentPoly]]:
-        """basis^{-1} . c for each column c of Laurent polynomials, by forward
-        substitution.  The basis is lower triangular with pivots t^{d_i}, so
-        each division by a pivot is a shift and the result stays polynomial."""
-        field = self.field
-        zero = LaurentPoly.zero(field)
-        return [[zero if e is None else to_poly(field, e) for e in x]
-                for x in self.pair_coordinates([[from_poly(e) for e in col]
-                                                for col in columns])]
+                       tuple(tuple(shift(e, c) for e in col) for col in self.basis))
 
     def pair_coordinates(self, columns) -> list[list]:
-        """``coordinates`` on columns of ``densepoly`` pairs, giving pairs."""
+        """basis^{-1} . c for each column c of ``densepoly`` pairs, by forward
+        substitution.  The basis is lower triangular with pivots t^{d_i}, so
+        each division by a pivot is a shift and the result stays polynomial."""
         if self._below is None:
+            basis = self.basis
             self._below = tuple(
-                tuple((j, from_poly(self.basis[j][i])) for j in range(i)
-                      if self.basis[j][i].coeffs)
+                tuple((j, basis[j][i]) for j in range(i) if basis[j][i] is not None)
                 for i in range(self.n))
         p = self.field.p
         return [forward_substitute(self._below, self.pivots, col, p) for col in columns]
 
-    def pair_basis(self) -> list[list]:
-        """The canonical basis as columns of ``densepoly`` pairs."""
-        return [[from_poly(e) for e in col] for col in self.basis]
-
     def basis_inverse(self) -> list[list[ValuedScalar]]:
         """basis^{-1} as a row-major matrix (lower triangular, like basis)."""
-        inv_cols = self.coordinates(_unit_columns(self.n, self.field))
-        return [[ValuedScalar(col[i]) for col in inv_cols] for i in range(self.n)]
+        field = self.field
+        inv_cols = self.pair_coordinates(_unit_columns(self.n, field))
+        return [[ValuedScalar(to_poly(field, col[i])) for col in inv_cols]
+                for i in range(self.n)]
 
     def transform(self, g: list[list[ValuedScalar]]) -> "Lattice":
         """The lattice g . L for a row-major nonsingular matrix g."""
@@ -204,8 +209,8 @@ class Lattice:
 
 
 def _unit_columns(n: int, field: BaseField) -> tuple[Column, ...]:
-    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
-    return tuple(tuple(one if i == j else zero for i in range(n)) for j in range(n))
+    one = (0, [field.one])
+    return tuple(tuple(one if i == j else None for i in range(n)) for j in range(n))
 
 
 def matmul(a: list[list[ValuedScalar]], b: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:

@@ -4,8 +4,8 @@ The distance d(L, M) is the unique weakly decreasing integer vector
 (a_1, ..., a_n) such that some g carries L to the elementary lattice and M to
 <t^{-a_1}e_1, ..., t^{-a_n}e_n>.  It is computed from the Smith form of
 basis(L)^{-1} basis(M) over the valuation ring.  That product has Laurent
-polynomial entries (``Lattice.pair_coordinates``), and its exponents come
-from ``densepoly.smith``, the fraction-free elimination that also gives the
+polynomial entries (``Lattice.pair_coordinates`` on the stored pairs), and
+its exponents come from ``densepoly.smith``, the fraction-free elimination that also gives the
 frame of the apartment search.  ``smith_form`` is the fraction-field
 elimination with both row transforms; the library no longer calls it, and
 the tests keep it as the reference for both.
@@ -120,7 +120,7 @@ def relative_invariants(l: Lattice, m: Lattice) -> Coweight:
         raise ValueError("rank mismatch")
     # The columns of basis(L)^{-1} basis(M), read as rows: the transpose has
     # the same invariant factors.
-    exps, _ = smith(l.pair_coordinates(m.pair_basis()), l.field.p, [])
+    exps, _ = smith(l.pair_coordinates(m.basis), l.field.p, [])
     # v(det rel) is the difference of the two pivot sums.
     if sum(exps) != l.unary_f() - m.unary_f():
         raise ValueError("determinant valuation does not match the matrix")

@@ -88,7 +88,7 @@ def random_close_triple(rng, n: int, field: BaseField):
         u = random_subspace(rng, n, field)
         gens = list(e.basis)
         gens += [[LaurentPoly(field, {-1: c}) for c in row] for row in u.rows]
-        lats.append(Lattice.from_generators(gens, n))
+        lats.append(Lattice.from_generators(gens, n, field))
     return tuple(lats)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .apartment import Apartment, ApartmentPoint
+from .densepoly import from_terms
 from .harness import ConjectureReport
 from .lattices import Lattice
 from .scalars import BaseField, LaurentPoly, RATIONAL, ValuedScalar
@@ -52,7 +53,9 @@ def _coefficient(data, field: BaseField):
         raise InstanceError(f"bad coefficient {data!r} for field {field!r}") from None
 
 
-def poly_from_json(data, field: BaseField) -> LaurentPoly:
+def _terms_from_json(data, field: BaseField) -> dict:
+    """The {exponent: coefficient} dict of a JSON polynomial, zero
+    coefficients dropped."""
     _check(isinstance(data, list), "a polynomial must be a list of [exponent, coefficient] pairs")
     coeffs = {}
     for term in data:
@@ -61,7 +64,11 @@ def poly_from_json(data, field: BaseField) -> LaurentPoly:
         if term[0] in coeffs:
             raise InstanceError(f"duplicate exponent {term[0]} in a polynomial")
         coeffs[term[0]] = _coefficient(term[1], field)
-    return LaurentPoly(field, coeffs)
+    return {e: c for e, c in coeffs.items() if c}
+
+
+def poly_from_json(data, field: BaseField) -> LaurentPoly:
+    return LaurentPoly(field, _terms_from_json(data, field))
 
 
 def scalar_to_json(s: ValuedScalar):
@@ -72,22 +79,31 @@ def scalar_to_json(s: ValuedScalar):
 
 
 def _entry_from_json(data, field: BaseField):
-    """A matrix entry: a ``LaurentPoly`` when it has no "den", so a canonical
-    basis is read without building a fraction, else a ``ValuedScalar``."""
+    """A matrix entry: a ``densepoly`` pair (or None) when it has no "den", so
+    a canonical basis is read straight into the representation lattices
+    store, else a ``ValuedScalar``."""
     _check(isinstance(data, dict) and "num" in data,
            'a scalar must be an object with a "num" polynomial')
-    num = poly_from_json(data["num"], field)
     if "den" not in data:
-        return num
+        return from_terms(_terms_from_json(data["num"], field))
+    num = poly_from_json(data["num"], field)
     den = poly_from_json(data["den"], field)
     _check(not den.is_zero(), "a scalar has a zero denominator")
     return ValuedScalar(num, den)
 
 
+def _pair_to_json(pair, field: BaseField):
+    """``poly_to_json`` of a ``densepoly`` pair or None."""
+    if pair is None:
+        return []
+    return [[e, field.format(c)] for e, c in enumerate(pair[1], pair[0]) if c]
+
+
 def lattice_to_json(lat: Lattice):
+    field = lat.field
     return {
         "n": lat.n,
-        "columns": [[{"num": poly_to_json(e)} for e in col] for col in lat.basis],
+        "columns": [[{"num": _pair_to_json(e, field)} for e in col] for col in lat.basis],
     }
 
 
@@ -100,7 +116,7 @@ def lattice_from_json(data, field: BaseField) -> Lattice:
            and all(isinstance(col, list) and len(col) == n for col in columns),
            f'lattice "columns" must be a list of lists of {n} scalars')
     return Lattice.from_generators([[_entry_from_json(e, field) for e in col]
-                                    for col in columns], n)
+                                    for col in columns], n, field)
 
 
 def instance_to_json(lattices, indices):
@@ -150,7 +166,7 @@ def apartment_from_json(data):
     _check(isinstance(indices, list) and len(indices) == len(points)
            and all(_is_int(i) and i >= 0 for i in indices),
            'apartment "indices" must hold one nonnegative integer per point')
-    apt = Apartment([[_entry_from_json(e, field) for e in col] for col in frame])
+    apt = Apartment([[_entry_from_json(e, field) for e in col] for col in frame], field)
     return apt, [ApartmentPoint(tuple(p)) for p in points], tuple(indices)
 
 

@@ -4,12 +4,15 @@ fraction field.
 Notation: O = F[[t]], v the t-adic valuation, and for a full-rank lattice L
 in F((t))^n, D(L) = v(det B) for any basis B of L.
 
-Canonical bases.  Let A be an n x m generator matrix of L.  An entry given
-as a ``ValuedScalar`` num/den has den of valuation 0 and constant term 1, a
-unit of O.  ``polynomial_column`` multiplies each column by the product of its
-distinct denominators, an exact polynomial product and again a unit, which
-leaves the lattice alone and makes every entry a Laurent polynomial; from
-there on everything is polynomial.  Let s be the least valuation of the
+Canonical bases.  Let A be an n x m generator matrix of L.
+``canonical_basis`` takes its columns as ``densepoly`` pairs, the
+representation ``Lattice.basis`` stores, and returns the canonical basis in
+pairs too.  A generator entry given as a ``ValuedScalar`` num/den has den of
+valuation 0 and constant term 1, a unit of O; ``polynomial_column``, which
+``Lattice.from_generators`` applies to each column once, multiplies the
+column by the product of its distinct denominators, an exact polynomial
+product and again a unit, which leaves the lattice alone and makes every
+entry a Laurent polynomial pair; from there on everything is polynomial.  Let s be the least valuation of the
 entries, so L' = t^{-s} L lies in O^n; the canonical basis of L is that of L'
 multiplied by t^s, and each entry is read as a series modulo t^N.
 
@@ -57,7 +60,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import LaurentPoly
+from .densepoly import SingularMatrixError, addmul, from_poly, strip
+from .scalars import LaurentPoly, ValuedScalar
 
 # First precision tried.  On the benchmark workloads N = 4 accepts 97% of the
 # canonicalisations of generic-q (pivot sums 0..6, bounds B 9..16) and all of
@@ -65,10 +69,6 @@ from .scalars import LaurentPoly
 # N = B + 1, doubling from 4 gave 69.1 vs 52.2 ops/s on generic-q and 14.1 vs
 # 13.4 on verify-cli-fp (2-vCPU Xeon, Python 3.11, five paired runs).
 _START_PRECISION = 4
-
-
-class SingularMatrixError(ValueError):
-    """Raised when generators fail to span a full-rank module."""
 
 
 def _valuation(series):
@@ -180,17 +180,17 @@ def _hermite(cols, n, prec, p):
 
 
 def _series_columns(columns, shift, prec, p):
-    """Columns of Laurent polynomials as series of t^{-shift} * entry modulo
-    t^prec; over Q each column is scaled by a nonzero rational to primitive
-    integers."""
+    """Columns of pairs as series of t^{-shift} * entry modulo t^prec; over Q
+    each column is scaled by a nonzero rational to primitive integers."""
     out = []
     for col in columns:
         rows = []
-        for poly in col:
+        for e in col:
             row = [0] * prec
-            for k, c in poly.coeffs.items():
-                if k - shift < prec:
-                    row[k - shift] = c
+            if e is not None and e[0] - shift < prec:
+                off = e[0] - shift
+                c = e[1][:prec - off]
+                row[off:off + len(c)] = c
             rows.append(row)
         if p is None:
             den = math.lcm(*(c.denominator for row in rows for c in row if c))
@@ -200,57 +200,70 @@ def _series_columns(columns, shift, prec, p):
     return out
 
 
-def polynomial_column(col) -> list[LaurentPoly]:
-    """A column of ``ValuedScalar`` and ``LaurentPoly`` entries, multiplied by
-    the product of its distinct denominators (a unit of O), as Laurent
-    polynomials; no gcd is taken."""
-    if all(type(e) is LaurentPoly for e in col):
-        return list(col)
-    dens = {e.den for e in col if type(e) is not LaurentPoly and len(e.den.coeffs) > 1}
+def column_field(columns):
+    """The field of the first ``LaurentPoly`` or ``ValuedScalar`` entry;
+    columns of pairs alone do not name it."""
+    for col in columns:
+        for e in col:
+            if e is not None and type(e) is not tuple:
+                return e.field
+    raise ValueError("columns of densepoly pairs need their field")
+
+
+def polynomial_column(col, p) -> list:
+    """A column of pair, ``LaurentPoly`` and ``ValuedScalar`` entries as
+    pairs, multiplied by the product of its distinct denominators (a unit of
+    O); no gcd is taken.  A column of pairs is returned as it is."""
+    if all(e is None or type(e) is tuple for e in col):
+        return col
+    dens = {e.den for e in col if type(e) is ValuedScalar and len(e.den.coeffs) > 1}
+    dens = {d: from_poly(d) for d in dens}
     out = []
     for e in col:
-        x, own = (e, None) if type(e) is LaurentPoly else (e.num, e.den)
-        for d in dens:
-            x = x if d == own else x * d
+        if type(e) is ValuedScalar:
+            x, own = from_poly(e.num), e.den
+        else:
+            x, own = (from_poly(e) if type(e) is LaurentPoly else e), None
+        for d, pd in dens.items():
+            if x is not None and d != own:
+                x = addmul(None, x, pd, 1, p)
         out.append(x)
     return out
 
 
 def _least_valuation(matrix):
-    vals = [min(e.coeffs) for vec in matrix for e in vec if e.coeffs]
+    vals = [e[0] for vec in matrix for e in vec if e is not None]
     return min(vals) if vals else None
 
 
 def _degree_bound(columns, n, shift):
     """B of step 3 of the module docstring: an upper bound on v(det) of the
     shifted lattice whenever the generators have full rank."""
-    deltas = [max(max(e.coeffs) for e in col if e.coeffs) - shift
-              for col in columns if any(e.coeffs for e in col)]
+    deltas = [max(e[0] + len(e[1]) for e in col if e is not None) - 1 - shift
+              for col in columns if any(e is not None for e in col)]
     return sum(sorted(deltas, reverse=True)[:n])
 
 
 def _is_canonical(columns):
     """Step 0 of the module docstring: whether the columns are canonical."""
-    one = columns[0][0].field.one
     for i, col in enumerate(columns):
-        pivot = col[i].coeffs
-        if len(pivot) != 1 or any(e.coeffs for e in col[:i]):
+        pivot = col[i]
+        if pivot is None or len(pivot[1]) != 1 or any(e is not None for e in col[:i]):
             return False
-        ((d, c),) = pivot.items()
-        if c != one or any(prev[i].coeffs and max(prev[i].coeffs) >= d
-                           for prev in columns[:i]):
+        d = pivot[0]
+        if pivot[1][0] != 1 or any(prev[i] is not None and prev[i][0] + len(prev[i][1]) > d
+                                   for prev in columns[:i]):
             return False
     return True
 
 
-def canonical_basis(columns, n: int) -> tuple[tuple[LaurentPoly, ...], ...]:
+def canonical_basis(columns, n: int, field) -> tuple[tuple, ...]:
     """The canonical basis (lower-triangular column echelon form, pivots
     t^{d_i}, row i of earlier columns reduced below t^{d_i}) of the lattice
-    generated by the given columns of length n."""
-    columns = [polynomial_column(col) for col in columns]
+    over ``field`` generated by the given columns of n ``densepoly`` pairs,
+    as a tuple of columns of pairs."""
     if len(columns) == n and _is_canonical(columns):
         return tuple(map(tuple, columns))
-    field = columns[0][0].field
     p = field.p
     shift = _least_valuation(columns)
     if shift is None or len(columns) < n:
@@ -268,21 +281,18 @@ def canonical_basis(columns, n: int) -> tuple[tuple[LaurentPoly, ...], ...]:
 
 
 def _read_basis(cols, pivots, shift, field):
-    """The first n columns as Laurent polynomials, shifted back by t^shift
-    and divided by their pivot coefficients (always 1 over F_p)."""
-    zero = LaurentPoly.zero(field)
-    one = field.one
+    """The first n columns as pairs, shifted back by t^shift and divided by
+    their pivot coefficients (always 1 over F_p)."""
     basis = []
     for j, d in enumerate(pivots):
         col = cols[j]
         c = col[j][d]
-        entries = [zero] * j
-        entries.append(LaurentPoly(field, {d + shift: one}))
+        entries = [None] * j
+        entries.append((d + shift, [field.one]))
         for row in col[j + 1:]:
-            entries.append(LaurentPoly(field, {
-                k + shift: e if field.p else Fraction(e, c)
-                for k, e in enumerate(row) if e
-            }))
+            e = strip(shift, row)
+            if e is not None and not field.p:
+                e = e[0], [Fraction(x, c) for x in e[1]]
+            entries.append(e)
         basis.append(tuple(entries))
     return tuple(basis)
-

@@ -8,6 +8,7 @@ import pytest
 from latticeval.apartment import (
     Apartment,
     ApartmentPoint,
+    _frame_points,
     _smith_frame,
     apartment_multi_f,
     apartment_witness,
@@ -80,7 +81,7 @@ def test_frame_det_valuation_matches_canonical_pivots(field):
                  for col, k in zip(random_unimodular(rng, n, field), shifts)]
         apt = Apartment(frame)
         assert apt.det_valuation == sum(shifts)
-        assert apt.det_valuation == sum(Lattice.from_columns(apt.basis).pivots)
+        assert apt.det_valuation == sum(Lattice.from_columns(apt.basis, field).pivots)
         with pytest.raises(SingularMatrixError):
             Apartment([frame[0]] * n if n > 1 else [[ValuedScalar.zero(field)]])
 
@@ -219,8 +220,8 @@ def reference_common_apartment(lattices):
         if i == j:
             frame_rows = b
         else:
-            rel = [[ValuedScalar(e) for e in row]
-                   for row in zip(*first.coordinates(lattices[j].basis))]
+            rel = [[ValuedScalar(to_poly(first.field, e)) for e in row]
+                   for row in zip(*first.pair_coordinates(lattices[j].basis))]
             _, _, rinv = smith_form(rel)
             frame_rows = matmul(b, rinv)
         frame_inv = invert_matrix(frame_rows)
@@ -271,6 +272,54 @@ def test_common_apartment_matches_reference():
             assert ref_apt.det_valuation == det_val
             assert (apartment_witness(apt2, pts2, idx)
                     == apartment_witness(ref_apt, ref_points, idx))
+    assert outcomes[True] and outcomes[False]
+
+
+def full_check_common_apartment(lattices):
+    """``common_apartment`` as it ran before it read the pair's own points
+    from the Smith elimination: every input, the pair included, is tested
+    for membership in the frame, and the Apartment is built from
+    ``LaurentPoly`` columns, which computes its determinant."""
+    if len(lattices) == 1:
+        pairs = [(0, 0)]
+    else:
+        pairs = [(i, j) for i in range(len(lattices))
+                 for j in range(len(lattices)) if i != j]
+    for i, j in pairs:
+        first = lattices[i]
+        frame = first.basis if i == j else _smith_frame(first, lattices[j])[0]
+        points = _frame_points(frame, sum(first.pivots), lattices)
+        if points is not None:
+            return Apartment([[to_poly(first.field, e) for e in col] for col in frame]), points
+    return None
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF(2), GF(3), GF(101)], ids=repr)
+def test_common_apartment_matches_full_check(field):
+    """The same frame, points and v(det frame) as the full-check route, on
+    apartment configurations (perturbed or not) and on random lattices."""
+    rng = random.Random(79 + (field.p or 0))
+    outcomes = {True: 0, False: 0}
+    for trial in range(40):
+        n = rng.randint(2, 4)
+        k = rng.randint(1, 3 if n == 4 else 4)
+        if trial % 4 == 3:
+            lats = [random_lattice(rng, n, field, -2, 2) for _ in range(k)]
+        else:
+            apt, pts, _ = random_apartment_instance(rng, n, k, field, window=3)
+            lats = [apt.lattice(p) for p in pts]
+            if k >= 3 and rng.random() < 1 / 2:
+                s = rng.randrange(k)
+                lats[s] = _perturbed(rng, lats[s])
+        found = common_apartment(lats)
+        expected = full_check_common_apartment(lats)
+        assert (found is None) == (expected is None)
+        outcomes[found is not None] += 1
+        if found is not None:
+            assert found[1] == expected[1]
+            assert found[0].basis == expected[0].basis
+            assert found[0].det_valuation == expected[0].det_valuation
+            assert (found[0].n, found[0].field) == (expected[0].n, expected[0].field)
     assert outcomes[True] and outcomes[False]
 
 
@@ -369,14 +418,14 @@ def reference_smith_frame(first, second):
     the basis: C from an identity carry, then column j of basis(second) . C
     by ``combine``, shifted by t^{-e_j}."""
     p = first.field.p
-    b = second.pair_basis()
+    b = second.basis
     rel = [list(row) for row in zip(*first.pair_coordinates(b))]
     exps, c = smith(rel, p, identity_pairs(first.n))
     frame = []
     for j, e in enumerate(exps):
         col = combine(b, [row[j] for row in c], p)
         frame.append([None if x is None else (x[0] - e, x[1]) for x in col])
-    return frame
+    return frame, exps
 
 
 @pytest.mark.parametrize("field", [RATIONAL, GF(2), GF(3), GF(101)], ids=repr)

@@ -15,7 +15,7 @@ import latticeval
 from latticeval.cli import main
 from latticeval import representatives, serialize
 from latticeval.lattices import Lattice
-from latticeval.randgen import random_unimodular
+from latticeval.randgen import random_lattice, random_unimodular
 from latticeval.scalars import RATIONAL, LaurentPoly, ValuedScalar
 
 
@@ -141,7 +141,7 @@ def test_generators_print_as_canonical_bases(capsys, tmp_path, kind, field, seed
     generators = dict(canonical, lattices=[])
     for lat in lattices:
         u = random_unimodular(rng, lat.n, f)
-        cols = [[sum((b[i] * c.num for b, c in zip(lat.basis, col)), LaurentPoly.zero(f))
+        cols = [[sum((b[i] * c.num for b, c in zip(lat.poly_basis, col)), LaurentPoly.zero(f))
                  for i in range(lat.n)] for col in u]
         generators["lattices"].append(
             {"n": lat.n, "columns": [[{"num": serialize.poly_to_json(e)} for e in col]
@@ -155,6 +155,42 @@ def test_generators_print_as_canonical_bases(capsys, tmp_path, kind, field, seed
                  ["verify", "--json", "--strategy", "apartment"]):
         first, second = (run(capsys, argv[0], str(path), *argv[1:]) for path in paths)
         assert first == second and first[0] in (0, 2)
+
+
+BAD_POLYNOMIALS = ("t", [[0]], [["0", "1"]], [[0, "1"], [0, "0"]], [[0, True]],
+                   [[0, "x"]], [[0, None]], [[1.5, "1"]])
+
+
+@pytest.mark.parametrize("name", ["rational", "prime:2", "prime:3", "prime:101"])
+def test_lattice_json_matches_laurent_route(name):
+    """``lattice_to_json`` writes from the pairs the terms that
+    ``poly_to_json`` writes from the LaurentPoly view; ``lattice_from_json``
+    reads entries without a "den" straight into pairs (in a column with
+    fractions too) and rejects a bad entry with the ``poly_from_json`` text."""
+    field = serialize.field_from_str(name)
+    rng = random.Random(91)
+    for trial in range(30):
+        lat = random_lattice(rng, 1 + trial % 4, field, -2, 2)
+        data = serialize.lattice_to_json(lat)
+        assert data == {"n": lat.n, "columns": [[{"num": serialize.poly_to_json(e)} for e in col]
+                                                for col in lat.poly_basis]}
+        data = json.loads(json.dumps(data))
+        back = serialize.lattice_from_json(data, field)
+        assert back == lat and back.basis == lat.basis
+        # A column holding a fraction over 1 + t and pairs is cleared as a
+        # whole: it generates what the polynomial column with every other
+        # entry times 1 + t generates.
+        one_plus_t = LaurentPoly(field, {0: field.one, 1: field.one})
+        data["columns"][0][0]["den"] = [[0, "1"], [1, "1"]]
+        polys = [list(col) for col in lat.poly_basis]
+        polys[0][1:] = [x * one_plus_t for x in polys[0][1:]]
+        assert serialize.lattice_from_json(data, field) == Lattice.from_columns(polys)
+    for bad in BAD_POLYNOMIALS:
+        with pytest.raises(serialize.InstanceError) as direct:
+            serialize.poly_from_json(bad, field)
+        with pytest.raises(serialize.InstanceError) as in_lattice:
+            serialize.lattice_from_json({"n": 1, "columns": [[{"num": bad}]]}, field)
+        assert str(in_lattice.value) == str(direct.value)
 
 
 def test_error_exit_code(capsys, tmp_path):

@@ -23,6 +23,7 @@ from latticeval.closecase import (
     max_flow,
     min_formula,
 )
+from latticeval.densepoly import to_poly
 from latticeval.detval import multi_f, star_cost
 from latticeval.harness import ConjectureReport, _scan, verify_star
 from latticeval.lattices import Lattice
@@ -119,7 +120,8 @@ def test_verify_close_matches_reference_on_random_triples():
 def reference_residue_subspace(base, lat):
     """``residue_subspace`` on the ``LaurentPoly`` coordinates of lat."""
     vectors = []
-    for col in base.coordinates(lat.basis):
+    for col in base.pair_coordinates(lat.basis):
+        col = [to_poly(base.field, x) for x in col]
         if any(x.valuation() < -1 for x in col):
             return None
         vectors.append([x.coefficient(-1) for x in col])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from latticeval.densepoly import divexact as _divexact
+from latticeval.densepoly import from_poly, integer_column, to_poly
 from latticeval.detval import (
     det_poly,
     det_scalar,
@@ -147,6 +148,29 @@ def test_det_poly_swaps_rows_with_a_sign_flip(field):
     assert det_poly(mat) == reference_det_poly(mat) == t * t * tinv
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_det_poly_laurent_matches_pair_bareiss(field):
+    """det_poly on a LaurentPoly matrix equals det_poly on the same matrix in
+    densepoly pairs, its columns made integral by ``integer_column``,
+    divided by the product of the column multipliers."""
+    rng = random.Random(45 + (field.p or 0))
+    for trial in range(100):
+        n = 1 + trial % 4
+        mat = (random_matrix(rng, field, n, density=rng.choice((0.3, 0.7))) if trial % 3
+               else singular_matrix(rng, field, n))
+        cols = [integer_column([from_poly(row[c]) for row in mat], field.p) for c in range(n)]
+        scale = 1
+        for _, m in cols:
+            scale *= m
+        pair = det_poly([list(r) for r in zip(*(col for col, _ in cols))], field)
+        got = to_poly(field, pair)
+        if field.p is None:
+            got = got.scale(Fraction(1, scale))
+        assert got == det_poly(mat) == reference_det_poly(mat)
+        if trial % 3 == 0:
+            assert pair is None
+
+
 def test_det_poly_elimination_uses_no_laurentpoly_arithmetic(monkeypatch):
     def forbidden(*args):
         raise AssertionError("LaurentPoly arithmetic inside det_poly")
@@ -210,7 +234,7 @@ def reference_multi_f_detail(idx, lattices):
     best = best_sel = None
     choices = [itertools.combinations(range(n), i) for i in idx]
     for sel in itertools.product(*choices):
-        cols = [lat.basis[c] for lat, chosen in zip(lattices, sel) for c in chosen]
+        cols = [lat.poly_basis[c] for lat, chosen in zip(lattices, sel) for c in chosen]
         d = reference_det_poly([[col[r] for col in cols] for r in range(n)])
         if not d.is_zero() and (best is None or -d.valuation() > best):
             best, best_sel = -d.valuation(), sel

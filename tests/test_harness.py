@@ -28,6 +28,7 @@ from latticeval.randgen import (
     random_lattice,
 )
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
+from latticeval.densepoly import to_poly
 from latticeval.truncated import polynomial_column
 
 F2 = GF(2)
@@ -136,7 +137,7 @@ def transformed_between_lattices(lattices, budget):
     meet = lattices[0].intersect(*lattices[1:])
     n = total.n
     g = [list(row) for row in zip(*total.columns)]
-    floor = Lattice.from_columns(total.coordinates(meet.basis))
+    floor = Lattice.from_columns(total.pair_coordinates(meet.basis), total.field)
     bound = sum(floor.pivots)
     tested = 0
     for pivots in itertools.product(range(bound + 1), repeat=n):
@@ -146,7 +147,7 @@ def transformed_between_lattices(lattices, budget):
             if tested >= budget:
                 return
             tested += 1
-            cand = Lattice.from_columns(fill)
+            cand = Lattice.from_columns(fill, total.field)
             if cand.contains_lattice(floor):
                 yield cand.transform(g)
 
@@ -313,7 +314,8 @@ def test_positivity_matches_det_scalar_route():
         # One column from each of the first n bases, denominators and all.
         for cols in itertools.product(*scaled[:n]):
             d = det_scalar([list(r) for r in zip(*cols)])
-            p = det_poly([list(r) for r in zip(*map(polynomial_column, cols))])
+            polys = [[to_poly(RATIONAL, e) for e in polynomial_column(col, None)] for col in cols]
+            p = det_poly([list(r) for r in zip(*polys)])
             assert d.is_zero() == p.is_zero()
             if not d.is_zero():
                 assert (d.valuation(), d.leading_coefficient()) == (p.valuation(), p.leading_coefficient())

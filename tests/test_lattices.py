@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from latticeval.densepoly import from_poly
 from latticeval.lattices import Lattice, SingularMatrixError
 from latticeval.randgen import random_lattice, random_scalar, random_unimodular
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
@@ -301,6 +302,32 @@ def test_equality_key_matches_modules():
         assert lat.scale(1) != lat and lat.dual().dual() == lat
 
 
+def test_pair_laurent_and_scalar_generators_give_one_lattice():
+    """The generators of each sample case, handed in as ``ValuedScalar``,
+    ``LaurentPoly`` and ``densepoly`` pair columns, as a mix of the three by
+    column and as fractions over 1 + t, give one lattice: the same key,
+    hash and basis, and the reference canonical basis."""
+    for field, n, gens, ref, rng, dens in sample_cases():
+        lat = Lattice.from_generators(gens, n)
+        assert as_lists(lat) == ref
+        # Each column times the product of its distinct denominators, in
+        # LaurentPoly arithmetic: a unit multiple of the column.
+        polys = []
+        for col in gens:
+            denominators = {e.den for e in col}
+            polys.append([e.num for e in col])
+            for d in denominators:
+                polys[-1] = [x if e.den == d else x * d for x, e in zip(polys[-1], col)]
+        pairs = [[from_poly(e) for e in col] for col in polys]
+        mixed = [(gens, polys, pairs)[j % 3][j] for j in range(len(gens))]
+        one_plus_t = LaurentPoly(field, {0: field.one, 1: field.one})
+        over = [[ValuedScalar(e, one_plus_t) for e in col] for col in polys]
+        for cols in (polys, pairs, mixed, over):
+            same = Lattice.from_generators(cols, n, field)
+            assert same.key == lat.key and hash(same) == hash(lat)
+            assert same.basis == lat.basis
+
+
 def _flatten(key):
     for x in key:
         if isinstance(x, tuple):
@@ -326,9 +353,9 @@ def unmemoised_dual(lat):
     """The dual as ``Lattice.dual`` computes it on a first call: the
     coordinates of the unit columns, transposed and canonicalised."""
     n, field = lat.n, lat.field
-    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
-    inv = lat.coordinates([[one if i == j else zero for i in range(n)] for j in range(n)])
-    return Lattice.from_columns([[col[i] for col in inv] for i in range(n)])
+    inv = lat.pair_coordinates([[(0, [field.one]) if i == j else None for i in range(n)]
+                                for j in range(n)])
+    return Lattice.from_columns([[col[i] for col in inv] for i in range(n)], field)
 
 
 def fresh_lattices(rng, field, n, count):

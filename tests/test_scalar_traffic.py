@@ -6,18 +6,22 @@ test references.  A canonical instance file loads without building any
 ``ValuedScalar`` or running an elimination, and the relative invariants of two
 canonical lattices build no ``LaurentPoly`` and call nothing in
 ``truncated``.  A lattice computes its dual once, and the residue subspace of
-the close case is read from ``densepoly`` pairs."""
+the close case is read from ``densepoly`` pairs.  Lattices hold those pairs
+from the kernels to the JSON boundary, so operations on stored lattices and
+a CLI verification build no ``LaurentPoly`` at all."""
 
 import contextlib
 import inspect
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from latticeval import cli, closecase, detval, lattices, metric, scalars, subspaces, truncated
+from latticeval import (cli, closecase, densepoly, detval, lattices, metric, scalars, subspaces,
+                        truncated)
 from latticeval.cli import main
 from latticeval.closecase import residue_subspace
 from latticeval.detval import multi_f, star_cost
@@ -165,18 +169,24 @@ def test_canonical_instance_loads_in_one_pass(monkeypatch, tmp_path, capsys):
 
 
 def test_forbidden_methods_are_reached_by_fractions(monkeypatch):
-    """The guard is live: an input fraction with a denominator still goes
-    through ValuedScalar and LaurentPoly arithmetic."""
+    """The guard is live: an input fraction with a denominator is still
+    reduced by ``poly_gcd`` when it is built, and ValuedScalar arithmetic
+    reaches the guarded methods."""
     def forbidden(*args):
         raise AssertionError("scalar arithmetic")
 
-    one = ValuedScalar.one(RATIONAL)
-    den = LaurentPoly(RATIONAL, {0: Fraction(1), 1: Fraction(1)})
-    cols = [[ValuedScalar(LaurentPoly.one(RATIONAL), den), one], [one, one + one]]
-    Lattice.from_columns(cols)
-    monkeypatch.setattr(LaurentPoly, "__mul__", forbidden)
-    with pytest.raises(AssertionError):
-        Lattice.from_columns(cols)
+    def lattice():
+        one = ValuedScalar.one(RATIONAL)
+        den = LaurentPoly(RATIONAL, {0: Fraction(1), 1: Fraction(1)})
+        return Lattice.from_columns([[ValuedScalar(LaurentPoly.one(RATIONAL), den), one],
+                                     [one, one + one]])
+
+    lattice()
+    for owner, name in ((scalars, "poly_gcd"), (ValuedScalar, "__add__")):
+        with monkeypatch.context() as mp:
+            mp.setattr(owner, name, forbidden)
+            with pytest.raises(AssertionError):
+                lattice()
 
 
 def test_relative_invariants_stay_on_pairs(monkeypatch):
@@ -198,8 +208,64 @@ def test_relative_invariants_stay_on_pairs(monkeypatch):
     assert [distance(l, m) for l, m in pairs] == expected
     assert polys_built == [] and kernel_calls == []
     # The counters are live: a generator matrix is canonicalised by the kernel.
-    Lattice.from_generators([list(c) for c in pairs[0][0].basis][::-1], pairs[0][0].n)
+    Lattice.from_generators([list(c) for c in pairs[0][0].columns][::-1], pairs[0][0].n)
     assert polys_built and kernel_calls
+
+
+def test_stored_lattices_build_no_laurent_poly(monkeypatch, tmp_path, capsys):
+    """Lattices hold ``densepoly`` pairs from the kernel to the JSON boundary:
+    with ``LaurentPoly.__init__``, ``densepoly.from_poly`` and
+    ``densepoly.to_poly`` raising, operations on stored lattices, the close
+    and apartment strategies and ``latticeval verify --strategy apartment``
+    on a ``gen`` instance give the unpatched results."""
+    paths = []
+    for seed in (0, 1):
+        assert main(["gen", "--kind", "apartment", "--field", "prime:101", "--seed", str(seed)]) == 0
+        paths.append(tmp_path / f"inst-{seed}.json")
+        paths[-1].write_text(capsys.readouterr().out)
+
+    def inputs():
+        # Fresh lattices on each call, so no stored dual carries over.
+        rng = random.Random(23)
+        cases = []
+        for field in (RATIONAL, GF(2), GF(3), GF(101)):
+            for n in (3, 4):
+                cases.append((generic_lattices(rng, field, n), composition(rng, n, 3)))
+            cases.append((close_lattices(rng, field), composition(rng, 3, 3)))
+            apt, points, idx = random_apartment_instance(rng, 3, 3, field, window=2)
+            cases.append(([apt.lattice(pt) for pt in points], idx))
+        return cases
+
+    def run(cases):
+        out = []
+        for (l, m, k), idx in cases:
+            out.append((distance(l, m), multi_f(idx, [l, m, k]), star_cost(idx, [l, m, k], m),
+                        l.sum(m, k), l.intersect(m, k), m.dual(), k.scale(-2),
+                        verify_star(idx, [l, m, k], "close"),
+                        verify_star(idx, [l, m, k], "apartment")))
+        out += [run_cli(path) for path in paths]
+        return out
+
+    clear_caches()
+    expected = run(inputs())
+    assert [res[0] for res in expected[-2:]] == [0, 2]
+    assert {res[-1].status for res in expected[:-2]} == {"verified", "inconclusive"}
+    clear_caches()
+    cases = inputs()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LaurentPoly built or converted inside a library operation")
+
+    monkeypatch.setattr(LaurentPoly, "__init__", forbidden)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latticeval"):
+            for attr in ("from_poly", "to_poly"):
+                if getattr(module, attr, None) is getattr(densepoly, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    assert run(cases) == expected
+    # The guard is live: the LaurentPoly view of a basis converts its pairs.
+    with pytest.raises(AssertionError):
+        cases[0][0][0].poly_basis
 
 
 def test_intersect_canonicalises_stored_duals_once(monkeypatch):

@@ -16,7 +16,7 @@ from latticeval.detval import det_poly
 from latticeval.lattices import Lattice, SingularMatrixError, matmul
 from latticeval.metric import relative_invariants, smith_form
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
-from latticeval.truncated import canonical_basis
+from latticeval.truncated import canonical_basis, polynomial_column
 
 FIELDS = (RATIONAL, GF(2), GF(3), GF(101))
 
@@ -138,10 +138,19 @@ def singular_sets(draw):
     return field, n, cols
 
 
+def pair_canonical_basis(cols, n):
+    """canonical_basis of scalar generator columns, each converted once to
+    ``densepoly`` pairs as ``Lattice.from_generators`` does."""
+    field = cols[0][0].field
+    return canonical_basis([polynomial_column(col, field.p) for col in cols], n, field)
+
+
 def wrapped_canonical_basis(cols, n):
-    """canonical_basis with its Laurent-polynomial entries wrapped as scalars,
-    for comparison with the reference."""
-    return [[ValuedScalar(e) for e in col] for col in canonical_basis(cols, n)]
+    """pair_canonical_basis with its entries wrapped as scalars, for
+    comparison with the reference."""
+    field = cols[0][0].field
+    return [[ValuedScalar(to_poly(field, e)) for e in col]
+            for col in pair_canonical_basis(cols, n)]
 
 
 def outcome(canonicalize, cols, n):
@@ -163,7 +172,7 @@ def test_canonical_basis_matches_reference(case):
 def test_singular_generators_raise(case):
     _, n, cols = case
     with pytest.raises(SingularMatrixError):
-        canonical_basis(cols, n)
+        pair_canonical_basis(cols, n)
     with pytest.raises(SingularMatrixError):
         reference_canonicalize(cols, n)
 
@@ -180,7 +189,8 @@ def test_relative_invariants_match_smith_form(case):
     rel = reference_relative_position(l, m)
     exps, _, _ = smith_form(rel)
     assert l.basis_inverse() == reference_inverse(l)
-    rel_poly = [list(row) for row in zip(*l.coordinates(m.basis))]
+    rel_poly = [[to_poly(l.field, e) for e in row]
+                for row in zip(*l.pair_coordinates(m.basis))]
     assert [[ValuedScalar(e) for e in row] for row in rel_poly] == rel
     assert relative_invariants(l, m) == tuple(-e for e in exps)
     # The fraction-free transform: same exponents, C in GL_n(O), and column j
@@ -221,10 +231,10 @@ def test_canonical_input_is_returned_without_elimination(field, data):
         return
     with pytest.MonkeyPatch.context() as mp:
         calls = counted_hermite(mp)
-        basis = canonical_basis(lat.basis, n)
+        basis = canonical_basis(lat.basis, n, field)
     assert calls == []
     assert basis == lat.basis
-    assert wrapped_canonical_basis(lat.basis, n) == reference_canonicalize(lat.columns, n)
+    assert wrapped_canonical_basis(lat.columns, n) == reference_canonicalize(lat.columns, n)
 
 
 PERTURBATIONS = ("unreduced entry", "pivot coefficient", "two-term pivot",
@@ -283,7 +293,7 @@ def test_near_canonical_input_is_eliminated(kind, data):
     assert calls, "a perturbed basis passed the canonical-shape check"
     assert got == outcome(reference_canonicalize, cols, n)
     if kind == "redundant column":
-        assert canonical_basis(cols, n) == lat.basis
+        assert pair_canonical_basis(cols, n) == lat.basis
 
 
 def test_high_valuation_pivots_need_doubling():
@@ -292,5 +302,5 @@ def test_high_valuation_pivots_need_doubling():
     t = [ValuedScalar.t_power(f, e) for e in range(21)]
     gens = [[t[0], t[1]], [t[1], t[2] + t[20]]]
     assert wrapped_canonical_basis(gens, 2) == reference_canonicalize(gens, 2)
-    assert canonical_basis(gens, 2)[1][1] == LaurentPoly.t_power(f, 20)
+    assert pair_canonical_basis(gens, 2)[1][1] == (20, [1])
 
