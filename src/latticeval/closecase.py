@@ -120,14 +120,23 @@ def residue_subspace(base: Lattice, lat: Lattice) -> Subspace | None:
     """The image of lat in t^{-1}base / base = F^n, in the coordinates of the
     basis of base, or None when lat is not inside t^{-1}base.  The caller
     guarantees base <= lat.  The coordinates are ``densepoly`` pairs (v, c):
-    the residue coefficient is c[0] when v = -1 and zero when v >= 0."""
+    the residue coefficient is c[0] when v = -1 and zero when v >= 0.  The
+    result is remembered on lat per base, as ``Lattice.dual`` remembers the
+    dual."""
+    memo = lat._residues
+    if memo is None:
+        memo = lat._residues = {}
+    elif base in memo:
+        return memo[base]
     zero = base.field.zero
     vectors = []
     for col in base.pair_coordinates(lat.basis):
         if any(x is not None and x[0] < -1 for x in col):
+            memo[base] = None
             return None
         vectors.append([x[1][0] if x is not None and x[0] == -1 else zero for x in col])
-    return Subspace.span(vectors, base.n, base.field)
+    memo[base] = span = Subspace.span(vectors, base.n, base.field)
+    return span
 
 
 def decompose(triple: SubspaceTriple) -> QuiverMultiplicities:

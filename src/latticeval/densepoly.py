@@ -127,7 +127,28 @@ def combine(cols, coeffs, p):
     return out
 
 
-def smith(m, p, carry):
+def _cut(pair, top):
+    """The pair without its terms above t^top, or None."""
+    if pair is None:
+        return None
+    v, coeffs = pair
+    if v + len(coeffs) <= top + 1:
+        return pair
+    return None if v > top else strip(v, coeffs[:top + 1 - v])
+
+
+def _cut_row(row, top, p):
+    """A row of pairs cut above t^top; over Q, with integer coefficients,
+    also divided by their gcd, a unit of O."""
+    row = [_cut(e, top) for e in row]
+    if p is None:
+        g = math.gcd(*[c for e in row if e is not None for c in e[1]])
+        if g > 1:
+            row = [None if e is None else (e[0], [c // g for c in e[1]]) for e in row]
+    return row
+
+
+def smith(m, p, carry, top=None):
     """Fraction-free Smith diagonalization over O = F[[t]] of a nonsingular
     row-major matrix of pairs.
 
@@ -142,9 +163,31 @@ def smith(m, p, carry):
     then a unit multiple of the one ``smith_form`` has at the same step: the
     valuations and pivots agree, and C differs from its column transform
     only by a diagonal of units.
+
+    ``top``, legal only with an empty ``carry``, is a bound e_n <= top on the
+    largest exponent; ``metric.relative_invariants`` passes D - (n-1) e_1,
+    with D = v(det m) and e_1 the least entry valuation (the other exponents
+    are at least e_1 and all n sum to D).  With it, every entry is cut above
+    t^top at the start and after each row step, and over Q each row is kept
+    integral and primitive.  This is exact.  For K = top + 1 > e_n, A^{-1}
+    t^K X has valuation >= 1 for every integral X, so A + t^K X = A (I +
+    A^{-1} t^K X) is A times an element of GL_n(O) and has A's exponents.
+    The steps are O-unimodular (a nonzero rational is a unit of O), so the
+    matrix stays R . m + t^K X throughout, and its exponents are m's.  It is
+    the valuation-ring analogue of Hermite form modulo the determinant
+    (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  With ``top``
+    the column steps, which only build C, are skipped: after the row steps
+    at step i the pivot has the least valuation in its row, and clearing that
+    row would only scale later columns by u, which moves no valuation and no
+    exponent.
     """
     n = len(m)
-    m = [row[:] for row in m]
+    if top is None:
+        m = [row[:] for row in m]
+    elif carry:
+        raise ValueError("a Smith elimination cut at top carries no rows")
+    else:
+        m = [_cut_row(integer_column(row, p)[0], top, p) for row in m]
     exps: list[int] = []
     for i in range(n):
         pos = best = None
@@ -164,7 +207,11 @@ def smith(m, p, carry):
             x = m[rr][i]
             if x is not None:
                 q = (x[0] - best, x[1])
-                m[rr] = [cross(u, z, q, y, p) for z, y in zip(m[rr], m[i])]
+                row = [cross(u, z, q, y, p) for z, y in zip(m[rr], m[i])]
+                m[rr] = row if top is None else _cut_row(row, top, p)
+        exps.append(best)
+        if top is not None:
+            continue
         # Column i is now zero below the pivot, so a column step clears row i
         # and scales the rest of column cc by u.
         for cc in range(i + 1, n):
@@ -176,7 +223,6 @@ def smith(m, p, carry):
                 for row in m[i + 1:]:
                     row[cc] = cross(u, row[cc], None, None, p)
                 m[i][cc] = None
-        exps.append(best)
     return exps, carry
 
 

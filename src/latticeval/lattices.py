@@ -25,6 +25,8 @@ the duals, canonicalises only the sum and its dual when it meets lattices it
 has met before.  The memo is a slot of the object, not a process-wide cache:
 it lives and dies with the lattice and has no bound to tune.  The reference
 cycle between a lattice and its dual is freed by the cyclic garbage collector.
+``closecase.residue_subspace`` keeps its results the same way, in a slot
+keyed by the base lattice.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ def _integral(columns) -> bool:
 class Lattice:
     """Immutable lattice; two instances are equal iff the modules coincide."""
 
-    __slots__ = ("n", "field", "basis", "pivots", "key", "_hash", "_below", "_dual")
+    __slots__ = ("n", "field", "basis", "pivots", "key", "_hash", "_below", "_dual",
+                 "_residues")
 
     def __init__(self, n: int, field: BaseField, basis: tuple[Column, ...]):
         self.n = n
@@ -68,6 +71,8 @@ class Lattice:
         self._below = None
         # The dual lattice, set by the first call to ``dual`` on either side.
         self._dual = None
+        # {base: closecase.residue_subspace(base, self)}, filled on demand.
+        self._residues = None
 
     @classmethod
     def from_columns(cls, columns, field: BaseField | None = None) -> "Lattice":

@@ -6,7 +6,17 @@ The distance d(L, M) is the unique weakly decreasing integer vector
 basis(L)^{-1} basis(M) over the valuation ring.  That product has Laurent
 polynomial entries (``Lattice.pair_coordinates`` on the stored pairs), and
 its exponents come from ``densepoly.smith``, the fraction-free elimination that also gives the
-frame of the apartment search.  ``smith_form`` is the fraction-field
+frame of the apartment search.
+
+That elimination runs at a bounded precision.  Let the relative position A
+have least entry valuation e_1 and v(det A) = D = f_n(L) - f_n(M), which the
+canonical pivots give.  Every Smith exponent is at least e_1 and all n sum
+to D, so the largest is at most top = D - (n-1) e_1.  For K > top and any
+integral X, A^{-1} t^K X has valuation >= 1, so A + t^K X = A (I + A^{-1}
+t^K X) has A's exponents, and ``smith`` drops every term above t^top at the
+start and after each step (the valuation ring analogue of Hermite form
+modulo the determinant: Domich, Kannan and Trotter, Math. Oper. Res. 12,
+1987).  ``smith_form`` is the fraction-field
 elimination with both row transforms; the library no longer calls it, and
 the tests keep it as the reference for both.
 """
@@ -120,9 +130,12 @@ def relative_invariants(l: Lattice, m: Lattice) -> Coweight:
         raise ValueError("rank mismatch")
     # The columns of basis(L)^{-1} basis(M), read as rows: the transpose has
     # the same invariant factors.
-    exps, _ = smith(l.pair_coordinates(m.basis), l.field.p, [])
+    rel = l.pair_coordinates(m.basis)
     # v(det rel) is the difference of the two pivot sums.
-    if sum(exps) != l.unary_f() - m.unary_f():
+    det = l.unary_f() - m.unary_f()
+    low = min(e[0] for row in rel for e in row if e is not None)
+    exps, _ = smith(rel, l.field.p, [], det - (l.n - 1) * low)
+    if sum(exps) != det:
         raise ValueError("determinant valuation does not match the matrix")
     return tuple(sorted((-e for e in exps), reverse=True))
 

@@ -42,33 +42,38 @@ multiplied by t^s, and each entry is read as a series modulo t^N.
    t^{-s} A are polynomials of degree at most delta_j = max(deg) - s.  A
    nonzero maximal minor then has degree at most B = the sum of the n
    largest delta_j, so D(L') <= B when A has full rank, and by step 2 every
-   N > B is accepted.  The search starts at a small N
-   and doubles it, never beyond B + 1; failing at N = B + 1 proves that no
-   maximal minor is nonzero, and ``SingularMatrixError`` is raised.
+   N > B is accepted.  The search starts at N = 1 and doubles it, never
+   beyond B + 1; failing at N = B + 1 proves that no maximal minor is
+   nonzero, and ``SingularMatrixError`` is raised.  Steps 1-3 hold for every
+   N, so at N = 1 a lattice with D(L') = 0 is accepted after one pass over
+   the residues.
 
 Coefficients.  Over F_p a series is a list of N residues.  Over Q it is a list
 of N integers: a column may be multiplied by any nonzero rational, a unit, so
-each column is kept integral and primitive and is divided by its pivot
+each generator column is scaled to integers once per call
+(``densepoly.integer_column``), every column an elimination step writes is
+divided by the gcd of its coefficients, and a column is divided by its pivot
 coefficient only when the basis is read out.  No polynomial gcd is taken.
 Keeping Fraction coefficients instead (dividing by the pivot as over F_p) is
-simpler but slower: on the ``generic-q`` benchmark workload (2-vCPU Xeon,
-Python 3.11, five paired runs) it gave 52.8 ops/s against 69.1.
+simpler but was slower on the ``generic-q`` benchmark workload.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
-from .densepoly import SingularMatrixError, addmul, from_poly, strip
+from .densepoly import SingularMatrixError, addmul, from_poly, integer_column, strip
 from .scalars import LaurentPoly, ValuedScalar
 
-# First precision tried.  On the benchmark workloads N = 4 accepts 97% of the
-# canonicalisations of generic-q (pivot sums 0..6, bounds B 9..16) and all of
-# close-f3; verify-cli-fp needs 1-4 passes (B up to 62).  Against one pass at
-# N = B + 1, doubling from 4 gave 69.1 vs 52.2 ops/s on generic-q and 14.1 vs
-# 13.4 on verify-cli-fp (2-vCPU Xeon, Python 3.11, five paired runs).
-_START_PRECISION = 4
+# First precision tried.  On the benchmark workloads (seed 11) N = 1 accepts
+# 50% of the canonicalisations of generic-q, [1, 2] 33%, [1, 2, 4] 15% and
+# [1, 2, 4, 8] 2%; close-f3 passes 44% as already canonical and accepts 43% at
+# N = 1.  Against a first N of 4, it gave 343-359 vs 303-313 ops/s on
+# generic-q and 367-390 vs 373-401 on verify-cli-fp (2 vCPUs, Python 3.11.7,
+# three paired 10 s runs).
+_START_PRECISION = 1
 
 
 def _valuation(series):
@@ -83,16 +88,13 @@ def _terms(series, start=0):
     return [(k - start, c) for k, c in enumerate(series[start:], start) if c]
 
 
-def _combine(c, y, q, x, prec, p):
-    """c*y - q*x modulo t^prec (and p), with q given as terms."""
-    out = [c * e for e in y] if c != 1 else y[:]
-    xs = _terms(x)
+def _addmul(out, q, xs, prec):
+    """out += q*x modulo t^prec, in place, for q and x given as terms."""
     for a, qa in q:
         for b, xb in xs:
             if a + b >= prec:
                 break
-            out[a + b] -= qa * xb
-    return [e % p for e in out] if p else out
+            out[a + b] += qa * xb
 
 
 def _unit_inverse(u, prec, p):
@@ -124,7 +126,7 @@ def _unit_inverse(u, prec, p):
 
 def _primitive(col):
     """An integer column divided by the gcd of its coefficients."""
-    g = math.gcd(*(e for row in col for e in row))
+    g = math.gcd(*chain.from_iterable(col))
     if g > 1:
         return [[e // g for e in row] for row in col]
     return col
@@ -132,35 +134,36 @@ def _primitive(col):
 
 def _normalize_pivot(col, i, v, prec, p):
     """Multiply a column (zero above row i) by a unit of O so that its row-i
-    entry becomes exactly d*t^v."""
-    w, d = _unit_inverse(col[i][v:], prec - v, p)
-    minus_w = [(k, -c) for k, c in _terms(w)]
-    zero = [0] * prec
-    pivot = zero[:]
+    entry becomes exactly d*t^v.  A constant unit needs no inverse: over Q it
+    is the d, over F_p the column is scaled by its inverse."""
+    u = col[i][v:]
+    if not any(u[1:]):
+        if p is None or u[0] == 1:
+            return col
+        inv = pow(u[0], p - 2, p)
+        return [[e * inv % p for e in row] for row in col]
+    w, d = _unit_inverse(u, prec - v, p)
+    ws = _terms(w)
+    pivot = [0] * prec
     pivot[v] = d
     out = col[:i] + [pivot]
-    # row * w, written as 0 * zero - (-w) * row.
-    out += [_combine(0, zero, minus_w, row, prec, p) for row in col[i + 1:]]
+    for row in col[i + 1:]:
+        prod = [0] * prec
+        _addmul(prod, ws, _terms(row), prec)
+        out.append([e % p for e in prod] if p else prod)
     return out if p else _primitive(out)
 
 
-def _reduce_by(cols, j, i, v, prec, p):
-    """Subtract from column j the O-multiple of pivot column i (entry c*t^v in
-    row i, zero above) that removes the exponents >= v of its row-i entry."""
-    y = cols[j]
-    q = _terms(y[i], v)
-    if not q:
-        return
-    piv = cols[i]
-    c = piv[i][v]
-    out = [[c * e for e in row] for row in y[:i]] if c != 1 else y[:i]
-    out += [_combine(c, y[r], q, piv[r], prec, p) for r in range(i, len(y))]
-    cols[j] = out if p else _primitive(out)
-
-
-def _hermite(cols, n, prec, p):
+def _hermite(cols, prec, n, p):
     """Column-reduce in place to the canonical form modulo t^prec; returns the
-    pivot exponents, or None when some row has no pivot modulo t^prec."""
+    pivot exponents, or None when some row has no pivot modulo t^prec.
+
+    After the pivot column is normalized, every other column y with a term of
+    exponent >= v in row i becomes c*y - q*pivot, with c the pivot
+    coefficient and q those terms divided by t^v.  The pivot column is zero
+    above row i and c*t^v in row i, so rows above i are only scaled and row i
+    keeps c times its part below t^v; rows below i subtract q times the
+    pivot's rows, whose terms are listed once per pivot."""
     pivots = []
     for i in range(n):
         at = v = None
@@ -171,17 +174,32 @@ def _hermite(cols, n, prec, p):
         if at is None:
             return None
         cols[i], cols[at] = cols[at], cols[i]
-        cols[i] = _normalize_pivot(cols[i], i, v, prec, p)
-        for j in range(len(cols)):
-            if j != i:
-                _reduce_by(cols, j, i, v, prec, p)
+        piv = cols[i] = _normalize_pivot(cols[i], i, v, prec, p)
+        c = piv[i][v]
+        below = [[(b, -x) for b, x in _terms(row)] for row in piv[i + 1:]]
+        tail = [0] * (prec - v)
+        for j, y in enumerate(cols):
+            q = _terms(y[i], v) if j != i else None
+            if not q:
+                continue
+            out = y[:i + 1] if c == 1 else [[c * e for e in row] for row in y[:i + 1]]
+            out[i] = out[i][:v] + tail
+            for row, xs in zip(y[i + 1:], below):
+                if xs:
+                    row = [c * e for e in row] if c != 1 else row[:]
+                    _addmul(row, q, xs, prec)
+                    if p:
+                        row = [e % p for e in row]
+                elif c != 1:
+                    row = [c * e for e in row]
+                out.append(row)
+            cols[j] = out if p else _primitive(out)
         pivots.append(v)
     return pivots
 
 
-def _series_columns(columns, shift, prec, p):
-    """Columns of pairs as series of t^{-shift} * entry modulo t^prec; over Q
-    each column is scaled by a nonzero rational to primitive integers."""
+def _series_columns(columns, shift, prec):
+    """Columns of pairs as series of t^{-shift} * entry modulo t^prec."""
     out = []
     for col in columns:
         rows = []
@@ -192,10 +210,6 @@ def _series_columns(columns, shift, prec, p):
                 c = e[1][:prec - off]
                 row[off:off + len(c)] = c
             rows.append(row)
-        if p is None:
-            den = math.lcm(*(c.denominator for row in rows for c in row if c))
-            rows = _primitive([[c.numerator * (den // c.denominator) if c else 0
-                                for c in row] for row in rows])
         out.append(rows)
     return out
 
@@ -269,10 +283,14 @@ def canonical_basis(columns, n: int, field) -> tuple[tuple, ...]:
     if shift is None or len(columns) < n:
         raise SingularMatrixError(f"generators have rank < {n}")
     bound = _degree_bound(columns, n, shift)
-    prec = min(_START_PRECISION, bound + 1)
+    if p is None:
+        # A nonzero rational is a unit of O: scale each column to integers
+        # once, so every pass below only slices.
+        columns = [integer_column(col, p)[0] for col in columns]
+    prec = _START_PRECISION
     while True:
-        cols = _series_columns(columns, shift, prec, p)
-        pivots = _hermite(cols, n, prec, p)
+        cols = _series_columns(columns, shift, prec)
+        pivots = _hermite(cols, prec, n, p)
         if pivots is not None and sum(pivots) < prec:
             return _read_basis(cols, pivots, shift, field)
         if prec > bound:

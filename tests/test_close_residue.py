@@ -157,6 +157,26 @@ def test_residue_subspace_matches_laurent_route():
     assert residue_subspace(e, far) is None and reference_residue_subspace(e, far) is None
 
 
+def test_memoised_residue_subspace_matches_fresh_lattice():
+    rng = random.Random(605)
+    for trial in range(80):
+        field = (RATIONAL, GF(2), GF(3), GF(101))[trial % 4]
+        n = 1 + trial % 4
+        if trial % 2:
+            lats = random_close_triple(rng, n, field)
+            bases = [Lattice.standard(n, field)]
+        else:
+            lats = [random_lattice(rng, n, field, -2, 2) for _ in range(3)]
+            bases = []
+        meet = lats[0].intersect(*lats[1:])
+        for base in bases + [meet, meet.scale(1)]:
+            for lat in lats:
+                got = residue_subspace(base, lat)
+                # An equal base hits the memo; a fresh lattice object has none.
+                assert residue_subspace(Lattice(n, field, base.basis), lat) is got
+                assert residue_subspace(base, Lattice(n, field, lat.basis)) == got
+
+
 def test_close_witness_matches_reference():
     rng = random.Random(603)
     for trial in range(60):

@@ -3,6 +3,7 @@ positivity."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -171,6 +172,20 @@ def test_verify_random_is_deterministic():
         b.candidates_examined,
         b.best_candidate,
     )
+
+
+@pytest.mark.parametrize("seed", (1, 3))
+def test_verify_random_on_rank_5_rational_apartment_is_fast(seed):
+    # The instance of ``latticeval gen --kind apartment --field rational --n 5
+    # --k 4``.  Each candidate costs Smith eliminations over Q; letting their
+    # entries grow made this 4 s (seed 1) and 27 s (seed 3), against well
+    # under 1 s with entries cut at the determinant bound.
+    rng = random.Random(seed)
+    apt, points, idx = random_apartment_instance(rng, 5, 4, RATIONAL)
+    lats = [apt.lattice(p) for p in points]
+    start = time.monotonic()
+    verify_star(idx, lats, "random", budget=10)
+    assert time.monotonic() - start < 5
 
 
 def test_two_node_reduces_to_star_when_merged():

@@ -53,7 +53,7 @@ def test_relative_invariants_reject_wrong_determinant_valuation(monkeypatch):
     m = Lattice.from_columns([[S(-2), Z()], [Z(), S(1)]])
     relative_invariants.cache_clear()
     # The true exponents are (-2, 1), which sum to v(det) = -1.
-    monkeypatch.setattr(metric, "smith", lambda rel, p, carry: ([-2, 2], carry))
+    monkeypatch.setattr(metric, "smith", lambda rel, p, carry, top=None: ([-2, 2], carry))
     with pytest.raises(ValueError):
         relative_invariants(e, m)
     monkeypatch.undo()

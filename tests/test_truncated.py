@@ -4,6 +4,7 @@ of ``relative_invariants`` and of the fraction-free Smith elimination
 ``densepoly.smith`` against the fraction-field routes they replaced, which are
 kept here as the references."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from latticeval.densepoly import from_poly, smith, to_poly
 from latticeval.detval import det_poly
 from latticeval.lattices import Lattice, SingularMatrixError, matmul
 from latticeval.metric import relative_invariants, smith_form
+from latticeval.randgen import random_apartment_instance, random_lattice, random_unimodular
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
 from latticeval.truncated import canonical_basis, polynomial_column
 
@@ -304,3 +306,57 @@ def test_high_valuation_pivots_need_doubling():
     assert wrapped_canonical_basis(gens, 2) == reference_canonicalize(gens, 2)
     assert pair_canonical_basis(gens, 2)[1][1] == (20, [1])
 
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("shift", (0, -2))
+def test_precision_ladder_starts_at_one(field, shift):
+    t = [ValuedScalar.t_power(field, e + shift) for e in range(3)]
+    # det = t^{2 shift} (1 + t - t^3): D(L') = 0, one residue pass.
+    unit = [[t[0] + t[1], t[1]], [t[2], t[0]]]
+    # det = t^{2 shift} t: D(L') = 1, no pivot in row 1 modulo t.
+    step = [[t[0], t[0]], [t[0], t[0] + t[1]]]
+    for gens, passes in ((unit, [1]), (step, [1, 2])):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counted_hermite(mp)
+            got = wrapped_canonical_basis(gens, 2)
+        assert calls == passes
+        assert got == reference_canonicalize(gens, 2)
+
+
+def poly_matrix(field, rel):
+    return [[to_poly(field, e) for e in row] for row in rel]
+
+
+def poly_product(a, b):
+    zero = LaurentPoly.zero(a[0][0].field)
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
+
+
+def smith_cases(rng, field, n):
+    """Relative positions (row-major pairs) of a window-5 apartment pair and
+    of two random lattices, and a random-unimodular image U . A . V of the
+    latter."""
+    apt, points, _ = random_apartment_instance(rng, n, 2, field, window=5)
+    l, m = (apt.lattice(pt) for pt in points)
+    yield l.pair_coordinates(m.basis)
+    a = random_lattice(rng, n, field, -2, 2).pair_coordinates(
+        random_lattice(rng, n, field, -2, 2).basis)
+    yield a
+    u, v = ([[c.num for c in row] for row in zip(*random_unimodular(rng, n, field))]
+            for _ in range(2))
+    image = poly_product(poly_product(u, poly_matrix(field, a)), v)
+    yield [[from_poly(e) for e in row] for row in image]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_smith_cut_at_top_matches_uncut(field):
+    # The bound of relative_invariants: e_n <= v(det) - (n - 1) e_1.
+    rng = random.Random(1601)
+    for n in range(1, 6):
+        for _ in range(2):
+            for rel in smith_cases(rng, field, n):
+                det = det_poly(poly_matrix(field, rel)).valuation()
+                low = min(e[0] for row in rel for e in row if e is not None)
+                exps, _ = smith(rel, field.p, [], det - (n - 1) * low)
+                assert exps == smith(rel, field.p, [])[0]
+                assert sum(exps) == det
