@@ -13,10 +13,13 @@ returns them, and ``LaurentPoly`` is built only where a caller hands one in
 or asks for one (``from_poly``, ``to_poly``).  The module is also the
 arithmetic kernel of ``detval.det_poly`` (fraction-free Bareiss on integer
 lists), of ``Lattice.pair_coordinates`` (forward substitution), of changes
-of coordinates (``combine``) and of the library's one Smith elimination
-(``smith``), which gives both the invariant factors of
-``metric.relative_invariants`` and the frame of the apartment search.
-``divexact`` needs integer coefficients over Q.
+of coordinates (``combine``) and of the library's two bounded-precision
+eliminations: the one Smith elimination (``smith``), which gives both the
+invariant factors of ``metric.relative_invariants`` and the frame of the
+apartment search, and ``truncated``'s Hermite elimination for canonical
+bases.  Both step through ``eliminate`` (u*y - q*x entrywise) and cut
+their rows or columns above a power of t with ``cut``, which over Q also
+divides out their content.  ``divexact`` needs integer coefficients over Q.
 """
 
 from __future__ import annotations
@@ -127,25 +130,32 @@ def combine(cols, coeffs, p):
     return out
 
 
-def _cut(pair, top):
-    """The pair without its terms above t^top, or None."""
-    if pair is None:
-        return None
-    v, coeffs = pair
-    if v + len(coeffs) <= top + 1:
-        return pair
-    return None if v > top else strip(v, coeffs[:top + 1 - v])
-
-
-def _cut_row(row, top, p):
-    """A row of pairs cut above t^top; over Q, with integer coefficients,
-    also divided by their gcd, a unit of O."""
-    row = [_cut(e, top) for e in row]
+def cut(row, top, p):
+    """A row or column of pairs without its terms above t^top; over Q, with
+    integer coefficients, also divided by their gcd, a unit of O."""
+    end = top + 1
+    out = [e if e is None or e[0] + len(e[1]) <= end else
+           None if e[0] > top else strip(e[0], e[1][:end - e[0]]) for e in row]
     if p is None:
-        g = math.gcd(*[c for e in row if e is not None for c in e[1]])
+        g = 0
+        for e in out:
+            if e is not None:
+                g = math.gcd(g, *e[1])
+                if g == 1:
+                    return out
         if g > 1:
-            row = [None if e is None else (e[0], [c // g for c in e[1]]) for e in row]
-    return row
+            out = [None if e is None else (e[0], [c // g for c in e[1]]) for e in out]
+    return out
+
+
+def eliminate(u, y, q, x, top, p):
+    """u*y - q*x entrywise for rows or columns y and x of pairs, a nonzero
+    pair u and a pair (or None) q: the step of both eliminations, ``smith``
+    and ``truncated``'s canonical bases.  With ``top`` the result is
+    ``cut`` above t^top (and, over Q, made primitive); ``top`` None leaves
+    it whole."""
+    out = [cross(u, z, q, w, p) for z, w in zip(y, x)]
+    return out if top is None else cut(out, top, p)
 
 
 def smith(m, p, carry, top=None):
@@ -187,7 +197,7 @@ def smith(m, p, carry, top=None):
     elif carry:
         raise ValueError("a Smith elimination cut at top carries no rows")
     else:
-        m = [_cut_row(integer_column(row, p)[0], top, p) for row in m]
+        m = [cut(integer_column(row, p)[0], top, p) for row in m]
     exps: list[int] = []
     for i in range(n):
         pos = best = None
@@ -206,9 +216,7 @@ def smith(m, p, carry, top=None):
         for rr in range(i + 1, n):
             x = m[rr][i]
             if x is not None:
-                q = (x[0] - best, x[1])
-                row = [cross(u, z, q, y, p) for z, y in zip(m[rr], m[i])]
-                m[rr] = row if top is None else _cut_row(row, top, p)
+                m[rr] = eliminate(u, m[rr], (x[0] - best, x[1]), m[i], top, p)
         exps.append(best)
         if top is not None:
             continue

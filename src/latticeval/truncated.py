@@ -12,9 +12,10 @@ valuation 0 and constant term 1, a unit of O; ``polynomial_column``, which
 ``Lattice.from_generators`` applies to each column once, multiplies the
 column by the product of its distinct denominators, an exact polynomial
 product and again a unit, which leaves the lattice alone and makes every
-entry a Laurent polynomial pair; from there on everything is polynomial.  Let s be the least valuation of the
-entries, so L' = t^{-s} L lies in O^n; the canonical basis of L is that of L'
-multiplied by t^s, and each entry is read as a series modulo t^N.
+entry a Laurent polynomial pair; from there on everything is polynomial.
+Let s be the least valuation of the entries, so L' = t^{-s} L lies in O^n;
+the canonical basis of L is that of L' multiplied by t^s, and each entry of
+t^{-s} A is a polynomial pair cut above t^{N-1} (``densepoly.cut``).
 
 0. Already canonical.  If there are exactly n columns, zero above the
    diagonal, with each pivot exactly t^{d_i} and every entry in row i of an
@@ -24,9 +25,13 @@ multiplied by t^s, and each entry is read as a series modulo t^N.
    d' = d and u_ii = 1; by induction on i - j, B'_ij - B_ij = t^{d_i} u_ij
    is both supported below t^{d_i} and divisible by it, hence zero.  So the
    pass accepts exactly the fixed points of the elimination below.
-1. Elimination modulo t^N.  Work on columns of polynomials of degree < N.
-   Every step adds an O-multiple of one column to another, multiplies a
-   column by a unit of O, or drops multiples of t^N.  So the final matrix is
+1. Elimination modulo t^N.  Work on columns of pairs of degree < N.  The
+   pivot column is multiplied by the inverse of its pivot unit modulo
+   t^{N-v}, and every other step is ``densepoly.eliminate``, the step that
+   ``densepoly.smith`` also takes: c*y - q*x for the pivot column x, its
+   pivot coefficient c and a polynomial q, cut above t^{N-1}.  So every step
+   adds an O-multiple of one column to another, multiplies a column by a
+   unit of O, or drops multiples of t^N, and the final matrix is
    A U + t^N X with U in GL_m(O), and with t^N O^n its columns generate
    H = L' + t^N O^n.  It is [h | 0] modulo t^N, where h is lower triangular
    with diagonal t^{d_i} and row i reduced below t^{d_i}.
@@ -48,23 +53,22 @@ multiplied by t^s, and each entry is read as a series modulo t^N.
    N, so at N = 1 a lattice with D(L') = 0 is accepted after one pass over
    the residues.
 
-Coefficients.  Over F_p a series is a list of N residues.  Over Q it is a list
-of N integers: a column may be multiplied by any nonzero rational, a unit, so
+Coefficients.  Over F_p the coefficients of a pair are residues.  Over Q they
+are integers: a column may be multiplied by any nonzero rational, a unit, so
 each generator column is scaled to integers once per call
 (``densepoly.integer_column``), every column an elimination step writes is
-divided by the gcd of its coefficients, and a column is divided by its pivot
-coefficient only when the basis is read out.  No polynomial gcd is taken.
+divided by the gcd of its coefficients (``densepoly.cut``), and a column is
+divided by its pivot coefficient only when the basis is read out.  No
+polynomial gcd is taken.
 Keeping Fraction coefficients instead (dividing by the pivot as over F_p) is
 simpler but was slower on the ``generic-q`` benchmark workload.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import chain
 
-from .densepoly import SingularMatrixError, addmul, from_poly, integer_column, strip
+from .densepoly import SingularMatrixError, addmul, cut, eliminate, from_poly, integer_column, strip
 from .scalars import LaurentPoly, ValuedScalar
 
 # First precision tried.  On the benchmark workloads (seed 11) N = 1 accepts
@@ -76,142 +80,82 @@ from .scalars import LaurentPoly, ValuedScalar
 _START_PRECISION = 1
 
 
-def _valuation(series):
-    for k, c in enumerate(series):
-        if c:
-            return k
-    return None
-
-
-def _terms(series, start=0):
-    """Nonzero (exponent - start, coefficient) pairs from exponent start on."""
-    return [(k - start, c) for k, c in enumerate(series[start:], start) if c]
-
-
-def _addmul(out, q, xs, prec):
-    """out += q*x modulo t^prec, in place, for q and x given as terms."""
-    for a, qa in q:
-        for b, xb in xs:
-            if a + b >= prec:
-                break
-            out[a + b] += qa * xb
-
-
 def _unit_inverse(u, prec, p):
-    """(w, d) with u*w = d modulo t^prec, for a series u with u[0] != 0.
+    """(w, d) with u*w = d modulo t^prec, for the coefficient list u of a
+    unit of O (u[0] != 0); w is a coefficient list of length prec.
 
     Over F_p, d = 1.  Over Q, d = u[0]^prec and w is integral: the recurrence
     keeps w_k = u[0]^(k+1) (1/u)_k, which is an integer.  Each step sums over
-    the nonzero terms u[j], j >= 1, only, so a sparse u costs O(prec) steps.
+    the nonzero terms u[e], e >= 1, only, so a sparse u costs O(prec) steps.
     """
     u0 = u[0]
+    terms = [(e, c) for e, c in enumerate(u[1:prec], 1) if c]
     if p:
         inv0 = pow(u0, p - 2, p)
-        terms = _terms(u[:prec], 1)
     else:
-        # u[j] * u0^(j-1), with j counted from 1.
-        terms = [(j, uj * u0 ** j) for j, uj in _terms(u[:prec], 1)]
+        # w_k = -sum_e u[e] u0^(e-1) w_{k-e}.
+        terms = [(e, c * u0 ** (e - 1)) for e, c in terms]
     w = [inv0 if p else 1]
     for k in range(1, prec):
         s = 0
-        for j, a in terms:
-            if j >= k:
+        for e, a in terms:
+            if e > k:
                 break
-            s += a * w[k - 1 - j]
+            s += a * w[k - e]
         w.append(-s * inv0 % p if p else -s)
     if p:
         return w, 1
     return [wk * u0 ** (prec - 1 - k) for k, wk in enumerate(w)], u0 ** prec
 
 
-def _primitive(col):
-    """An integer column divided by the gcd of its coefficients."""
-    g = math.gcd(*chain.from_iterable(col))
-    if g > 1:
-        return [[e // g for e in row] for row in col]
-    return col
-
-
-def _normalize_pivot(col, i, v, prec, p):
-    """Multiply a column (zero above row i) by a unit of O so that its row-i
-    entry becomes exactly d*t^v.  A constant unit needs no inverse: over Q it
-    is the d, over F_p the column is scaled by its inverse."""
-    u = col[i][v:]
-    if not any(u[1:]):
+def _normalize_pivot(col, i, prec, p):
+    """Multiply a column (zero above row i, cut above t^(prec-1)) by a unit
+    of O so that its row-i entry t^v u becomes exactly d*t^v: by w with u*w =
+    d modulo t^(prec-v).  A constant unit needs no inverse: over Q it is the
+    d, over F_p the column is scaled by its inverse."""
+    v, u = col[i]
+    if len(u) == 1:
         if p is None or u[0] == 1:
             return col
         inv = pow(u[0], p - 2, p)
-        return [[e * inv % p for e in row] for row in col]
+        return [None if e is None else (e[0], [c * inv % p for c in e[1]]) for e in col]
     w, d = _unit_inverse(u, prec - v, p)
-    ws = _terms(w)
-    pivot = [0] * prec
-    pivot[v] = d
-    out = col[:i] + [pivot]
-    for row in col[i + 1:]:
-        prod = [0] * prec
-        _addmul(prod, ws, _terms(row), prec)
-        out.append([e % p for e in prod] if p else prod)
-    return out if p else _primitive(out)
+    w = strip(0, w)
+    return cut(col[:i] + [(v, [d])] + [None if e is None else addmul(None, e, w, 1, p)
+                                       for e in col[i + 1:]], prec - 1, p)
 
 
 def _hermite(cols, prec, n, p):
     """Column-reduce in place to the canonical form modulo t^prec; returns the
     pivot exponents, or None when some row has no pivot modulo t^prec.
 
-    After the pivot column is normalized, every other column y with a term of
-    exponent >= v in row i becomes c*y - q*pivot, with c the pivot
-    coefficient and q those terms divided by t^v.  The pivot column is zero
-    above row i and c*t^v in row i, so rows above i are only scaled and row i
-    keeps c times its part below t^v; rows below i subtract q times the
-    pivot's rows, whose terms are listed once per pivot."""
+    After the pivot column x is normalized, its row i is c*t^v, and every
+    other column y with a term of exponent >= v in row i becomes c*y - q*x
+    (``densepoly.eliminate``, cut above t^(prec-1)), with q those terms
+    divided by t^v.  For a later column, q is the whole entry over t^v (the
+    pivot has the least valuation); for an earlier one, q is its terms from
+    t^v on, and its row i keeps c times its part below t^v."""
     pivots = []
     for i in range(n):
         at = v = None
         for j in range(i, len(cols)):
-            vj = _valuation(cols[j][i])
-            if vj is not None and (v is None or vj < v):
-                at, v = j, vj
+            e = cols[j][i]
+            if e is not None and (v is None or e[0] < v):
+                at, v = j, e[0]
         if at is None:
             return None
         cols[i], cols[at] = cols[at], cols[i]
-        piv = cols[i] = _normalize_pivot(cols[i], i, v, prec, p)
-        c = piv[i][v]
-        below = [[(b, -x) for b, x in _terms(row)] for row in piv[i + 1:]]
-        tail = [0] * (prec - v)
+        x = cols[i] = _normalize_pivot(cols[i], i, prec, p)
+        c = 0, x[i][1]
         for j, y in enumerate(cols):
-            q = _terms(y[i], v) if j != i else None
-            if not q:
+            e = y[i]
+            if j == i or e is None:
                 continue
-            out = y[:i + 1] if c == 1 else [[c * e for e in row] for row in y[:i + 1]]
-            out[i] = out[i][:v] + tail
-            for row, xs in zip(y[i + 1:], below):
-                if xs:
-                    row = [c * e for e in row] if c != 1 else row[:]
-                    _addmul(row, q, xs, prec)
-                    if p:
-                        row = [e % p for e in row]
-                elif c != 1:
-                    row = [c * e for e in row]
-                out.append(row)
-            cols[j] = out if p else _primitive(out)
+            q = (e[0] - v, e[1]) if e[0] >= v else strip(0, e[1][v - e[0]:])
+            if q is not None:
+                cols[j] = eliminate(c, y, q, x, prec - 1, p)
         pivots.append(v)
     return pivots
-
-
-def _series_columns(columns, shift, prec):
-    """Columns of pairs as series of t^{-shift} * entry modulo t^prec."""
-    out = []
-    for col in columns:
-        rows = []
-        for e in col:
-            row = [0] * prec
-            if e is not None and e[0] - shift < prec:
-                off = e[0] - shift
-                c = e[1][:prec - off]
-                row[off:off + len(c)] = c
-            rows.append(row)
-        out.append(rows)
-    return out
 
 
 def column_field(columns):
@@ -279,38 +223,37 @@ def canonical_basis(columns, n: int, field) -> tuple[tuple, ...]:
     if len(columns) == n and _is_canonical(columns):
         return tuple(map(tuple, columns))
     p = field.p
-    shift = _least_valuation(columns)
-    if shift is None or len(columns) < n:
+    low = _least_valuation(columns)
+    if low is None or len(columns) < n:
         raise SingularMatrixError(f"generators have rank < {n}")
-    bound = _degree_bound(columns, n, shift)
-    if p is None:
-        # A nonzero rational is a unit of O: scale each column to integers
-        # once, so every pass below only slices.
-        columns = [integer_column(col, p)[0] for col in columns]
+    bound = _degree_bound(columns, n, low)
+    # A nonzero rational is a unit of O: over Q each column is scaled to
+    # integers once, so every pass below only cuts.
+    columns = [[None if e is None else (e[0] - low, e[1]) for e in integer_column(col, p)[0]]
+               for col in columns]
     prec = _START_PRECISION
     while True:
-        cols = _series_columns(columns, shift, prec)
+        cols = [cut(col, prec - 1, p) for col in columns]
         pivots = _hermite(cols, prec, n, p)
         if pivots is not None and sum(pivots) < prec:
-            return _read_basis(cols, pivots, shift, field)
+            return _read_basis(cols, pivots, low, field)
         if prec > bound:
             raise SingularMatrixError(f"generators have rank < {n}")
         prec = min(2 * prec, bound + 1)
 
 
-def _read_basis(cols, pivots, shift, field):
-    """The first n columns as pairs, shifted back by t^shift and divided by
-    their pivot coefficients (always 1 over F_p)."""
+def _read_basis(cols, pivots, low, field):
+    """The first n columns, shifted back by t^low and divided by their pivot
+    coefficients (always 1 over F_p)."""
     basis = []
     for j, d in enumerate(pivots):
         col = cols[j]
-        c = col[j][d]
+        c = col[j][1][0]
         entries = [None] * j
-        entries.append((d + shift, [field.one]))
-        for row in col[j + 1:]:
-            e = strip(shift, row)
-            if e is not None and not field.p:
-                e = e[0], [Fraction(x, c) for x in e[1]]
+        entries.append((d + low, [field.one]))
+        for e in col[j + 1:]:
+            if e is not None:
+                e = e[0] + low, (e[1] if field.p else [Fraction(x, c) for x in e[1]])
             entries.append(e)
         basis.append(tuple(entries))
     return tuple(basis)

@@ -305,6 +305,53 @@ def test_high_valuation_pivots_need_doubling():
     gens = [[t[0], t[1]], [t[1], t[2] + t[20]]]
     assert wrapped_canonical_basis(gens, 2) == reference_canonicalize(gens, 2)
     assert pair_canonical_basis(gens, 2)[1][1] == (20, [1])
+    # Over Q, the first pivot t^3 u has a dense unit u with u(0) = 2, whose
+    # integral inverse fills row 1 of the first column up to the second pivot:
+    # det = t^23 u, so D(L') = 21 and the ladder must pass N = 16.
+    t = [ValuedScalar.t_power(RATIONAL, e) for e in range(21)]
+    u = ValuedScalar(LaurentPoly(RATIONAL, {e: Fraction(c) for e, c in
+                                            enumerate((2, 3, 1, 0, -1, 4, 1)) if c}))
+    gens = [[t[3] * u, t[1]], [t[4] * u, t[2] + t[20]]]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_hermite(mp)
+        got = wrapped_canonical_basis(gens, 2)
+    assert max(calls) >= 16
+    assert got == reference_canonicalize(gens, 2)
+    assert pair_canonical_basis(gens, 2)[1][1] == (20, [1])
+
+
+def unit_cases(rng, p):
+    """Dense and sparse coefficient lists of units of O: every coefficient
+    nonzero, or zeros between u[0] and the last term; u[0] is not 0 or +-1
+    wherever the field has such an element.  Lengths run past 12."""
+    first = (2, -3, 5) if p is None else tuple(range(2, p - 1)) or tuple(range(1, p))
+    nonzero = (lambda: rng.choice((-3, -2, -1, 1, 2, 3))) if p is None else (
+        lambda: rng.randrange(1, p))
+    for length in (1, 2, 3, 5, 8, 13, 16):
+        yield [rng.choice(first)] + [nonzero() for _ in range(length - 1)]
+        if length > 2:
+            sparse = [rng.choice(first)] + [0] * (length - 2) + [nonzero()]
+            sparse[rng.randrange(1, length - 1)] = nonzero()
+            yield sparse
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_unit_inverse_of_pair_coefficients(field):
+    # u*w = d modulo t^prec, with d = u[0]^prec and integral w over Q, d = 1
+    # over F_p; w has exactly prec coefficients.
+    p = field.p
+    rng = random.Random(1701)
+    for u in unit_cases(rng, p):
+        for prec in range(1, 13):
+            w, d = truncated._unit_inverse(u, prec, p)
+            assert len(w) == prec
+            if p is None:
+                assert d == u[0] ** prec and all(type(x) is int for x in w)
+            else:
+                assert d == 1 and all(0 <= x < p for x in w)
+            for k in range(prec):
+                s = sum(u[e] * w[k - e] for e in range(min(k + 1, len(u))))
+                assert (s if p is None else s % p) == (d if k == 0 else 0), (u, prec, k)
 
 
 @pytest.mark.parametrize("field", FIELDS)
