@@ -31,6 +31,9 @@ keyed by the base lattice.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 from .densepoly import forward_substitute, shift, to_poly
 from .scalars import BaseField, LaurentPoly, ValuedScalar
 from .truncated import SingularMatrixError, canonical_basis, column_field, polynomial_column
@@ -197,8 +200,7 @@ class Lattice:
 
     def transform(self, g: list[list[ValuedScalar]]) -> "Lattice":
         """The lattice g . L for a row-major nonsingular matrix g."""
-        zero = ValuedScalar.zero(self.field)
-        return Lattice.from_columns([[sum((g[i][r] * col[r] for r in range(self.n)), zero)
+        return Lattice.from_columns([[reduce(add, (g[i][r] * col[r] for r in range(self.n)))
                                       for i in range(self.n)] for col in self.columns])
 
     def __eq__(self, other):
@@ -221,10 +223,8 @@ def _unit_columns(n: int, field: BaseField) -> tuple[Column, ...]:
 def matmul(a: list[list[ValuedScalar]], b: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:
     """Row-major product of exact matrices."""
     n, m, k = len(a), len(b[0]), len(b)
-    field = a[0][0].field
-    zero = ValuedScalar.zero(field)
     return [
-        [sum((a[i][r] * b[r][j] for r in range(k)), zero) for j in range(m)]
+        [reduce(add, (a[i][r] * b[r][j] for r in range(k))) for j in range(m)]
         for i in range(n)
     ]
 

@@ -4,6 +4,7 @@ apartment configurations for sweeps and the CLI generator."""
 from __future__ import annotations
 
 from .apartment import Apartment, ApartmentPoint
+from .densepoly import addmul, strip, to_poly
 from .lattices import Lattice, SingularMatrixError
 from .scalars import BaseField, LaurentPoly, ValuedScalar
 from .subspaces import Subspace
@@ -43,16 +44,16 @@ def random_lattice(rng, n: int, field: BaseField, low: int = -3, high: int = 3) 
 def random_unimodular(rng, n: int, field: BaseField):
     """Random integral matrix of determinant-valuation zero, built from 2n
     elementary column operations on the identity (column-major), each adding
-    a multiple of degree at most 1 in t."""
-    cols = [list(col) for col in Lattice.standard(n, field).columns]
-    if n < 2:
-        return cols
-    for _ in range(2 * n):
+    a multiple of degree at most 1 in t.  The operations run on ``densepoly``
+    pairs; the columns are returned as ``ValuedScalar`` entries."""
+    cols = [[(0, [field.one]) if i == j else None for i in range(n)] for j in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
         a, b = rng.sample(range(n), 2)
-        m = random_scalar(rng, field, 0, 1)
-        for i in range(n):
-            cols[a][i] = cols[a][i] + m * cols[b][i]
-    return cols
+        m = strip(0, [random_coefficient(rng, field) for _ in range(2)])
+        if m is not None:
+            cols[a] = [x if y is None else addmul(x, m, y, 1, field.p)
+                       for x, y in zip(cols[a], cols[b])]
+    return [[ValuedScalar(to_poly(field, e)) for e in col] for col in cols]
 
 
 def random_valdet0(rng, n: int, field: BaseField, window: int = 2):
@@ -62,13 +63,8 @@ def random_valdet0(rng, n: int, field: BaseField, window: int = 2):
     shifts = [rng.randint(-window, window) for _ in range(n - 1)]
     shifts.append(-sum(shifts))
     # Row-major g with column j of the unimodular part scaled by t^{shift_j}.
-    return [
-        [
-            cols[j][i] * ValuedScalar.t_power(field, shifts[j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    return [[ValuedScalar(cols[j][i].num.shift(shifts[j])) for j in range(n)]
+            for i in range(n)]
 
 
 def random_subspace(rng, n: int, field: BaseField) -> Subspace:

@@ -6,12 +6,14 @@ an exactly computable valuation (lowest t-exponent of its series expansion)
 and leading coefficient; there is no floating point, and series are truncated
 only at a proven exact bound (see ``truncated``).
 
-Each ``LaurentPoly`` operation is one loop over ``BaseField`` operations,
-shared by Q and F_p.  The one rational-only piece is the primitive PRS gcd
-(Brown 1971) that ``poly_gcd`` uses over Q to reduce fractions without
-coefficient growth.  The library's hot paths run on the ``truncated`` and
-``densepoly`` kernels; this module carries input fractions and the reference
-implementations that the tests compare those kernels against.
+Each operation takes one path for both fields.  A ``LaurentPoly`` operation
+is one loop over ``BaseField`` operations, ``ValuedScalar`` +, * and
+``invert`` are each one call of the canonicalising constructor, and
+``poly_gcd`` is one primitive PRS (Brown 1971).  The PRS stays on integer
+lists over Q, since Euclid on ``Fraction`` coefficients lets them grow.  The
+library's hot paths run on the ``truncated`` and ``densepoly`` kernels; this
+module carries input fractions and the reference implementations that the
+tests compare those kernels against.
 """
 
 from __future__ import annotations
@@ -227,68 +229,64 @@ class LaurentPoly:
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of the ordinary-polynomial parts (t-powers stripped first)."""
+    """Monic gcd of the ordinary-polynomial parts (t-powers stripped first).
+
+    One primitive PRS (Brown 1971) for both fields: each remainder is
+    replaced by its primitive part, which over Q is the integer list divided
+    by its content (so no ``Fraction`` grows) and over F_p the monic
+    multiple."""
     f = a.field
-    a = a.shift(-a.valuation()) if not a.is_zero() else a
-    b = b.shift(-b.valuation()) if not b.is_zero() else b
-    if f.is_rational:
-        return _gcd_rational(a, b)
-    while not b.is_zero():
-        rem = dict(a.coeffs)
-        _divide(rem, b.coeffs, f)
-        a, b = b, LaurentPoly(f, rem)
-    if a.is_zero():
-        return a
-    return a.scale(f.inv(a.coeffs[max(a.coeffs)]))
-
-
-def _gcd_rational(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Primitive-PRS gcd over Z (avoids Fraction coefficient blowup)."""
-    pa, pb = _primitive_int(a), _primitive_int(b)
+    pa, pb = _primitive(_coefficients(a), f.p), _primitive(_coefficients(b), f.p)
     while pb:
-        pa, pb = pb, _primitive(_pseudo_rem(pa, pb))
+        pa, pb = pb, _primitive(_pseudo_rem(pa, pb, f.p), f.p)
     if not pa:
-        return LaurentPoly.zero(a.field)
-    lead = pa[-1]
-    return LaurentPoly(a.field, {e: Fraction(c, lead) for e, c in enumerate(pa) if c})
+        return LaurentPoly.zero(f)
+    inv = f.inv(f.from_int(pa[-1]))
+    return LaurentPoly(f, {e: f.mul(inv, c) for e, c in enumerate(pa)})
 
 
-def _primitive_int(p: LaurentPoly) -> list[int]:
-    """Integer coefficient list (ascending degree) of a rational poly, made
-    primitive; empty list for zero."""
-    if p.is_zero():
+def _coefficients(poly: LaurentPoly) -> list:
+    """Ascending coefficient list of poly with its t-power stripped: over Q
+    integers (scaled by the lcm of the denominators), over F_p residues."""
+    if poly.is_zero():
         return []
-    deg = max(p.coeffs)
-    lcm = 1
-    for c in p.coeffs.values():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(p.coeffs.get(e, Fraction(0)) * lcm) for e in range(deg + 1)]
-    return _primitive(ints)
+    m = 1 if poly.field.p else math.lcm(*(c.denominator for c in poly.coeffs.values()))
+    v = poly.valuation()
+    out = [0] * (max(poly.coeffs) - v + 1)
+    for e, c in poly.coeffs.items():
+        out[e - v] = int(c * m)
+    return out
 
 
-def _primitive(ints: list[int]) -> list[int]:
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return []
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    return [c // g for c in ints]
+def _primitive(cs: list, p: int | None) -> list:
+    """cs without its top zeros, divided by its content over Q or made monic
+    over F_p; empty for zero."""
+    while cs and not cs[-1]:
+        cs.pop()
+    if not cs:
+        return cs
+    if p is None:
+        g = math.gcd(*cs)
+        return [c // g for c in cs]
+    inv = pow(cs[-1], -1, p)
+    return [c * inv % p for c in cs]
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer polynomials (ascending coefficient lists)."""
+def _pseudo_rem(a: list, b: list, p: int | None) -> list:
+    """Pseudo-remainder of a by the nonzero b (ascending coefficient lists),
+    reduced mod p over F_p."""
     a = a[:]
     db = len(b) - 1
     lb = b[-1]
-    while len(a) - 1 >= db and a:
+    while len(a) - 1 >= db:
         da = len(a) - 1
         coef = a[-1]
         a = [c * lb for c in a]
-        for i, bc in enumerate(b):
-            a[da - db + i] -= coef * bc
-        while a and a[-1] == 0:
+        for i, bc in enumerate(b, da - db):
+            a[i] -= coef * bc
+        if p is not None:
+            a = [c % p for c in a]
+        while a and not a[-1]:
             a.pop()
     return a
 
@@ -319,7 +317,9 @@ class ValuedScalar:
 
     The canonical form divides out the polynomial gcd, pushes the net t-power
     into the numerator, and normalizes the denominator's lowest coefficient
-    to 1, so equality of values is structural equality.
+    to 1, so equality of values is structural equality.  The constructor
+    establishes it for any (num, den), and every operation builds its result
+    through the constructor.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -348,27 +348,6 @@ class ValuedScalar:
             self.num = n0.scale(c).shift(vn - vd)
             self.den = d0.scale(c)
         self._hash = None
-
-    @classmethod
-    def _reduced(cls, num: LaurentPoly, den: LaurentPoly) -> "ValuedScalar":
-        """Canonicalize a fraction already known to be in lowest terms
-        (skips the gcd step of the full constructor)."""
-        out = cls.__new__(cls)
-        field = num.field
-        if num.is_zero():
-            out.num = num
-            out.den = LaurentPoly.one(field)
-        elif den.coeffs == {0: field.one}:
-            out.num = num
-            out.den = den
-        else:
-            vn, vd = num.valuation(), den.valuation()
-            d0 = den.shift(-vd)
-            c = field.inv(d0.coefficient(0))
-            out.num = num.scale(c).shift(-vd)
-            out.den = d0.scale(c)
-        out._hash = None
-        return out
 
     @classmethod
     def zero(cls, field: BaseField) -> "ValuedScalar":
@@ -407,23 +386,7 @@ class ValuedScalar:
         return f.mul(self.num.leading_coefficient(), f.inv(self.den.leading_coefficient()))
 
     def __add__(self, other: "ValuedScalar") -> "ValuedScalar":
-        if self.den == other.den:
-            return ValuedScalar(self.num + other.num, self.den)
-        f = self.field
-        if self.den.coeffs == {0: f.one}:
-            return ValuedScalar._reduced(self.num * other.den + other.num, other.den)
-        if other.den.coeffs == {0: f.one}:
-            return ValuedScalar._reduced(self.num + other.num * self.den, self.den)
-        g = poly_gcd(self.den, other.den)
-        if g.coeffs == {0: f.one}:
-            # Coprime reduced denominators: the sum is already in lowest terms.
-            return ValuedScalar._reduced(
-                self.num * other.den + other.num * self.den,
-                self.den * other.den,
-            )
-        q1 = self.den.divexact(g)
-        q2 = other.den.divexact(g)
-        return ValuedScalar(self.num * q2 + other.num * q1, self.den * q2)
+        return ValuedScalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "ValuedScalar") -> "ValuedScalar":
         return self + (-other)
@@ -432,23 +395,12 @@ class ValuedScalar:
         return ValuedScalar(-self.num, self.den)
 
     def __mul__(self, other: "ValuedScalar") -> "ValuedScalar":
-        # A monomial factor cannot create a common divisor, so renormalizing
-        # without a gcd is safe in that case.
-        if other._is_monomial_unit():
-            ((e, c),) = other.num.coeffs.items()
-            return ValuedScalar._reduced(self.num.scale(c).shift(e), self.den)
-        if self._is_monomial_unit():
-            ((e, c),) = self.num.coeffs.items()
-            return ValuedScalar._reduced(other.num.scale(c).shift(e), other.den)
         return ValuedScalar(self.num * other.num, self.den * other.den)
-
-    def _is_monomial_unit(self) -> bool:
-        return self.num.is_monomial() and self.den.coeffs == {0: self.field.one}
 
     def invert(self) -> "ValuedScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        return ValuedScalar._reduced(self.den, self.num)
+        return ValuedScalar(self.den, self.num)
 
     def __truediv__(self, other: "ValuedScalar") -> "ValuedScalar":
         return self * other.invert()

@@ -1,6 +1,7 @@
 """The library's operations make no ``LaurentPoly`` product or division, no
 ``poly_gcd`` call and no ``ValuedScalar`` arithmetic on inputs like those of
-the three benchmark workloads: those run on the ``truncated`` and
+the three benchmark workloads, nor does ``latticeval gen --kind apartment``
+or ``verify --strategy random``: those run on the ``truncated`` and
 ``densepoly`` kernels, and ``scalars`` only carries input fractions and the
 test references.  A canonical instance file loads without building any
 ``ValuedScalar`` or running an elimination, and the relative invariants of two
@@ -30,7 +31,7 @@ from latticeval.lattices import Lattice, SingularMatrixError
 from latticeval.metric import distance
 from latticeval.randgen import random_apartment_instance
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
-from latticeval.serialize import instance_to_json
+from latticeval.serialize import field_to_str, instance_to_json
 
 FORBIDDEN = (
     (ValuedScalar, "__add__"),
@@ -111,14 +112,26 @@ def operations(tmp_path):
             path.write_text(json.dumps(instance_to_json(lats, idx)))
             ops.append((f"apartment-{field!r}-{n}-{k}", lambda lats=lats, idx=idx, path=path: (
                 verify_star(idx, lats, "apartment"), run_cli(path))))
+        # The CLI's random instances and random frames.
+        gen = ["gen", "--kind", "apartment", "--field", field_to_str(field), "--seed", "3"]
+        path = tmp_path / f"gen-{field!r}.json"
+        path.write_text(cli_output(gen)[1])
+        ops.append((f"cli-gen-{field!r}", lambda gen=gen: cli_output(gen)))
+        ops.append((f"cli-random-{field!r}", lambda path=path: cli_output(
+            ["verify", str(path), "--strategy", "random", "--budget", "10", "--json"])))
     return ops
 
 
-def run_cli(path):
+def cli_output(argv):
+    """(exit code, stdout, stderr) of an in-process ``latticeval`` run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", str(path), "--strategy", "apartment", "--json"])
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_cli(path):
+    return cli_output(["verify", str(path), "--strategy", "apartment", "--json"])
 
 
 def counted(monkeypatch, owner, name, calls):
@@ -140,8 +153,9 @@ def test_operations_make_no_scalar_arithmetic(monkeypatch, tmp_path):
     clear_caches()
     expected = {name: op() for name, op in operations(tmp_path)}
     statuses = {res[0].status for name, res in expected.items()
-                if not name.startswith("generic")}
+                if name.startswith(("close", "apartment"))}
     assert statuses == {"verified", "inconclusive"}
+    assert {res[0] for name, res in expected.items() if name.startswith("cli-random")} == {0, 2}
     clear_caches()
     ops = operations(tmp_path)
     for owner, name in FORBIDDEN:
@@ -156,9 +170,7 @@ def test_canonical_instance_loads_in_one_pass(monkeypatch, tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(capsys.readouterr().out)
     scalars_built, eliminations = [], []
-    # Every ValuedScalar goes through __init__ or the _reduced constructor.
     counted(monkeypatch, ValuedScalar, "__init__", scalars_built)
-    counted(monkeypatch, ValuedScalar, "_reduced", scalars_built)
     counted(monkeypatch, truncated, "_hermite", eliminations)
     lattices, _, _ = cli._load_instance(str(path))
     assert len(lattices) == 3

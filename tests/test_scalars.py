@@ -15,6 +15,7 @@ from latticeval.scalars import (
     BaseField,
     LaurentPoly,
     ValuedScalar,
+    _divide,
     poly_gcd,
 )
 
@@ -163,17 +164,20 @@ def test_ultrametric_inequality():
 
 
 def test_monomial_products_match_generic_path():
+    """A unit monomial c t^e creates no common factor, so the product of a
+    canonical scalar with it is (c t^e num) / den, as the deleted monomial
+    shortcut built it without a gcd."""
     rng = random.Random(1)
     for _ in range(100):
         e = rng.randint(-3, 3)
-        mono = ValuedScalar.t_power(RATIONAL, e, Fraction(rng.randint(1, 4)))
+        c = Fraction(rng.randint(1, 4))
+        mono = ValuedScalar.t_power(RATIONAL, e, c)
         s = vs(
             [(i, rng.randint(-3, 3)) for i in range(-1, 2)],
             [(0, 1), (1, rng.randint(-2, 2))],
         )
-        via_fast = s * mono
-        via_slow = ValuedScalar(s.num * mono.num, s.den * mono.den)
-        assert via_fast == via_slow
+        for product in (s * mono, mono * s):
+            assert product.num == s.num.scale(c).shift(e) and product.den == s.den
 
 
 # -- LaurentPoly arithmetic: one loop over BaseField operations per field ----
@@ -285,3 +289,100 @@ def test_gcd_of_coprime_pairs_is_one(field, data):
     assert poly_gcd(b, a) == one
     g = data.draw(polys(field, nonzero=True, max_len=3))
     assert poly_gcd(a * g, b * g) == monic(g)
+
+
+# -- One PRS for both fields against the two gcd loops it replaced -----------
+
+
+def replaced_gcd(a, b):
+    """The gcd that ``poly_gcd`` computed before it became one primitive PRS:
+    over F_p Euclid by long division made monic, over Q a primitive PRS on
+    integer lists of its own."""
+    f = a.field
+    a = a if a.is_zero() else a.shift(-a.valuation())
+    b = b if b.is_zero() else b.shift(-b.valuation())
+    if f.is_rational:
+        return rational_prs_gcd(a, b)
+    while not b.is_zero():
+        rem = dict(a.coeffs)
+        _divide(rem, b.coeffs, f)
+        a, b = b, LaurentPoly(f, rem)
+    if a.is_zero():
+        return a
+    return a.scale(f.inv(a.coeffs[max(a.coeffs)]))
+
+
+def rational_prs_gcd(a, b):
+    def primitive_int(p):
+        if p.is_zero():
+            return []
+        deg = max(p.coeffs)
+        lcm = 1
+        for c in p.coeffs.values():
+            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+        return primitive([int(p.coeffs.get(e, Fraction(0)) * lcm) for e in range(deg + 1)])
+
+    def primitive(ints):
+        while ints and ints[-1] == 0:
+            ints.pop()
+        if not ints:
+            return []
+        g = 0
+        for c in ints:
+            g = math.gcd(g, c)
+        return [c // g for c in ints]
+
+    def pseudo_rem(a, b):
+        a = a[:]
+        db = len(b) - 1
+        lb = b[-1]
+        while len(a) - 1 >= db and a:
+            da = len(a) - 1
+            coef = a[-1]
+            a = [c * lb for c in a]
+            for i, bc in enumerate(b):
+                a[da - db + i] -= coef * bc
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    pa, pb = primitive_int(a), primitive_int(b)
+    while pb:
+        pa, pb = pb, primitive(pseudo_rem(pa, pb))
+    if not pa:
+        return LaurentPoly.zero(a.field)
+    lead = pa[-1]
+    return LaurentPoly(a.field, {e: Fraction(c, lead) for e, c in enumerate(pa) if c})
+
+
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gcd_matches_replaced_loops(field, data):
+    """Arbitrary pairs, and pairs with a planted common factor g."""
+    a = data.draw(polys(field, max_len=6))
+    b = data.draw(polys(field, max_len=6))
+    if data.draw(st.booleans()):
+        g = data.draw(polys(field, nonzero=True, max_len=4))
+        a, b = a * g, b * g
+    assert poly_gcd(a, b) == replaced_gcd(a, b)
+    assert poly_gcd(b, a) == replaced_gcd(b, a)
+
+
+# -- Every operation returns the canonical form -------------------------------
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF(5)], ids=repr)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_results_are_canonical(field, data):
+    """The denominator of every result has valuation 0 and constant term 1,
+    and shares no factor with the numerator: structural ``==`` and ``hash``
+    rely on this form."""
+    a, b = data.draw(scalars(field)), data.draw(scalars(field))
+    results = [a + b, a - b, a * b]
+    if not b.is_zero():
+        results += [a / b, b.invert()]
+    for s in results:
+        assert s.den.valuation() == 0 and s.den.coefficient(0) == field.one
+        assert poly_gcd(s.num, s.den) == LaurentPoly.one(field)
