@@ -137,9 +137,11 @@ class Apartment:
         return cls(Lattice.standard(n, field).basis, field, 0)
 
     def lattice(self, point) -> Lattice:
-        """The lattice <t^{-c_1} x_1, ..., t^{-c_n} x_n>."""
+        """The lattice <t^{-c_1} x_1, ..., t^{-c_n} x_n>, with v(det) =
+        v(det frame) - sum(c)."""
         return Lattice.from_columns([[shift(e, -c) for e in col]
-                                     for col, c in zip(self.basis, point.c)], self.field)
+                                     for col, c in zip(self.basis, point.c)], self.field,
+                                    det=self.det_valuation - sum(point.c))
 
 
 @dataclass(frozen=True)

@@ -269,11 +269,13 @@ def residue_witness(base: Lattice, triple: SubspaceTriple, i: int, j: int, k: in
     if w is None:
         return base.scale(1), value
     # Each row c of W gives the generator t^{-1} base . c, a combination of
-    # the basis columns with the constant pairs t^{-1} c_k.
+    # the basis columns with the constant pairs t^{-1} c_k.  In the
+    # coordinates of base the lattice is O^n + t^{-1}W, of v(det) -dim W.
     p = base.field.p
     gens = list(base.basis)
     gens += [combine(base.basis, [(-1, [c]) if c else None for c in row], p) for row in w.rows]
-    return Lattice.from_generators(gens, base.n, base.field), value
+    return Lattice.from_generators(gens, base.n, base.field,
+                                   det=sum(base.pivots) - w.dim), value
 
 
 @lru_cache(maxsize=4096)

@@ -213,10 +213,13 @@ def smith(m, p, carry, top=None):
         for row in m + carry:
             row[i], row[cc] = row[cc], row[i]
         u = (0, m[i][i][1])
+        # A row step computes only the columns after i: the earlier ones are
+        # None in both rows, and column i becomes zero.
+        head, pivot_row = [None] * (i + 1), m[i][i + 1:]
         for rr in range(i + 1, n):
             x = m[rr][i]
             if x is not None:
-                m[rr] = eliminate(u, m[rr], (x[0] - best, x[1]), m[i], top, p)
+                m[rr] = head + eliminate(u, m[rr][i + 1:], (x[0] - best, x[1]), pivot_row, top, p)
         exps.append(best)
         if top is not None:
             continue

@@ -78,18 +78,23 @@ class Lattice:
         self._residues = None
 
     @classmethod
-    def from_columns(cls, columns, field: BaseField | None = None) -> "Lattice":
+    def from_columns(cls, columns, field: BaseField | None = None, *,
+                     det: int | None = None) -> "Lattice":
         """Canonical lattice generated by exactly n independent columns."""
         n = len(columns[0])
         if len(columns) != n:
             raise ValueError("from_columns expects a square generator matrix")
-        return cls.from_generators(columns, n, field)
+        return cls.from_generators(columns, n, field, det=det)
 
     @classmethod
-    def from_generators(cls, columns, n: int, field: BaseField | None = None) -> "Lattice":
+    def from_generators(cls, columns, n: int, field: BaseField | None = None, *,
+                        det: int | None = None) -> "Lattice":
         """Canonical lattice generated by any spanning set of columns, whose
         entries are ``densepoly`` pairs, ``LaurentPoly`` or ``ValuedScalar``.
-        ``field`` may be left out unless every entry is a pair or None."""
+        ``field`` may be left out unless every entry is a pair or None.  A
+        caller that knows v(det) of the lattice passes it as ``det``, which
+        lets ``truncated.canonical_basis`` start at the precision it proves;
+        a wrong value raises ``ValueError``."""
         if not columns:
             raise SingularMatrixError("no generators")
         if any(len(c) != n for c in columns):
@@ -97,7 +102,8 @@ class Lattice:
         if field is None:
             field = column_field(columns)
         p = field.p
-        return cls(n, field, canonical_basis([polynomial_column(c, p) for c in columns], n, field))
+        return cls(n, field, canonical_basis([polynomial_column(c, p) for c in columns], n, field,
+                                             det))
 
     @classmethod
     def standard(cls, n: int, field: BaseField) -> "Lattice":
@@ -156,12 +162,13 @@ class Lattice:
 
     def dual(self) -> "Lattice":
         """Dual lattice under the standard bilinear form: the inverse
-        transpose, whose columns are the rows of basis^{-1}.  Computed once per
-        object; since dual(dual L) = L, the result remembers L as its own dual,
-        so a second call on either returns the stored lattice."""
+        transpose, whose columns are the rows of basis^{-1}, with v(det) =
+        -sum(pivots).  Computed once per object; since dual(dual L) = L, the
+        result remembers L as its own dual, so a second call on either returns
+        the stored lattice."""
         if self._dual is None:
             inv = self.pair_coordinates(_unit_columns(self.n, self.field))
-            d = Lattice.from_columns(list(zip(*inv)), self.field)
+            d = Lattice.from_columns(list(zip(*inv)), self.field, det=-sum(self.pivots))
             d._dual = self
             self._dual = d
         return self._dual

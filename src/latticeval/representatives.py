@@ -63,16 +63,27 @@ def konig_linear_value(subspaces) -> int:
 
 def _min_subset(subspaces):
     """The minimum of dim(sum over I) + r - |I| together with the minimizing
-    set I, ties broken by smallest cardinality then lexicographic order."""
+    set I, ties broken by smallest cardinality then lexicographic order.
+
+    dim(sum over I) depends only on the distinct subspaces that I picks, so
+    it is computed once per distinct set (a multiset such as that of
+    ``multiset_g`` repeats each span many times); the ranks live only for
+    this call."""
     r = len(subspaces)
     n = subspaces[0].n
     field = subspaces[0].field
+    # The index of the first equal subspace stands for each one.
+    first = [subspaces.index(u) for u in subspaces]
+    ranks: dict = {}
     best = r
     best_set: tuple = ()
     for size in range(1, r + 1):
         for idx in itertools.combinations(range(r), size):
-            vecs = [row for i in idx for row in subspaces[i].rows]
-            d = rank_of(vecs, n, field) + r - size
+            key = frozenset(first[i] for i in idx)
+            rank = ranks.get(key)
+            if rank is None:
+                rank = ranks[key] = rank_of([row for i in key for row in subspaces[i].rows], n, field)
+            d = rank + r - size
             if d < best:
                 best, best_set = d, idx
     return best, best_set

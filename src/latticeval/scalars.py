@@ -90,7 +90,7 @@ class BaseField:
             raise ZeroDivisionError("inverse of zero in base field")
         if self.p is None:
             return 1 / a
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def sign(self, a) -> int:
         """Sign predicate; only the rational mode is ordered."""

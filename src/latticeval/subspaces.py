@@ -12,7 +12,8 @@ def rref(vectors, n: int, field: BaseField):
     """Reduced row-echelon basis (tuple of tuples) of the span of vectors.
 
     Rows are plain lists of field elements and each row operation is one list
-    comprehension, reduced mod p over F_p, with no field call per entry."""
+    comprehension, reduced mod p over F_p, with no field call per entry.  Once
+    n rows are found they span F^n, and the remaining vectors are skipped."""
     p = field.p
     basis: list[list] = []
     pivots: list[int] = []
@@ -30,6 +31,8 @@ def rref(vectors, n: int, field: BaseField):
                 basis[k] = _axpy(b, b[lead], row, p)
         basis.append(row)
         pivots.append(lead)
+        if len(basis) == n:
+            break
     order = sorted(range(len(basis)), key=lambda k: pivots[k])
     return tuple(tuple(basis[k]) for k in order)
 

@@ -35,6 +35,16 @@ t^{-s} A is a polynomial pair cut above t^{N-1} (``densepoly.cut``).
    A U + t^N X with U in GL_m(O), and with t^N O^n its columns generate
    H = L' + t^N O^n.  It is [h | 0] modulo t^N, where h is lower triangular
    with diagonal t^{d_i} and row i reduced below t^{d_i}.
+   The residue rung N = 1 needs no elimination.  There h = I exactly when
+   the residues of the shifted generators (their t^0 coefficients) span
+   F^n, and then D(L') = 0: L' + tO^n = O^n, so L' = O^n by Nakayama's
+   lemma, and the basis is t^s I.  The rung is a rank test
+   (``subspaces.rank_of``), exact over F_p.  Over Q it runs on the integer
+   columns (below) modulo the prime q = 2^31 - 1, and is exact one way
+   only: a nonzero n x n minor modulo q is a nonzero integer, so full rank
+   modulo q proves full rank over Q, but a minor divisible by q may be
+   nonzero over Q.  So over Q any other outcome proves nothing and the
+   ladder moves on to N = 2.
 2. Acceptance.  The maximal minors of A U generate the same ideal as those of
    A, namely t^{D(L')} O.  If some row finds no pivot, or sum(d_i) >= N,
    every maximal minor of A U vanishes modulo t^N, so D(L') >= N.  If
@@ -47,11 +57,15 @@ t^{-s} A is a polynomial pair cut above t^{N-1} (``densepoly.cut``).
    t^{-s} A are polynomials of degree at most delta_j = max(deg) - s.  A
    nonzero maximal minor then has degree at most B = the sum of the n
    largest delta_j, so D(L') <= B when A has full rank, and by step 2 every
-   N > B is accepted.  The search starts at N = 1 and doubles it, never
-   beyond B + 1; failing at N = B + 1 proves that no maximal minor is
-   nonzero, and ``SingularMatrixError`` is raised.  Steps 1-3 hold for every
-   N, so at N = 1 a lattice with D(L') = 0 is accepted after one pass over
-   the residues.
+   N > B is accepted.  The ladder starts at the residue rung N = 1 and
+   doubles N, never beyond B + 1; failing at N = B + 1 proves that no
+   maximal minor is nonzero, and ``SingularMatrixError`` is raised.  A
+   caller that knows D(L) = D(L') + ns passes it as ``det``, and the ladder
+   starts at N = D(L') + 1, which step 2 accepts in one pass with
+   sum(d_i) = D(L'); a pass that accepts with another sum proves the value
+   wrong and raises ``ValueError``.  This is the Hermite analogue of
+   working modulo the determinant (Domich, Kannan and Trotter, Math. Oper.
+   Res. 12, 1987), which ``densepoly.smith`` cites too.
 
 Coefficients.  Over F_p the coefficients of a pair are residues.  Over Q they
 are integers: a column may be multiplied by any nonzero rational, a unit, so
@@ -69,15 +83,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .densepoly import SingularMatrixError, addmul, cut, eliminate, from_poly, integer_column, strip
-from .scalars import LaurentPoly, ValuedScalar
+from .scalars import BaseField, LaurentPoly, ValuedScalar
+from .subspaces import rank_of
 
-# First precision tried.  On the benchmark workloads (seed 11) N = 1 accepts
-# 50% of the canonicalisations of generic-q, [1, 2] 33%, [1, 2, 4] 15% and
-# [1, 2, 4, 8] 2%; close-f3 passes 44% as already canonical and accepts 43% at
-# N = 1.  Against a first N of 4, it gave 343-359 vs 303-313 ops/s on
-# generic-q and 367-390 vs 373-401 on verify-cli-fp (2 vCPUs, Python 3.11.7,
-# three paired 10 s runs).
-_START_PRECISION = 1
+# The residue rung's rank certificate over Q runs modulo this prime.
+_CERTIFICATE_FIELD = BaseField(2**31 - 1)
 
 
 def _unit_inverse(u, prec, p):
@@ -158,6 +168,17 @@ def _hermite(cols, prec, n, p):
     return pivots
 
 
+def _residues_span(columns, n, field):
+    """The residue rung of step 1: whether the t^0 coefficients of the
+    shifted generators span F^n, which proves D(L') = 0.  Over Q a False
+    (the rank modulo q = 2^31 - 1 is below n) proves nothing."""
+    if field.p is None:
+        field = _CERTIFICATE_FIELD
+    q = field.p
+    rows = [[e[1][0] % q if e is not None and not e[0] else 0 for e in col] for col in columns]
+    return rank_of(rows, n, field) == n
+
+
 def column_field(columns):
     """The field of the first ``LaurentPoly`` or ``ValuedScalar`` entry;
     columns of pairs alone do not name it."""
@@ -194,10 +215,10 @@ def _least_valuation(matrix):
     return min(vals) if vals else None
 
 
-def _degree_bound(columns, n, shift):
-    """B of step 3 of the module docstring: an upper bound on v(det) of the
-    shifted lattice whenever the generators have full rank."""
-    deltas = [max(e[0] + len(e[1]) for e in col if e is not None) - 1 - shift
+def _degree_bound(columns, n):
+    """B of step 3 of the module docstring for the shifted generators: an
+    upper bound on v(det) whenever they have full rank."""
+    deltas = [max(e[0] + len(e[1]) for e in col if e is not None) - 1
               for col in columns if any(e is not None for e in col)]
     return sum(sorted(deltas, reverse=True)[:n])
 
@@ -215,36 +236,53 @@ def _is_canonical(columns):
     return True
 
 
-def canonical_basis(columns, n: int, field) -> tuple[tuple, ...]:
+def canonical_basis(columns, n: int, field, det: int | None = None) -> tuple[tuple, ...]:
     """The canonical basis (lower-triangular column echelon form, pivots
     t^{d_i}, row i of earlier columns reduced below t^{d_i}) of the lattice
     over ``field`` generated by the given columns of n ``densepoly`` pairs,
-    as a tuple of columns of pairs."""
+    as a tuple of columns of pairs.  ``det``, when the caller knows it, is
+    v(det) of that lattice: the ladder then starts where step 3 of the
+    module docstring says, and ``ValueError`` is raised if it is wrong."""
     if len(columns) == n and _is_canonical(columns):
         return tuple(map(tuple, columns))
     p = field.p
     low = _least_valuation(columns)
     if low is None or len(columns) < n:
         raise SingularMatrixError(f"generators have rank < {n}")
-    bound = _degree_bound(columns, n, low)
     # A nonzero rational is a unit of O: over Q each column is scaled to
     # integers once, so every pass below only cuts.
     columns = [[None if e is None else (e[0] - low, e[1]) for e in integer_column(col, p)[0]]
                for col in columns]
-    prec = _START_PRECISION
+    target = None if det is None else det - n * low
+    prec = 1 if target is None else max(1, target + 1)
+    bound = None
     while True:
-        cols = [cut(col, prec - 1, p) for col in columns]
-        pivots = _hermite(cols, prec, n, p)
+        if prec == 1:
+            cols = None
+            pivots = [0] * n if _residues_span(columns, n, field) else None
+        else:
+            cols = [cut(col, prec - 1, p) for col in columns]
+            pivots = _hermite(cols, prec, n, p)
         if pivots is not None and sum(pivots) < prec:
+            if target is not None and sum(pivots) != target:
+                raise ValueError(f"v(det) of the lattice is {sum(pivots) + n * low}, not {det}")
             return _read_basis(cols, pivots, low, field)
-        if prec > bound:
+        if bound is None:
+            bound = _degree_bound(columns, n)
+        # Over Q a failed residue rung proves nothing, even when B = 0.
+        if prec > bound and (p or prec > 1):
             raise SingularMatrixError(f"generators have rank < {n}")
-        prec = min(2 * prec, bound + 1)
+        prec = max(2, min(2 * prec, bound + 1))
 
 
 def _read_basis(cols, pivots, low, field):
     """The first n columns, shifted back by t^low and divided by their pivot
-    coefficients (always 1 over F_p)."""
+    coefficients (always 1 over F_p); t^low I after the residue rung, which
+    leaves cols None."""
+    if cols is None:
+        one = (low, [field.one])
+        return tuple(tuple(one if i == j else None for i in range(len(pivots)))
+                     for j in range(len(pivots)))
     basis = []
     for j, d in enumerate(pivots):
         col = cols[j]

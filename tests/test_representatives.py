@@ -8,6 +8,7 @@ import pytest
 from latticeval.closecase import SubspaceTriple, min_formula
 from latticeval.randgen import random_subspace
 from latticeval.representatives import (
+    _min_subset,
     coordinate_subspace,
     konig_linear_value,
     konig_linear_witness,
@@ -113,6 +114,37 @@ def test_multiset_matches_eight_cut_formula():
                 assert multiset_g(u1, u2, u3, i, j, k) == min_formula(
                     SubspaceTriple(u1, u2, u3), i, j, k
                 )
+
+
+def reference_min_subset(subspaces):
+    """The enumeration ``_min_subset`` replaced: one rank per subset."""
+    r = len(subspaces)
+    n, field = subspaces[0].n, subspaces[0].field
+    best, best_set = r, ()
+    for size in range(1, r + 1):
+        for idx in itertools.combinations(range(r), size):
+            vecs = [row for i in idx for row in subspaces[i].rows]
+            d = rank_of(vecs, n, field) + r - size
+            if d < best:
+                best, best_set = d, idx
+    return best, best_set
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_min_subset_on_multisets_matches_reference(p):
+    # One rank per distinct set of subspaces gives the value and the
+    # tie-broken minimizing set of the enumeration with one rank per subset,
+    # also when equal subspaces are distinct objects.
+    field = GF(p)
+    rng = random.Random(1900 + p)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        distinct = [random_subspace(rng, n, field) for _ in range(rng.randint(1, 3))]
+        fam = []
+        for _ in range(rng.randint(1, 6)):
+            u = rng.choice(distinct)
+            fam.append(u if rng.random() < 0.5 else Subspace.span(u.rows, n, field))
+        assert _min_subset(fam) == reference_min_subset(fam)
 
 
 def test_multiset_examples():

@@ -172,6 +172,7 @@ def test_canonical_instance_loads_in_one_pass(monkeypatch, tmp_path, capsys):
     scalars_built, eliminations = [], []
     counted(monkeypatch, ValuedScalar, "__init__", scalars_built)
     counted(monkeypatch, truncated, "_hermite", eliminations)
+    counted(monkeypatch, truncated, "_residues_span", eliminations)
     lattices, _, _ = cli._load_instance(str(path))
     assert len(lattices) == 3
     assert scalars_built == [] and eliminations == []

@@ -12,11 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latticeval import truncated
-from latticeval.densepoly import from_poly, smith, to_poly
+from latticeval.densepoly import combine, cut, from_poly, integer_column, shift, smith, to_poly
 from latticeval.detval import det_poly
 from latticeval.lattices import Lattice, SingularMatrixError, matmul
 from latticeval.metric import relative_invariants, smith_form
-from latticeval.randgen import random_apartment_instance, random_lattice, random_unimodular
+from latticeval.randgen import (random_apartment_instance, random_lattice, random_subspace,
+                                random_unimodular)
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
 from latticeval.truncated import canonical_basis, polynomial_column
 
@@ -210,15 +211,21 @@ def test_relative_invariants_match_smith_form(case):
 
 
 def counted_hermite(mp):
-    """Count the eliminations ``canonical_basis`` runs while mp is active."""
+    """Record the precision of each pass ``canonical_basis`` runs while mp is
+    active: the residue rung's rank test is the pass at N = 1."""
     calls = []
-    hermite = truncated._hermite
+    hermite, residues_span = truncated._hermite, truncated._residues_span
 
     def counted(*args):
         calls.append(args[1])
         return hermite(*args)
 
+    def counted_rung(*args):
+        calls.append(1)
+        return residues_span(*args)
+
     mp.setattr(truncated, "_hermite", counted)
+    mp.setattr(truncated, "_residues_span", counted_rung)
     return calls
 
 
@@ -318,6 +325,98 @@ def test_high_valuation_pivots_need_doubling():
     assert max(calls) >= 16
     assert got == reference_canonicalize(gens, 2)
     assert pair_canonical_basis(gens, 2)[1][1] == (20, [1])
+
+
+def ladder_from_one(columns, n, field):
+    """The ladder that the residue rung and ``det`` replaced: a Hermite pass
+    at N = 1, 2, 4, ..., B + 1 until one is accepted."""
+    p = field.p
+    low = truncated._least_valuation(columns)
+    if low is None or len(columns) < n:
+        raise SingularMatrixError(f"generators have rank < {n}")
+    columns = [[None if e is None else (e[0] - low, e[1]) for e in integer_column(col, p)[0]]
+               for col in columns]
+    bound = truncated._degree_bound(columns, n)
+    prec = 1
+    while True:
+        cols = [cut(col, prec - 1, p) for col in columns]
+        pivots = truncated._hermite(cols, prec, n, p)
+        if pivots is not None and sum(pivots) < prec:
+            return truncated._read_basis(cols, pivots, low, field)
+        if prec > bound:
+            raise SingularMatrixError(f"generators have rank < {n}")
+        prec = min(2 * prec, bound + 1)
+
+
+def ladder_cases(rng, field, n):
+    """(name, generator columns of pairs, v(det) or None) for the callers of
+    ``canonical_basis``: window-5 apartment lattices with the frame's v(det),
+    their duals with -sum(pivots), residue witnesses base + t^{-1} base.W with
+    sum(pivots(base)) - dim W, and sums of 3n generators."""
+    apt, points, _ = random_apartment_instance(rng, n, 3, field, window=5)
+    lats = []
+    for pt in points:
+        cols = [[shift(e, -c) for e in col] for col, c in zip(apt.basis, pt.c)]
+        yield "apartment", cols, apt.det_valuation - sum(pt.c)
+        lats.append(Lattice.from_columns(cols, field))
+    units = [[(0, [field.one]) if i == j else None for i in range(n)] for j in range(n)]
+    for lat in lats:
+        yield "dual", [list(c) for c in zip(*lat.pair_coordinates(units))], -sum(lat.pivots)
+        w = random_subspace(rng, n, field)
+        gens = list(lat.basis) + [combine(lat.basis, [(-1, [c]) if c else None for c in row],
+                                          field.p) for row in w.rows]
+        yield "residue witness", gens, sum(lat.pivots) - w.dim
+    yield "sum", [list(col) for lat in lats for col in lat.basis], None
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_ladder_matches_ladder_from_one(field):
+    # The residue rung and a known v(det) give the basis of the ladder from
+    # N = 1, and the callers' v(det) formulas are right; a wrong v(det) is an
+    # error.
+    rng = random.Random(1901)
+    names = set()
+    for n in range(1, 6):
+        for _ in range(3):
+            for name, cols, det in ladder_cases(rng, field, n):
+                names.add(name)
+                want = ladder_from_one(cols, n, field)
+                assert canonical_basis(cols, n, field) == want, name
+                true_det = sum(col[j][0] for j, col in enumerate(want))
+                assert det in (None, true_det), name
+                assert canonical_basis(cols, n, field, det=true_det) == want, name
+                if len(cols) == n and truncated._is_canonical(cols):
+                    continue
+                for wrong in (true_det - 1, true_det + 1):
+                    with pytest.raises(ValueError):
+                        canonical_basis(cols, n, field, det=wrong)
+    assert names == {"apartment", "dual", "residue witness", "sum"}
+
+
+def test_residue_rung_over_q_falls_back_when_singular_mod_q():
+    # Residues singular modulo q = 2^31 - 1 but not over Q: the rung proves
+    # nothing and the Hermite pass at N = 2 accepts D(L') = 0.  The first
+    # case has constant entries, so B = 0, which must not be read as
+    # singular; in the last, the integer column of 2q/3 holds 2q.
+    q = truncated._CERTIFICATE_FIELD.p
+    f = RATIONAL
+    zero = ValuedScalar.zero(f)
+    t = [ValuedScalar.t_power(f, e) for e in range(2)]
+    big = ValuedScalar.t_power(f, 0, Fraction(q))
+    for gens in ([[big, zero], [zero, t[0]]],
+                 [[big + t[1], t[1]], [t[1], t[0]]],
+                 [[ValuedScalar.t_power(f, 0, Fraction(2 * q, 3)), t[1]], [t[1], t[0]]]):
+        cols = [polynomial_column(col, None) for col in gens]
+        assert not truncated._residues_span(
+            [integer_column(col, None)[0] for col in cols], 2, f)
+        for det in (None, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = counted_hermite(mp)
+                got = canonical_basis(cols, 2, f, det=det)
+            assert calls == [1, 2]
+            assert got == (((0, [1]), None), (None, (0, [1])))
+        with pytest.raises(ValueError):
+            canonical_basis(cols, 2, f, det=1)
 
 
 def unit_cases(rng, p):
