@@ -150,8 +150,7 @@ def _between_lattices(lattices, budget):
         raise ValueError("enumeration requires a prime base field")
     n = lattices[0].n
     # In the coordinates of the sum; standard(n) contains floor.
-    floor = Lattice.from_columns(total.pair_coordinates(meet.basis), field,
-                                 det=sum(meet.pivots) - sum(total.pivots))
+    floor = Lattice.from_columns(total.pair_coordinates(meet.basis), field)
     # Any intermediate lattice has nonnegative pivots summing to at most
     # val det(floor), so this pivot scan (with the membership filter) is
     # exhaustive.
@@ -168,8 +167,7 @@ def _between_lattices(lattices, budget):
             if cand.contains_lattice(floor):
                 # Back from the coordinates of the sum: basis(total) . basis(cand).
                 yield Lattice.from_columns([combine(total.basis, col, field.p)
-                                            for col in cand.basis], field,
-                                           det=sum(total.pivots) + sum(cand.pivots))
+                                            for col in cand.basis], field)
 
 
 def _triangular_fills(n, pivots, field):

@@ -19,7 +19,8 @@ t^{-s} A is a polynomial pair cut above t^{N-1} (``densepoly.cut``).
 
 0. Already canonical.  If there are exactly n columns, zero above the
    diagonal, with each pivot exactly t^{d_i} and every entry in row i of an
-   earlier column supported below t^{d_i}, they are returned unchanged.  Such
+   earlier column supported below t^{d_i}, they are returned unchanged (a
+   ``det`` given with them must equal sum(d_i), as in step 3).  Such
    a basis is unique: if B and B' = B U are two, U in GL_n(O), then U is
    lower triangular and its diagonal entries t^{d'_i - d_i} are units, so
    d' = d and u_ii = 1; by induction on i - j, B'_ij - B_ij = t^{d_i} u_ij
@@ -244,6 +245,8 @@ def canonical_basis(columns, n: int, field, det: int | None = None) -> tuple[tup
     v(det) of that lattice: the ladder then starts where step 3 of the
     module docstring says, and ``ValueError`` is raised if it is wrong."""
     if len(columns) == n and _is_canonical(columns):
+        if det is not None and sum(col[i][0] for i, col in enumerate(columns)) != det:
+            raise ValueError(f"v(det) of the lattice is not {det}")
         return tuple(map(tuple, columns))
     p = field.p
     low = _least_valuation(columns)
