@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .densepoly import integer_column, shift, smith
+from .densepoly import shift, smith
 from .detval import det_poly
-from .lattices import Lattice, SingularMatrixError, identity_matrix
+from .lattices import (Lattice, SingularMatrixError, column_field, identity_matrix,
+                       polynomial_column)
 from .scalars import BaseField, ValuedScalar
-from .truncated import column_field, polynomial_column
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class Apartment:
             field = column_field(basis)
         if det_valuation is None:
             basis = [polynomial_column(col, field.p) for col in basis]
-            det = det_poly([integer_column(col, field.p)[0] for col in basis], field)
+            det = det_poly(basis, field)
             if det is None:
                 raise SingularMatrixError("frame columns are dependent")
             det_valuation = det[0]

@@ -6,61 +6,50 @@ ultrametric inequality, the maximum over module elements is attained on
 subsets of any fixed generating basis, so the search space collapses to
 prod_j C(n, i_j) exact determinant evaluations over Laurent polynomials.
 
-Each determinant is fraction-free Bareiss elimination on plain integers, in
-the (valuation, coefficient list) pairs of ``densepoly`` that the lattices
-store.  Over Q every column is first multiplied by the lcm of its entries'
-denominators (``densepoly.integer_column``), once per basis column and
-call of ``multi_f_detail``, which changes no valuation; over F_p the
-coefficients stay residues.  Every Bareiss quotient is a minor of the
-integer matrix, so each division by the previous pivot is exact and its long
-division from the top coefficient stays in the integers; a remainder can
-only mean a fault and raises ``ValueError``.
+Each determinant is ``det_poly``, fraction-free Bareiss elimination on plain
+integers in the (valuation, coefficient list) pairs of ``densepoly``, which
+its callers pass as the lattices store them.  Over Q it multiplies each row
+by the lcm of its entries' denominators (``densepoly.integer_column``) once
+per determinant and divides the result by the product of those lcms; over
+F_p the coefficients stay residues.  Every Bareiss quotient is a minor of
+the integer matrix, so each division by the previous pivot is exact and its
+long division from the top coefficient stays in the integers; a remainder
+can only mean a fault and raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .densepoly import cross, divexact, from_poly, integer_column
+from .densepoly import cross, divexact, from_poly, integer_column, to_poly
 from .lattices import Lattice
 from .metric import binary_f, distance, fundamental_weight, pair
-from .scalars import LaurentPoly, ValuedScalar
+from .scalars import ValuedScalar
 
 
 def det_poly(mat, field=None):
     """Fraction-free (Bareiss) determinant of a row-major matrix.
 
-    Without ``field`` the entries are ``LaurentPoly`` and so is the result:
-    each entry becomes a pair, over Q every column is multiplied by the lcm
-    of its entries' denominators and the result divided by ``scale``, the
-    product of those lcms.  With ``field`` the entries are ``densepoly``
-    pairs, with integer coefficients over Q, and the result is a pair or
-    None for zero.  The divisions by the previous pivot are exact because
-    each quotient is a minor; a remainder raises ``ValueError``.  The pivot
-    is the first nonzero entry at or below the diagonal, with a sign flip
-    for each row swap.
+    With ``field`` the entries are ``densepoly`` pairs and the result is a
+    pair, or None for zero; over Q each row is first multiplied by the lcm
+    of its entries' denominators and the result divided by the product of
+    those lcms.  Without ``field`` the entries are ``LaurentPoly`` and so is
+    the result.  The divisions by the previous pivot are exact because each
+    quotient is a minor; a remainder raises ``ValueError``.  The pivot is
+    the first nonzero entry at or below the diagonal, with a sign flip for
+    each row swap.
     """
-    if field is not None:
-        return _bareiss([list(row) for row in mat], field.p)
-    n = len(mat)
-    field = mat[0][0].field
-    if n == 1:
-        return mat[0][0]
-    p = field.p
-    scale = 1
-    cols = []
-    for c in range(n):
-        col, mult = integer_column([from_poly(row[c]) for row in mat], p)
-        scale *= mult
-        cols.append(col)
-    d = _bareiss([list(row) for row in zip(*cols)], p)
-    if d is None:
-        return LaurentPoly.zero(field)
-    v, coeffs = d
-    if p is None:
-        return LaurentPoly(field, {v + k: Fraction(c, scale) for k, c in enumerate(coeffs)})
-    return LaurentPoly(field, dict(enumerate(coeffs, v)))
+    if field is None:
+        field = mat[0][0].field
+        return to_poly(field, det_poly([[from_poly(e) for e in row] for row in mat], field))
+    rows, mults = zip(*(integer_column(row, field.p) for row in mat))
+    d = _bareiss([list(row) for row in rows], field.p)
+    scale = math.prod(mults)
+    if d is None or scale == 1:
+        return d
+    return d[0], [Fraction(c, scale) for c in d[1]]
 
 
 def _bareiss(m, p):
@@ -147,8 +136,8 @@ def multi_f_detail(idx, lattices: list[Lattice]):
         raise ValueError("one index per lattice required")
     _check_index(idx, n)
     field = lattices[0].field
-    polys = [[integer_column(col, field.p)[0] for col in l.basis] for l in lattices]
-    col_vals = [[min(e[0] for e in col if e is not None) for col in pc] for pc in polys]
+    bases = [l.basis for l in lattices]
+    col_vals = [[min(e[0] for e in col if e is not None) for col in b] for b in bases]
     best = None
     best_sel = None
     choices = [
@@ -159,7 +148,7 @@ def multi_f_detail(idx, lattices: list[Lattice]):
         ub = -sum(col_vals[j][c] for j, cols in enumerate(sel) for c in cols)
         if best is not None and ub <= best:
             continue
-        cols = [polys[j][c] for j, chosen in enumerate(sel) for c in chosen]
+        cols = [bases[j][c] for j, chosen in enumerate(sel) for c in chosen]
         d = det_poly(list(zip(*cols)), field)
         if d is None:
             continue

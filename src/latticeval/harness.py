@@ -14,11 +14,10 @@ from .apartment import (
     common_apartment,
 )
 from .closecase import SubspaceTriple, residue_subspace, residue_witness
-from .densepoly import combine, integer_column, shift, strip
+from .densepoly import combine, strip
 from .detval import det_poly, multi_f, star_cost
-from .lattices import Lattice
+from .lattices import Lattice, column_field, polynomial_column
 from .metric import binary_f
-from .truncated import polynomial_column
 
 
 @dataclass
@@ -264,12 +263,10 @@ def scale_config(bases, coweights):
         raise ValueError("one coweight per basis")
     out = []
     for basis, lam in zip(bases, coweights):
-        lam = tuple(int(x) for x in lam)
-        if any(lam[m] < lam[m + 1] for m in range(len(lam) - 1)):
+        point = ApartmentPoint(lam)
+        if any(a < b for a, b in zip(point.c, point.c[1:])):
             raise ValueError("coweights must be dominant (weakly decreasing)")
-        field = basis[0][0].field
-        out.append(Lattice.from_columns([[shift(e, -c) for e in polynomial_column(vec, field.p)]
-                                         for vec, c in zip(basis, lam)], field))
+        out.append(Apartment(basis).lattice(point))
     return out
 
 
@@ -277,7 +274,7 @@ def asymptotic_check(bases, schedule, idx, seed: int = 0) -> bool:
     """True iff some scheduled coweight scaling of the configuration is
     verified by verify_star (apartment strategy, plus enumeration over prime
     fields); scalings are tried in schedule order."""
-    field = bases[0][0][0].field
+    field = column_field(bases[0])
     strategies = ["apartment"] if field.is_rational else ["apartment", "enumerate"]
     for coweights in schedule:
         lattices = scale_config(bases, coweights)
@@ -296,15 +293,12 @@ def positivity_check(bases) -> bool:
     term 1, so no determinant changes its valuation or leading coefficient."""
     if not bases:
         return True
-    field = bases[0][0][0].field
+    field = column_field(bases[0])
     if not field.is_rational:
         raise ValueError("positivity needs an ordered base field")
     n = len(bases[0])
     bases = [[polynomial_column(vec, None) for vec in basis] for basis in bases]
     lattices = [Lattice.from_columns(basis, field) for basis in bases]
-    # Integer columns: each is multiplied by a positive integer, so no
-    # determinant changes its valuation or the sign of its leading coefficient.
-    bases = [[integer_column(vec, None)[0] for vec in basis] for basis in bases]
     for p, q, r in itertools.combinations(range(len(bases)), 3):
         for i in range(n + 1):
             for j in range(n - i + 1):

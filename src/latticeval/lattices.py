@@ -8,11 +8,13 @@ representation that ``truncated``, ``detval``, ``metric``, the apartment
 search and the close case all work on, so every operation here stays
 polynomial and no entry changes representation: a division by a pivot is a
 shift of the pair's valuation.  ``LaurentPoly`` and ``ValuedScalar`` columns
-are accepted by ``from_generators`` and ``from_columns``, which convert each
-such column once (``truncated.polynomial_column``), and are built on request
-by ``poly_basis`` and ``columns``, views made afresh on each access and never
-stored; ``solve``, ``basis_inverse`` and ``transform`` also work on them, and
-no library operation calls those.
+are accepted at this boundary only: ``polynomial_column`` converts each once
+(for ``from_generators``, ``from_columns``, ``contains``, ``Apartment`` and
+the harness) and ``column_field`` reads their field, so ``truncated`` and
+``detval`` see pairs alone.  They are built on request by ``poly_basis`` and
+``columns``, views made afresh on each access and never stored; ``solve``,
+``basis_inverse`` and ``transform`` also work on them, and no library
+operation calls those.
 
 Equal modules have equal canonical bases, so each lattice carries ``key``, a
 tuple of plain ints built once from the pairs: (n, p, then per entry its
@@ -34,9 +36,9 @@ from __future__ import annotations
 from functools import reduce
 from operator import add
 
-from .densepoly import forward_substitute, shift, to_poly
+from .densepoly import addmul, forward_substitute, from_poly, shift, to_poly
 from .scalars import BaseField, LaurentPoly, ValuedScalar
-from .truncated import SingularMatrixError, canonical_basis, column_field, polynomial_column
+from .truncated import SingularMatrixError, canonical_basis
 
 # A column of n ``densepoly`` pairs (v, coefficients), None for zero.
 Column = tuple
@@ -52,6 +54,38 @@ def _entry_key(pair, rational: bool) -> tuple:
 
 def _integral(columns) -> bool:
     return all(e is None or e[0] >= 0 for col in columns for e in col)
+
+
+def column_field(columns):
+    """The field of the first ``LaurentPoly`` or ``ValuedScalar`` entry;
+    columns of pairs alone do not name it."""
+    for col in columns:
+        for e in col:
+            if e is not None and type(e) is not tuple:
+                return e.field
+    raise ValueError("columns of densepoly pairs need their field")
+
+
+def polynomial_column(col, p) -> list:
+    """A column of pair, ``LaurentPoly`` and ``ValuedScalar`` entries as
+    pairs, multiplied by the product of its distinct denominators, a unit of
+    O (each has valuation 0 and constant term 1); no gcd is taken.  A column
+    of pairs is returned as it is."""
+    if all(e is None or type(e) is tuple for e in col):
+        return col
+    dens = {e.den for e in col if type(e) is ValuedScalar and len(e.den.coeffs) > 1}
+    dens = {d: from_poly(d) for d in dens}
+    out = []
+    for e in col:
+        if type(e) is ValuedScalar:
+            x, own = from_poly(e.num), e.den
+        else:
+            x, own = (from_poly(e) if type(e) is LaurentPoly else e), None
+        for d, pd in dens.items():
+            if x is not None and d != own:
+                x = addmul(None, x, pd, 1, p)
+        out.append(x)
+    return out
 
 
 class Lattice:

@@ -7,12 +7,9 @@ in F((t))^n, D(L) = v(det B) for any basis B of L.
 Canonical bases.  Let A be an n x m generator matrix of L.
 ``canonical_basis`` takes its columns as ``densepoly`` pairs, the
 representation ``Lattice.basis`` stores, and returns the canonical basis in
-pairs too.  A generator entry given as a ``ValuedScalar`` num/den has den of
-valuation 0 and constant term 1, a unit of O; ``polynomial_column``, which
-``Lattice.from_generators`` applies to each column once, multiplies the
-column by the product of its distinct denominators, an exact polynomial
-product and again a unit, which leaves the lattice alone and makes every
-entry a Laurent polynomial pair; from there on everything is polynomial.
+pairs too, so everything here is polynomial.  ``LaurentPoly`` and
+``ValuedScalar`` generators become pairs at the ``Lattice`` boundary
+(``lattices.polynomial_column``), before they reach this module.
 Let s be the least valuation of the entries, so L' = t^{-s} L lies in O^n;
 the canonical basis of L is that of L' multiplied by t^s, and each entry of
 t^{-s} A is a polynomial pair cut above t^{N-1} (``densepoly.cut``).
@@ -54,19 +51,19 @@ t^{-s} A is a polynomial pair cut above t^{N-1} (``densepoly.cut``).
    integral for a basis A' of L'), so H = L'; and t^N O^n lies in
    t^{sum(d_i)} O^n, which lies in span(h), so H = span(h).  Thus h is a
    basis of L' in canonical form: the canonical basis, exactly.
-3. Bound.  After the denominators are cleared, the entries of column j of
-   t^{-s} A are polynomials of degree at most delta_j = max(deg) - s.  A
-   nonzero maximal minor then has degree at most B = the sum of the n
-   largest delta_j, so D(L') <= B when A has full rank, and by step 2 every
-   N > B is accepted.  The ladder starts at the residue rung N = 1 and
-   doubles N, never beyond B + 1; failing at N = B + 1 proves that no
-   maximal minor is nonzero, and ``SingularMatrixError`` is raised.  A
-   caller that knows D(L) = D(L') + ns passes it as ``det``, and the ladder
-   starts at N = D(L') + 1, which step 2 accepts in one pass with
-   sum(d_i) = D(L'); a pass that accepts with another sum proves the value
-   wrong and raises ``ValueError``.  This is the Hermite analogue of
-   working modulo the determinant (Domich, Kannan and Trotter, Math. Oper.
-   Res. 12, 1987), which ``densepoly.smith`` cites too.
+3. Bound.  The entries of column j of t^{-s} A are polynomials of degree
+   at most delta_j = max(deg) - s.  A nonzero maximal minor then has
+   degree at most B = the sum of the n largest delta_j, so D(L') <= B when
+   A has full rank, and by step 2 every N > B is accepted.  The ladder
+   starts at the residue rung N = 1 and doubles N, never beyond B + 1;
+   failing at N = B + 1 proves that no maximal minor is nonzero, and
+   ``SingularMatrixError`` is raised.  A caller that knows D(L) = D(L') + ns
+   passes it as ``det``, and the ladder starts at N = D(L') + 1, which step
+   2 accepts in one pass with sum(d_i) = D(L'); a pass that accepts with
+   another sum proves the value wrong and raises ``ValueError``.  This is
+   the Hermite analogue of working modulo the determinant (Domich, Kannan
+   and Trotter, Math. Oper. Res. 12, 1987), which ``densepoly.smith`` cites
+   too.
 
 Coefficients.  Over F_p the coefficients of a pair are residues.  Over Q they
 are integers: a column may be multiplied by any nonzero rational, a unit, so
@@ -83,8 +80,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .densepoly import SingularMatrixError, addmul, cut, eliminate, from_poly, integer_column, strip
-from .scalars import BaseField, LaurentPoly, ValuedScalar
+from .densepoly import SingularMatrixError, addmul, cut, eliminate, integer_column, strip
+from .scalars import BaseField
 from .subspaces import rank_of
 
 # The residue rung's rank certificate over Q runs modulo this prime.
@@ -102,7 +99,7 @@ def _unit_inverse(u, prec, p):
     u0 = u[0]
     terms = [(e, c) for e, c in enumerate(u[1:prec], 1) if c]
     if p:
-        inv0 = pow(u0, p - 2, p)
+        inv0 = pow(u0, -1, p)
     else:
         # w_k = -sum_e u[e] u0^(e-1) w_{k-e}.
         terms = [(e, c * u0 ** (e - 1)) for e, c in terms]
@@ -128,7 +125,7 @@ def _normalize_pivot(col, i, prec, p):
     if len(u) == 1:
         if p is None or u[0] == 1:
             return col
-        inv = pow(u[0], p - 2, p)
+        inv = pow(u[0], -1, p)
         return [None if e is None else (e[0], [c * inv % p for c in e[1]]) for e in col]
     w, d = _unit_inverse(u, prec - v, p)
     w = strip(0, w)
@@ -178,37 +175,6 @@ def _residues_span(columns, n, field):
     q = field.p
     rows = [[e[1][0] % q if e is not None and not e[0] else 0 for e in col] for col in columns]
     return rank_of(rows, n, field) == n
-
-
-def column_field(columns):
-    """The field of the first ``LaurentPoly`` or ``ValuedScalar`` entry;
-    columns of pairs alone do not name it."""
-    for col in columns:
-        for e in col:
-            if e is not None and type(e) is not tuple:
-                return e.field
-    raise ValueError("columns of densepoly pairs need their field")
-
-
-def polynomial_column(col, p) -> list:
-    """A column of pair, ``LaurentPoly`` and ``ValuedScalar`` entries as
-    pairs, multiplied by the product of its distinct denominators (a unit of
-    O); no gcd is taken.  A column of pairs is returned as it is."""
-    if all(e is None or type(e) is tuple for e in col):
-        return col
-    dens = {e.den for e in col if type(e) is ValuedScalar and len(e.den.coeffs) > 1}
-    dens = {d: from_poly(d) for d in dens}
-    out = []
-    for e in col:
-        if type(e) is ValuedScalar:
-            x, own = from_poly(e.num), e.den
-        else:
-            x, own = (from_poly(e) if type(e) is LaurentPoly else e), None
-        for d, pd in dens.items():
-            if x is not None and d != own:
-                x = addmul(None, x, pd, 1, p)
-        out.append(x)
-    return out
 
 
 def _least_valuation(matrix):

@@ -134,6 +134,25 @@ def test_det_poly_matches_reference(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_det_poly_on_stored_pairs_matches_reference(field):
+    """det_poly on densepoly pairs as lattices store them (over Q, Fraction
+    coefficients with denominators 2, 3, 7 and 9) scales them itself and
+    returns the exact determinant, leaving its input as it was."""
+    rng = random.Random(47 + (field.p or 0))
+    for trial in range(150):
+        n = 1 + trial % 5
+        mats = [random_matrix(rng, field, n, density=rng.choice((0.2, 0.4, 0.7))),
+                permuted_triangular(rng, field, n)[0], singular_matrix(rng, field, n)]
+        for mat in mats:
+            pairs = [[from_poly(e) for e in row] for row in mat]
+            given = [list(row) for row in pairs]
+            d = det_poly(pairs, field)
+            assert to_poly(field, d) == reference_det_poly(mat)
+            assert pairs == given
+        assert d is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_det_poly_swaps_rows_with_a_sign_flip(field):
     one, t = LaurentPoly.one(field), LaurentPoly.t_power(field, 1)
     zero = LaurentPoly.zero(field)

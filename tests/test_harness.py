@@ -21,7 +21,7 @@ from latticeval.harness import (
     two_node_cost,
     verify_star,
 )
-from latticeval.lattices import Lattice
+from latticeval.lattices import Lattice, polynomial_column
 from latticeval.randgen import (
     random_apartment_instance,
     random_close_triple,
@@ -30,7 +30,6 @@ from latticeval.randgen import (
 )
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
 from latticeval.densepoly import to_poly
-from latticeval.truncated import polynomial_column
 
 F2 = GF(2)
 
@@ -235,6 +234,18 @@ def test_scale_config():
     assert lats[2] == Lattice.standard(3, RATIONAL).scale(-1)
     with pytest.raises(ValueError):
         scale_config(bases, [(0, 1, 0)] * 3)
+
+
+def test_pair_only_bases_raise_value_error():
+    """Columns of pairs alone do not name their field, so the three
+    functions that read it off their input raise ValueError on them."""
+    bases = [list(Lattice.standard(2, RATIONAL).basis)] * 3
+    with pytest.raises(ValueError, match="need their field"):
+        scale_config(bases, [(0, 0)] * 3)
+    with pytest.raises(ValueError, match="need their field"):
+        asymptotic_check(bases, [[(0, 0)] * 3], (1, 1, 0))
+    with pytest.raises(ValueError, match="need their field"):
+        positivity_check(bases)
 
 
 def test_asymptotic_check_trivial():

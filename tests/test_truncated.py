@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from latticeval import truncated
 from latticeval.densepoly import combine, cut, from_poly, integer_column, shift, smith, to_poly
 from latticeval.detval import det_poly
-from latticeval.lattices import Lattice, SingularMatrixError, matmul
+from latticeval.lattices import Lattice, SingularMatrixError, matmul, polynomial_column
 from latticeval.metric import relative_invariants, smith_form
 from latticeval.randgen import (random_apartment_instance, random_lattice, random_subspace,
                                 random_unimodular)
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
-from latticeval.truncated import canonical_basis, polynomial_column
+from latticeval.truncated import canonical_basis
 
 FIELDS = (RATIONAL, GF(2), GF(3), GF(101))
 
