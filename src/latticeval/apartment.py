@@ -112,10 +112,11 @@ class Apartment:
     def __init__(self, basis, field: BaseField | None = None, det_valuation: int | None = None):
         """A frame of pair, ``ValuedScalar`` or ``LaurentPoly`` columns;
         ``field`` may be left out unless every entry is a pair or None.  A
-        caller that knows v(det frame) passes it with a frame of pairs, and
-        neither is checked; otherwise the determinant is computed and a
-        dependent frame rejected.  Clearing a column's denominators
-        multiplies x_i by a unit, which changes no lattice of the apartment."""
+        caller that knows v(det frame) passes it with a frame of pairs with
+        integer coefficients over Q, and neither is checked; otherwise the
+        determinant is computed and a dependent frame rejected.  Clearing a
+        column's denominators multiplies x_i by a unit, which changes no
+        lattice of the apartment."""
         n = len(basis)
         if any(len(col) != n for col in basis):
             raise ValueError("frame must be square")
@@ -139,9 +140,9 @@ class Apartment:
     def lattice(self, point) -> Lattice:
         """The lattice <t^{-c_1} x_1, ..., t^{-c_n} x_n>, with v(det) =
         v(det frame) - sum(c)."""
-        return Lattice.from_columns([[shift(e, -c) for e in col]
-                                     for col, c in zip(self.basis, point.c)], self.field,
-                                    det=self.det_valuation - sum(point.c))
+        return Lattice.from_pairs([[shift(e, -c) for e in col]
+                                   for col, c in zip(self.basis, point.c)], self.n, self.field,
+                                  det=self.det_valuation - sum(point.c))
 
 
 @dataclass(frozen=True)
@@ -271,5 +272,7 @@ def common_apartment(lattices):
             if rest is not None:
                 rest = iter(rest)
                 points = [known[k] if k in known else next(rest) for k in range(len(lattices))]
-                return Apartment(frame, first.field, det_valuation), points
+                p = first.field.p
+                return Apartment([polynomial_column(col, p) for col in frame], first.field,
+                                 det_valuation), points
     return None

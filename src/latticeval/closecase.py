@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .densepoly import combine
-from .lattices import Lattice
+from .lattices import Lattice, polynomial_column
 from .subspaces import Subspace
 
 # Which of U1, U2, U3 each indecomposable type meets (cf. the nine-type table).
@@ -118,11 +118,11 @@ def extract_triple(l: Lattice, m: Lattice, n_lat: Lattice) -> SubspaceTriple:
 
 def residue_subspace(base: Lattice, lat: Lattice) -> Subspace | None:
     """The image of lat in t^{-1}base / base = F^n, in the coordinates of the
-    basis of base, or None when lat is not inside t^{-1}base.  The caller
-    guarantees base <= lat.  The coordinates are ``densepoly`` pairs (v, c):
-    the residue coefficient is c[0] when v = -1 and zero when v >= 0.  The
-    result is remembered on lat per base, as ``Lattice.dual`` remembers the
-    dual."""
+    stored basis of base (``Lattice.pair_coordinates``), or None when lat is
+    not inside t^{-1}base.  The caller guarantees base <= lat.  The
+    coordinates are ``densepoly`` pairs (v, c): the residue coefficient is
+    c[0] when v = -1 and zero when v >= 0.  The result is remembered on lat
+    per base, as ``Lattice.dual`` remembers the dual."""
     memo = lat._residues
     if memo is None:
         memo = lat._residues = {}
@@ -269,13 +269,14 @@ def residue_witness(base: Lattice, triple: SubspaceTriple, i: int, j: int, k: in
     if w is None:
         return base.scale(1), value
     # Each row c of W gives the generator t^{-1} base . c, a combination of
-    # the basis columns with the constant pairs t^{-1} c_k.  In the
+    # the stored basis columns (the coordinates of ``residue_subspace``) with
+    # the constant pairs t^{-1} c_k; over Q it is scaled to integers.  In the
     # coordinates of base the lattice is O^n + t^{-1}W, of v(det) -dim W.
     p = base.field.p
     gens = list(base.basis)
-    gens += [combine(base.basis, [(-1, [c]) if c else None for c in row], p) for row in w.rows]
-    return Lattice.from_generators(gens, base.n, base.field,
-                                   det=sum(base.pivots) - w.dim), value
+    gens += [polynomial_column(combine(base.basis, [(-1, [c]) if c else None for c in row], p), p)
+             for row in w.rows]
+    return Lattice.from_pairs(gens, base.n, base.field, det=sum(base.pivots) - w.dim), value
 
 
 @lru_cache(maxsize=4096)

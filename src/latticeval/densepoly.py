@@ -2,13 +2,17 @@
 
 A nonzero Laurent polynomial c_0 t^v + c_1 t^{v+1} + ... + c_d t^{v+d} is the
 pair (v, [c_0, ..., c_d]) with c_0 and c_d nonzero; ``None`` stands for zero.
-Over Q (p is None) the coefficients are integers or ``Fraction``s, over F_p
-residues in [0, p).  A shift by t^k only moves v, and the inner loops run over
-plain lists, with no dict and no field object per coefficient.  No function
-here mutates a pair it is given, so pairs and their lists may be shared.
+Over F_p (p a prime) the coefficients are residues in [0, p).  Over Q (p is
+None) stored bases and frames hold integers, coordinates may hold
+``Fraction``s, and ``integer_column`` scales input columns, the rows of
+``detval.det_poly`` and ``smith``'s rows of coordinates to integers.  A
+shift by t^k only moves v, and the inner loops run over plain lists, with
+no dict and no field object per coefficient.  No function here mutates a
+pair it is given, so pairs and their lists may be shared.
 
 This is the one column representation of the library: ``Lattice.basis``
-holds the canonical basis as columns of pairs, ``truncated`` reads and
+holds the canonical basis as columns of pairs (over Q each column scaled to
+a primitive integer column, see ``truncated``), ``truncated`` reads and
 returns them, and ``LaurentPoly`` is built only where a caller hands one in
 or asks for one (``from_poly``, ``to_poly``).  The module is also the
 arithmetic kernel of ``detval.det_poly`` (fraction-free Bareiss on integer
@@ -25,6 +29,7 @@ divides out their content.  ``divexact`` needs integer coefficients over Q.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .scalars import LaurentPoly
 
@@ -300,15 +305,19 @@ def divexact(a, b, p):
     return av - bv, q
 
 
-def forward_substitute(below, pivots, col, p):
-    """x with T x = col, T lower triangular with diagonal t^{pivots[i]} and
-    the nonzero entries left of the diagonal in row i given as (j, pair) in
-    below[i].  Each division by a pivot is a shift of the valuation."""
+def forward_substitute(below, diagonal, col, p):
+    """x with T x = col, T lower triangular with the nonzero entries left of
+    the diagonal in row i given as (j, pair) in below[i], and with the
+    monomial diagonal[i] = s_i t^{d_i} as a pair.  Each division by it is a
+    shift of the valuation and, over Q when s_i != 1, a division by s_i
+    (s_i = 1 over F_p)."""
     x = []
-    for i, d in enumerate(pivots):
+    for i, (d, (s,)) in enumerate(diagonal):
         acc = col[i]
         for j, b in below[i]:
             if x[j] is not None:
                 acc = addmul(acc, b, x[j], -1, p)
-        x.append(None if acc is None else (acc[0] - d, acc[1]))
+        if acc is not None:
+            acc = acc[0] - d, (acc[1] if s == 1 else [Fraction(c, s) for c in acc[1]])
+        x.append(acc)
     return x

@@ -6,15 +6,17 @@ ultrametric inequality, the maximum over module elements is attained on
 subsets of any fixed generating basis, so the search space collapses to
 prod_j C(n, i_j) exact determinant evaluations over Laurent polynomials.
 
-Each determinant is ``det_poly``, fraction-free Bareiss elimination on plain
-integers in the (valuation, coefficient list) pairs of ``densepoly``, which
-its callers pass as the lattices store them.  Over Q it multiplies each row
-by the lcm of its entries' denominators (``densepoly.integer_column``) once
-per determinant and divides the result by the product of those lcms; over
-F_p the coefficients stay residues.  Every Bareiss quotient is a minor of
-the integer matrix, so each division by the previous pivot is exact and its
-long division from the top coefficient stays in the integers; a remainder
-can only mean a fault and raises ``ValueError``.
+Each determinant is fraction-free Bareiss elimination on plain integers in
+the (valuation, coefficient list) pairs of ``densepoly``.  ``multi_f_detail``
+runs it on the stored bases as they are: over Q each stored column is an
+integer multiple s_j of its canonical column, and scaling columns by
+nonzero rationals moves no valuation.  ``det_poly``, for pairs that callers
+supply, multiplies each row over Q by the lcm of its entries' denominators
+(``densepoly.integer_column``) and divides the result by the product of
+those lcms; over F_p the coefficients stay residues.  Every Bareiss quotient
+is a minor of the integer matrix, so each division by the previous pivot is
+exact and its long division from the top coefficient stays in the integers;
+a remainder can only mean a fault and raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def multi_f_detail(idx, lattices: list[Lattice]):
     if len(idx) != len(lattices):
         raise ValueError("one index per lattice required")
     _check_index(idx, n)
-    field = lattices[0].field
+    p = lattices[0].field.p
     bases = [l.basis for l in lattices]
     col_vals = [[min(e[0] for e in col if e is not None) for col in b] for b in bases]
     best = None
@@ -149,7 +151,7 @@ def multi_f_detail(idx, lattices: list[Lattice]):
         if best is not None and ub <= best:
             continue
         cols = [bases[j][c] for j, chosen in enumerate(sel) for c in chosen]
-        d = det_poly(list(zip(*cols)), field)
+        d = _bareiss([list(row) for row in zip(*cols)], p)
         if d is None:
             continue
         v = -d[0]

@@ -164,7 +164,8 @@ def _between_lattices(lattices, budget):
             tested += 1
             cand = Lattice.from_columns(fill, field)
             if cand.contains_lattice(floor):
-                # Back from the coordinates of the sum: basis(total) . basis(cand).
+                # Back from the coordinates of the sum: basis(total) . basis(cand),
+                # with the stored basis of the sum that ``pair_coordinates`` uses.
                 yield Lattice.from_columns([combine(total.basis, col, field.p)
                                             for col in cand.basis], field)
 

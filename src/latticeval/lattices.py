@@ -7,19 +7,24 @@ every other entry in a pivot's row reduced modulo t^{d_i}.  Its entries are
 representation that ``truncated``, ``detval``, ``metric``, the apartment
 search and the close case all work on, so every operation here stays
 polynomial and no entry changes representation: a division by a pivot is a
-shift of the pair's valuation.  ``LaurentPoly`` and ``ValuedScalar`` columns
-are accepted at this boundary only: ``polynomial_column`` converts each once
-(for ``from_generators``, ``from_columns``, ``contains``, ``Apartment`` and
-the harness) and ``column_field`` reads their field, so ``truncated`` and
-``detval`` see pairs alone.  They are built on request by ``poly_basis`` and
-``columns``, views made afresh on each access and never stored; ``solve``,
-``basis_inverse`` and ``transform`` also work on them, and no library
-operation calls those.
+shift of the pair's valuation and, over Q, a division by an integer s_j.
+Over Q the stored column j is the canonical column times its pivot
+coefficient s_j > 0, the one multiple that is a primitive integer column
+(``truncated``, Coefficients); over F_p, s_j = 1.
+``LaurentPoly``, ``ValuedScalar`` and rational pair columns are accepted at
+this boundary only: ``polynomial_column`` converts each once to pairs, with
+integer coefficients over Q (for ``from_generators``, ``from_columns``,
+``contains``, ``Apartment`` and the harness), and ``column_field`` reads
+their field; ``from_pairs`` takes columns that need no conversion.  The
+canonical view divides each stored column by s_j and is built afresh where
+a reader asks for it (``canonical_pairs``, ``poly_basis``, ``columns`` and
+the JSON output); ``solve``, ``basis_inverse`` and ``transform`` work on
+it, and no library operation calls those.
 
 Equal modules have equal canonical bases, so each lattice carries ``key``, a
-tuple of plain ints built once from the pairs: (n, p, then per entry its
-valuation and coefficients, or () for zero, a coefficient over Q being its
-numerator and denominator).  Equality and hashing are one tuple comparison.
+tuple of plain ints built once from the stored pairs: (n, p, then per entry
+its valuation and coefficients, or () for zero).  Equality and hashing are
+one tuple comparison.
 
 ``dual`` is an involution, so each lattice remembers its dual once computed
 and the dual points back to it: ``intersect``, which is the dual of the sum of
@@ -33,23 +38,16 @@ keyed by the base lattice.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
-from .densepoly import addmul, forward_substitute, from_poly, shift, to_poly
+from .densepoly import addmul, forward_substitute, from_poly, integer_column, shift, to_poly
 from .scalars import BaseField, LaurentPoly, ValuedScalar
 from .truncated import SingularMatrixError, canonical_basis
 
 # A column of n ``densepoly`` pairs (v, coefficients), None for zero.
 Column = tuple
-
-
-def _entry_key(pair, rational: bool) -> tuple:
-    if pair is None:
-        return ()
-    if rational:
-        return (pair[0], *[x for c in pair[1] for x in (c.numerator, c.denominator)])
-    return (pair[0], *pair[1])
 
 
 def _integral(columns) -> bool:
@@ -68,24 +66,20 @@ def column_field(columns):
 
 def polynomial_column(col, p) -> list:
     """A column of pair, ``LaurentPoly`` and ``ValuedScalar`` entries as
-    pairs, multiplied by the product of its distinct denominators, a unit of
-    O (each has valuation 0 and constant term 1); no gcd is taken.  A column
-    of pairs is returned as it is."""
+    pairs, multiplied by a unit of O: the product of its distinct
+    denominators (each has valuation 0 and constant term 1), and over Q then
+    the lcm of its coefficient denominators (``densepoly.integer_column``),
+    so that its coefficients are integers; no gcd is taken.  Over F_p a
+    column of pairs is returned as it is."""
     if all(e is None or type(e) is tuple for e in col):
-        return col
-    dens = {e.den for e in col if type(e) is ValuedScalar and len(e.den.coeffs) > 1}
-    dens = {d: from_poly(d) for d in dens}
-    out = []
-    for e in col:
-        if type(e) is ValuedScalar:
-            x, own = from_poly(e.num), e.den
-        else:
-            x, own = (from_poly(e) if type(e) is LaurentPoly else e), None
-        for d, pd in dens.items():
-            if x is not None and d != own:
-                x = addmul(None, x, pd, 1, p)
-        out.append(x)
-    return out
+        return integer_column(col, p)[0]
+    out = [e if e is None or type(e) is tuple else
+           from_poly(e.num if type(e) is ValuedScalar else e) for e in col]
+    for d in {e.den for e in col if type(e) is ValuedScalar and len(e.den.coeffs) > 1}:
+        pd = from_poly(d)
+        out = [x if x is None or (type(e) is ValuedScalar and e.den == d) else
+               addmul(None, x, pd, 1, p) for x, e in zip(out, col)]
+    return integer_column(out, p)[0]
 
 
 class Lattice:
@@ -100,11 +94,11 @@ class Lattice:
         self.basis = basis
         # Diagonal exponents d_i of the canonical pivots t^{d_i}.
         self.pivots = tuple(basis[i][i][0] for i in range(n))
-        rational = field.p is None
-        self.key = (n, field.p, tuple(_entry_key(e, rational) for col in basis for e in col))
+        self.key = (n, field.p, tuple(() if e is None else (e[0], *e[1])
+                                      for col in basis for e in col))
         self._hash = None
-        # Row i of the basis left of its pivot, built on the first call to
-        # ``pair_coordinates``.
+        # Row i of the basis left of its pivot for each i, and the diagonal,
+        # built on the first call to ``pair_coordinates``.
         self._below = None
         # The dual lattice, set by the first call to ``dual`` on either side.
         self._dual = None
@@ -136,8 +130,14 @@ class Lattice:
         if field is None:
             field = column_field(columns)
         p = field.p
-        return cls(n, field, canonical_basis([polynomial_column(c, p) for c in columns], n, field,
-                                             det))
+        return cls.from_pairs([polynomial_column(c, p) for c in columns], n, field, det=det)
+
+    @classmethod
+    def from_pairs(cls, columns, n: int, field: BaseField, *, det: int | None = None) -> "Lattice":
+        """``from_generators`` for columns that need no conversion: pairs
+        whose coefficients are integers over Q, as stored bases, frames and
+        ``polynomial_column`` give them."""
+        return cls(n, field, canonical_basis(columns, n, field, det))
 
     @classmethod
     def standard(cls, n: int, field: BaseField) -> "Lattice":
@@ -147,10 +147,20 @@ class Lattice:
         return cls(n, field, _unit_columns(n, field))
 
     @property
+    def canonical_pairs(self) -> tuple[Column, ...]:
+        """The canonical basis in pairs: over Q each stored column divided
+        by its pivot coefficient s_j, built afresh; over F_p the stored basis."""
+        if self.field.p is not None:
+            return self.basis
+        return tuple(tuple(None if e is None else (e[0], [Fraction(c, col[j][1][0]) for c in e[1]])
+                           for e in col)
+                     for j, col in enumerate(self.basis))
+
+    @property
     def poly_basis(self) -> tuple[tuple[LaurentPoly, ...], ...]:
         """The canonical basis as ``LaurentPoly`` columns, built afresh."""
         field = self.field
-        return tuple(tuple(to_poly(field, e) for e in col) for col in self.basis)
+        return tuple(tuple(to_poly(field, e) for e in col) for col in self.canonical_pairs)
 
     @property
     def columns(self) -> tuple[tuple[ValuedScalar, ...], ...]:
@@ -192,7 +202,7 @@ class Lattice:
             if m.n != self.n:
                 raise ValueError("rank mismatch")
             gens.extend(m.basis)
-        return Lattice.from_generators(gens, self.n, self.field)
+        return Lattice.from_pairs(gens, self.n, self.field)
 
     def dual(self) -> "Lattice":
         """Dual lattice under the standard bilinear form: the inverse
@@ -222,22 +232,26 @@ class Lattice:
 
     def pair_coordinates(self, columns) -> list[list]:
         """basis^{-1} . c for each column c of ``densepoly`` pairs, by forward
-        substitution.  The basis is lower triangular with pivots t^{d_i}, so
-        each division by a pivot is a shift and the result stays polynomial."""
+        substitution, in the coordinates of the stored basis (over Q, column
+        j is s_j times the canonical one).  The basis is lower triangular
+        with pivots s_i t^{d_i}, so each division by a pivot is a shift (and
+        over Q a division by s_i) and the result stays polynomial."""
         if self._below is None:
             basis = self.basis
             self._below = tuple(
                 tuple((j, basis[j][i]) for j in range(i) if basis[j][i] is not None)
-                for i in range(self.n))
+                for i in range(self.n)), tuple(col[i] for i, col in enumerate(basis))
         p = self.field.p
-        return [forward_substitute(self._below, self.pivots, col, p) for col in columns]
+        below, diagonal = self._below
+        return [forward_substitute(below, diagonal, col, p) for col in columns]
 
     def basis_inverse(self) -> list[list[ValuedScalar]]:
         """basis^{-1} as a row-major matrix (lower triangular, like basis)."""
         field = self.field
         inv_cols = self.pair_coordinates(_unit_columns(self.n, field))
-        return [[ValuedScalar(to_poly(field, col[i])) for col in inv_cols]
-                for i in range(self.n)]
+        # Row i of the stored basis's inverse is 1/s_i times the canonical one.
+        return [[ValuedScalar(to_poly(field, col[i]).scale(self.basis[i][i][1][0]))
+                 for col in inv_cols] for i in range(self.n)]
 
     def transform(self, g: list[list[ValuedScalar]]) -> "Lattice":
         """The lattice g . L for a row-major nonsingular matrix g."""
@@ -257,7 +271,7 @@ class Lattice:
 
 
 def _unit_columns(n: int, field: BaseField) -> tuple[Column, ...]:
-    one = (0, [field.one])
+    one = (0, [1])
     return tuple(tuple(one if i == j else None for i in range(n)) for j in range(n))
 
 

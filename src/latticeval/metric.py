@@ -129,7 +129,8 @@ def relative_invariants(l: Lattice, m: Lattice) -> Coweight:
     if l.n != m.n:
         raise ValueError("rank mismatch")
     # The columns of basis(L)^{-1} basis(M), read as rows: the transpose has
-    # the same invariant factors.
+    # the same invariant factors, and so do the stored bases, which over Q
+    # differ from the canonical ones by nonzero column scales.
     rel = l.pair_coordinates(m.basis)
     # v(det rel) is the difference of the two pivot sums.
     det = l.unary_f() - m.unary_f()

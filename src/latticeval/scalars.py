@@ -89,7 +89,7 @@ class BaseField:
         if not a:
             raise ZeroDivisionError("inverse of zero in base field")
         if self.p is None:
-            return 1 / a
+            return Fraction(1) / a
         return pow(a, -1, self.p)
 
     def sign(self, a) -> int:
@@ -124,11 +124,15 @@ def GF(p: int) -> BaseField:
 
 
 class LaurentPoly:
-    """A finitely supported Laurent polynomial; zero is the empty support."""
+    """A finitely supported Laurent polynomial; zero is the empty support.
+    Over Q the coefficients are exact (int or Fraction): a float or bool
+    raises ``ValueError``."""
 
     __slots__ = ("field", "coeffs", "_hash")
 
     def __init__(self, field: BaseField, coeffs: dict):
+        if field.p is None and any(isinstance(c, (float, bool)) for c in coeffs.values()):
+            raise ValueError("rational coefficients must be int or Fraction")
         self.field = field
         self.coeffs = {e: c for e, c in coeffs.items() if c}
         self._hash = None

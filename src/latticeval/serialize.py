@@ -79,9 +79,12 @@ def scalar_to_json(s: ValuedScalar):
 
 
 def _entry_from_json(data, field: BaseField):
-    """A matrix entry: a ``densepoly`` pair (or None) when it has no "den", so
-    a canonical basis is read straight into the representation lattices
-    store, else a ``ValuedScalar``."""
+    """A matrix entry: a ``densepoly`` pair (or None) when it has no "den",
+    else a ``ValuedScalar``.  Over Q the pair holds ``Fraction``s, and
+    ``lattices.polynomial_column`` multiplies each column by the lcm of their
+    denominators.  That turns a canonical column (pivot coefficient 1) into
+    its stored form, a primitive integer column, so a canonical basis is
+    recognised without elimination."""
     _check(isinstance(data, dict) and "num" in data,
            'a scalar must be an object with a "num" polynomial')
     if "den" not in data:
@@ -100,10 +103,12 @@ def _pair_to_json(pair, field: BaseField):
 
 
 def lattice_to_json(lat: Lattice):
+    """The canonical basis (``Lattice.canonical_pairs``): over Q each
+    stored column divided by its pivot coefficient."""
     field = lat.field
     return {
         "n": lat.n,
-        "columns": [[{"num": _pair_to_json(e, field)} for e in col] for col in lat.basis],
+        "columns": [[{"num": _pair_to_json(e, field)} for e in col] for col in lat.canonical_pairs],
     }
 
 

@@ -118,7 +118,23 @@ class Subspace:
 
 
 def rank_of(vectors, n: int, field: BaseField) -> int:
-    return len(rref(vectors, n, field))
+    """The dimension of the span of vectors of length n, by forward
+    elimination only: each vector is reduced by the echelon rows found so far
+    (each with pivot 1 and zero at the earlier pivots), and the scan stops
+    at rank n."""
+    p = field.p
+    basis: list[list] = []
+    pivots: list[int] = []
+    for v in vectors:
+        row = _reduce(v, basis, pivots, p)
+        lead = next((i for i, c in enumerate(row) if c), None)
+        if lead is not None:
+            inv = field.inv(row[lead])
+            basis.append([c * inv for c in row] if p is None else [c * inv % p for c in row])
+            pivots.append(lead)
+            if len(basis) == n:
+                break
+    return len(basis)
 
 
 def all_subspaces(n: int, field: BaseField):

@@ -5,19 +5,21 @@ Notation: O = F[[t]], v the t-adic valuation, and for a full-rank lattice L
 in F((t))^n, D(L) = v(det B) for any basis B of L.
 
 Canonical bases.  Let A be an n x m generator matrix of L.
-``canonical_basis`` takes its columns as ``densepoly`` pairs, the
-representation ``Lattice.basis`` stores, and returns the canonical basis in
-pairs too, so everything here is polynomial.  ``LaurentPoly`` and
-``ValuedScalar`` generators become pairs at the ``Lattice`` boundary
+``canonical_basis`` takes its columns as ``densepoly`` pairs with integer
+coefficients over Q, the representation ``Lattice.basis`` stores, and
+returns the canonical basis in that stored form (see Coefficients), so
+everything here is polynomial.  ``LaurentPoly``, ``ValuedScalar`` and
+rational generators become integer pairs at the ``Lattice`` boundary
 (``lattices.polynomial_column``), before they reach this module.
 Let s be the least valuation of the entries, so L' = t^{-s} L lies in O^n;
 the canonical basis of L is that of L' multiplied by t^s, and each entry of
 t^{-s} A is a polynomial pair cut above t^{N-1} (``densepoly.cut``).
 
 0. Already canonical.  If there are exactly n columns, zero above the
-   diagonal, with each pivot exactly t^{d_i} and every entry in row i of an
-   earlier column supported below t^{d_i}, they are returned unchanged (a
-   ``det`` given with them must equal sum(d_i), as in step 3).  Such
+   diagonal, with each pivot exactly t^{d_i} (in the stored form of
+   Coefficients) and every entry in row i of an earlier column supported
+   below t^{d_i}, they are returned unchanged (a ``det`` given with them
+   must equal sum(d_i), as in step 3).  Such
    a basis is unique: if B and B' = B U are two, U in GL_n(O), then U is
    lower triangular and its diagonal entries t^{d'_i - d_i} are units, so
    d' = d and u_ii = 1; by induction on i - j, B'_ij - B_ij = t^{d_i} u_ij
@@ -66,21 +68,25 @@ t^{-s} A is a polynomial pair cut above t^{N-1} (``densepoly.cut``).
    too.
 
 Coefficients.  Over F_p the coefficients of a pair are residues.  Over Q they
-are integers: a column may be multiplied by any nonzero rational, a unit, so
-each generator column is scaled to integers once per call
-(``densepoly.integer_column``), every column an elimination step writes is
-divided by the gcd of its coefficients (``densepoly.cut``), and a column is
-divided by its pivot coefficient only when the basis is read out.  No
-polynomial gcd is taken.
+are integers: a nonzero rational is a unit, so ``lattices.polynomial_column``
+scales each input column to integers once, every column an elimination
+step writes is divided by the gcd of its coefficients (``densepoly.cut``),
+and no polynomial gcd is taken.  A canonical column over Q is stored as
+its primitive integer multiple with a positive pivot coefficient s_j (the
+canonical column divided by s_j is ``Lattice.canonical_pairs``).  That
+multiple is unique, so equal lattices store equal bases, and step 0 accepts
+exactly a single positive pivot coefficient and content 1 (pivot
+coefficient 1 over F_p, where s_j = 1).  ``_hermite`` writes only primitive
+columns, so the read-out just negates a column with a negative pivot.
 Keeping Fraction coefficients instead (dividing by the pivot as over F_p) is
 simpler but was slower on the ``generic-q`` benchmark workload.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
-from .densepoly import SingularMatrixError, addmul, cut, eliminate, integer_column, strip
+from .densepoly import SingularMatrixError, addmul, cut, eliminate, strip
 from .scalars import BaseField
 from .subspaces import rank_of
 
@@ -190,15 +196,18 @@ def _degree_bound(columns, n):
     return sum(sorted(deltas, reverse=True)[:n])
 
 
-def _is_canonical(columns):
-    """Step 0 of the module docstring: whether the columns are canonical."""
+def _is_canonical(columns, p):
+    """Step 0 of the module docstring: whether the columns are canonical,
+    in their stored form over Q (see Coefficients)."""
     for i, col in enumerate(columns):
         pivot = col[i]
         if pivot is None or len(pivot[1]) != 1 or any(e is not None for e in col[:i]):
             return False
-        d = pivot[0]
-        if pivot[1][0] != 1 or any(prev[i] is not None and prev[i][0] + len(prev[i][1]) > d
-                                   for prev in columns[:i]):
+        d, s = pivot[0], pivot[1][0]
+        if (s != 1 if p else s < 0 or math.gcd(*(c for e in col[i:] if e is not None
+                                                 for c in e[1])) != 1):
+            return False
+        if any(prev[i] is not None and prev[i][0] + len(prev[i][1]) > d for prev in columns[:i]):
             return False
     return True
 
@@ -207,21 +216,19 @@ def canonical_basis(columns, n: int, field, det: int | None = None) -> tuple[tup
     """The canonical basis (lower-triangular column echelon form, pivots
     t^{d_i}, row i of earlier columns reduced below t^{d_i}) of the lattice
     over ``field`` generated by the given columns of n ``densepoly`` pairs,
-    as a tuple of columns of pairs.  ``det``, when the caller knows it, is
+    with integer coefficients over Q, as a tuple of columns of pairs in the
+    stored form of Coefficients.  ``det``, when the caller knows it, is
     v(det) of that lattice: the ladder then starts where step 3 of the
     module docstring says, and ``ValueError`` is raised if it is wrong."""
-    if len(columns) == n and _is_canonical(columns):
+    p = field.p
+    if len(columns) == n and _is_canonical(columns, p):
         if det is not None and sum(col[i][0] for i, col in enumerate(columns)) != det:
             raise ValueError(f"v(det) of the lattice is not {det}")
         return tuple(map(tuple, columns))
-    p = field.p
     low = _least_valuation(columns)
     if low is None or len(columns) < n:
         raise SingularMatrixError(f"generators have rank < {n}")
-    # A nonzero rational is a unit of O: over Q each column is scaled to
-    # integers once, so every pass below only cuts.
-    columns = [[None if e is None else (e[0] - low, e[1]) for e in integer_column(col, p)[0]]
-               for col in columns]
+    columns = [[None if e is None else (e[0] - low, e[1]) for e in col] for col in columns]
     target = None if det is None else det - n * low
     prec = 1 if target is None else max(1, target + 1)
     bound = None
@@ -235,7 +242,7 @@ def canonical_basis(columns, n: int, field, det: int | None = None) -> tuple[tup
         if pivots is not None and sum(pivots) < prec:
             if target is not None and sum(pivots) != target:
                 raise ValueError(f"v(det) of the lattice is {sum(pivots) + n * low}, not {det}")
-            return _read_basis(cols, pivots, low, field)
+            return _read_basis(cols, pivots, low)
         if bound is None:
             bound = _degree_bound(columns, n)
         # Over Q a failed residue rung proves nothing, even when B = 0.
@@ -244,23 +251,20 @@ def canonical_basis(columns, n: int, field, det: int | None = None) -> tuple[tup
         prec = max(2, min(2 * prec, bound + 1))
 
 
-def _read_basis(cols, pivots, low, field):
-    """The first n columns, shifted back by t^low and divided by their pivot
-    coefficients (always 1 over F_p); t^low I after the residue rung, which
-    leaves cols None."""
+def _read_basis(cols, pivots, low):
+    """The first n columns, shifted back by t^low, in the stored form: every
+    column that ``_hermite`` writes is already primitive over Q, so it is
+    only negated when its pivot coefficient is negative (which
+    ``_unit_inverse`` allows); t^low I after the residue rung, which leaves
+    cols None."""
+    n = len(pivots)
     if cols is None:
-        one = (low, [field.one])
-        return tuple(tuple(one if i == j else None for i in range(len(pivots)))
-                     for j in range(len(pivots)))
+        return tuple(tuple((low, [1]) if i == j else None for i in range(n)) for j in range(n))
     basis = []
-    for j, d in enumerate(pivots):
-        col = cols[j]
-        c = col[j][1][0]
-        entries = [None] * j
-        entries.append((d + low, [field.one]))
-        for e in col[j + 1:]:
-            if e is not None:
-                e = e[0] + low, (e[1] if field.p else [Fraction(x, c) for x in e[1]])
-            entries.append(e)
-        basis.append(tuple(entries))
+    for j in range(n):
+        col = cols[j][j:]
+        sign = -1 if col[0][1][0] < 0 else 1
+        basis.append((None,) * j + tuple(
+            None if e is None else (e[0] + low, e[1] if sign == 1 else [-c for c in e[1]])
+            for e in col))
     return tuple(basis)

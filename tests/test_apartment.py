@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,11 +23,13 @@ from latticeval.lattices import Lattice, SingularMatrixError, identity_matrix, m
 from latticeval.metric import binary_f, smith_form
 from latticeval.randgen import (
     random_apartment_instance,
+    random_index,
     random_lattice,
     random_scalar,
     random_unimodular,
 )
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
+from test_truncated import canonical_coordinates
 
 
 def test_kuhn_munkres_examples():
@@ -221,7 +224,7 @@ def reference_common_apartment(lattices):
             frame_rows = b
         else:
             rel = [[ValuedScalar(to_poly(first.field, e)) for e in row]
-                   for row in zip(*first.pair_coordinates(lattices[j].basis))]
+                   for row in zip(*canonical_coordinates(first, lattices[j].canonical_pairs))]
             _, _, rinv = smith_form(rel)
             frame_rows = matmul(b, rinv)
         frame_inv = invert_matrix(frame_rows)
@@ -275,7 +278,7 @@ def test_common_apartment_matches_reference():
     assert outcomes[True] and outcomes[False]
 
 
-def full_check_common_apartment(lattices):
+def full_check_common_apartment(lattices, smith_frame=_smith_frame):
     """``common_apartment`` as it ran before it read the pair's own points
     from the Smith elimination: every input, the pair included, is tested
     for membership in the frame, and the Apartment is built from
@@ -287,7 +290,7 @@ def full_check_common_apartment(lattices):
                  for j in range(len(lattices)) if i != j]
     for i, j in pairs:
         first = lattices[i]
-        frame = first.basis if i == j else _smith_frame(first, lattices[j])[0]
+        frame = first.basis if i == j else smith_frame(first, lattices[j])[0]
         points = _frame_points(frame, sum(first.pivots), lattices)
         if points is not None:
             return Apartment([[to_poly(first.field, e) for e in col] for col in frame]), points
@@ -320,6 +323,65 @@ def test_common_apartment_matches_full_check(field):
             assert found[0].basis == expected[0].basis
             assert found[0].det_valuation == expected[0].det_valuation
             assert (found[0].n, found[0].field) == (expected[0].n, expected[0].field)
+    assert outcomes[True] and outcomes[False]
+
+
+def canonical_smith_frame(first, second):
+    """``_smith_frame`` as it ran while a lattice stored its canonical basis
+    over Q with ``Fraction`` coefficients: the relative position in
+    canonical coordinates, carrying the rows of the canonical basis of
+    second."""
+    b = second.canonical_pairs
+    rel = [list(row) for row in zip(*canonical_coordinates(first, b))]
+    exps, bc = smith(rel, first.field.p, [list(row) for row in zip(*b)])
+    return [[None if x is None else (x[0] - e, x[1]) for x in col]
+            for col, e in zip(zip(*bc), exps)], exps
+
+
+def column_ratio(a, b):
+    """The rational r with column a = r * column b of pairs, or None."""
+    ratios = set()
+    for x, y in zip(a, b):
+        if (x is None) != (y is None):
+            return None
+        if x is not None:
+            if x[0] != y[0] or [not c for c in x[1]] != [not d for d in y[1]]:
+                return None
+            ratios.update(Fraction(c) / d for c, d in zip(x[1], y[1]) if d)
+    return ratios.pop() if len(ratios) == 1 else None
+
+
+def test_common_apartment_matches_canonical_route_over_q():
+    """Over Q the frame comes from stored integer columns: the points, v(det
+    frame) and witness are those of the canonical route, and each frame
+    column is a nonzero rational multiple of that route's column."""
+    rng = random.Random(83)
+    outcomes = {True: 0, False: 0}
+    for trial in range(40):
+        n = rng.randint(2, 4)
+        k = rng.randint(1, 3 if n == 4 else 4)
+        if trial % 4 == 3:
+            lats = [random_lattice(rng, n, RATIONAL, -2, 2) for _ in range(k)]
+            idx = random_index(rng, n, k)
+        else:
+            apt, pts, idx = random_apartment_instance(rng, n, k, RATIONAL, window=3)
+            lats = [apt.lattice(p) for p in pts]
+            if k >= 3 and rng.random() < 1 / 2:
+                s = rng.randrange(k)
+                lats[s] = _perturbed(rng, lats[s])
+        found = common_apartment(lats)
+        expected = full_check_common_apartment(lats, canonical_smith_frame)
+        assert (found is None) == (expected is None)
+        outcomes[found is not None] += 1
+        if found is None:
+            continue
+        (apt, points), (ref_apt, ref_points) = found, expected
+        assert points == ref_points
+        assert all(type(c) is int for col in apt.basis for e in col if e is not None
+                   for c in e[1])
+        assert all(column_ratio(a, b) for a, b in zip(apt.basis, ref_apt.basis))
+        assert apt.det_valuation == ref_apt.det_valuation
+        assert apartment_witness(apt, points, idx) == apartment_witness(ref_apt, points, idx)
     assert outcomes[True] and outcomes[False]
 
 

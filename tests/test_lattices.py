@@ -1,9 +1,13 @@
 """Canonical bases, module operations, and lattice invariants."""
 
+import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from latticeval import serialize
 from latticeval.densepoly import from_poly
 from latticeval.lattices import Lattice, SingularMatrixError
 from latticeval.randgen import random_lattice, random_scalar, random_unimodular
@@ -326,6 +330,60 @@ def test_pair_laurent_and_scalar_generators_give_one_lattice():
             same = Lattice.from_generators(cols, n, field)
             assert same.key == lat.key and hash(same) == hash(lat)
             assert same.basis == lat.basis
+
+
+def rational_generator_forms(rng, n):
+    """(name, generator columns) of one random module over Q, whose
+    coefficients are not all integers, handed in as ``ValuedScalar``,
+    ``LaurentPoly``, ``densepoly`` pair and JSON columns; entries with a
+    denominator stay ``ValuedScalar`` in the LaurentPoly and pair forms."""
+    gens = []
+    for col in sparse_generators(rng, RATIONAL, n, True):
+        c = ValuedScalar.t_power(RATIONAL, 0, Fraction(rng.choice((-1, 1, 2, 3)),
+                                                       rng.choice((1, 2, 5, 6))))
+        gens.append([c * e for e in col])
+
+    def plain(convert):
+        return [[e if len(e.den.coeffs) > 1 else convert(e.num) for e in col] for col in gens]
+
+    yield "scalar", gens
+    yield "LaurentPoly", plain(lambda poly: poly)
+    yield "pair", plain(from_poly)
+    data = {"n": n, "columns": [[serialize.scalar_to_json(e) for e in col] for col in gens]}
+    yield "JSON", json.loads(json.dumps(data))
+
+
+def test_rational_bases_are_stored_as_primitive_integer_columns():
+    # Over Q a stored column is the primitive integer multiple of the
+    # canonical column with a positive pivot coefficient s_j; the canonical
+    # view divides by s_j, and the key holds only ints.
+    rng = random.Random(2101)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(1, 4)
+        forms = list(rational_generator_forms(rng, n))
+        ref = ref_canonical(forms[0][1], n)
+        if ref is None:
+            continue
+        checked += 1
+        lattices = []
+        for name, cols in forms:
+            if name == "JSON":
+                lat = serialize.lattice_from_json(cols, RATIONAL)
+            else:
+                lat = Lattice.from_generators(cols, n, RATIONAL)
+            for j, col in enumerate(lat.basis):
+                coeffs = [c for e in col if e is not None for c in e[1]]
+                assert all(type(c) is int for c in coeffs), name
+                assert col[j][1][0] > 0 and len(col[j][1]) == 1, name
+                assert math.gcd(*coeffs) == 1, name
+            assert as_lists(lat) == ref, name
+            assert all(type(x) is int for x in _flatten(lat.key[2])), name
+            lattices.append(lat)
+        assert all(lat == lattices[0] and lat.basis == lattices[0].basis for lat in lattices)
+        # The canonical view written as JSON reads back to the same basis.
+        back = serialize.lattice_from_json(serialize.lattice_to_json(lattices[0]), RATIONAL)
+        assert back.basis == lattices[0].basis
 
 
 def _flatten(key):

@@ -1,7 +1,9 @@
-"""Each input convention has one owner: only ``densepoly``, ``truncated``
-and ``detval`` name ``integer_column`` (over Q, a determinant's pairs are
-scaled inside ``det_poly``), and the Hermite kernel ``truncated`` takes
-pairs only, so it imports nothing from ``scalars`` but ``BaseField``."""
+"""Each input convention has one owner: only ``densepoly`` (which defines
+it and scales ``smith``'s rows of coordinates), ``lattices`` (the input
+boundary) and ``detval`` (``det_poly``, for pairs from callers) name
+``integer_column``.  Over Q every stored basis already holds integers, so the
+Hermite kernel ``truncated`` takes integer pairs only: it imports nothing
+from ``scalars`` but ``BaseField``, and no ``Fraction``."""
 
 import ast
 from pathlib import Path
@@ -48,12 +50,13 @@ def scalars_imports(tree):
 def test_only_the_kernels_name_integer_column():
     users = sorted(path.stem for path in SRC.rglob("*.py")
                    if "integer_column" in names(parse(path)))
-    assert users == ["densepoly", "detval", "truncated"]
+    assert users == ["densepoly", "detval", "lattices"]
 
 
 def test_truncated_takes_pairs_only():
     tree = parse(SRC / "truncated.py")
     assert scalars_imports(tree) == ["BaseField"]
+    assert "Fraction" not in names(tree)
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert not defined & {"polynomial_column", "column_field"}
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeval.densepoly import conv, from_poly
+from latticeval.lattices import Lattice, SingularMatrixError
 from latticeval.scalars import (
     GF,
     RATIONAL,
@@ -114,6 +115,56 @@ def test_leading_coefficient():
     assert s.leading_coefficient() == Fraction(3)
     with pytest.raises(ValueError):
         vs([]).leading_coefficient()
+
+
+@st.composite
+def int_generators(draw):
+    """(n, columns) of generator entries over Q as plain-int data: each entry
+    a numerator {exponent: int} and a denominator of valuation 0 or None."""
+    n = draw(st.integers(1, 3))
+    coeff = st.integers(-3, 3)
+    den = st.tuples(st.sampled_from((-2, 1, 2)),
+                    st.dictionaries(st.integers(1, 2), coeff, max_size=2)).map(
+                        lambda c: {0: c[0], **c[1]})
+    entry = st.tuples(st.dictionaries(st.integers(-2, 2), coeff, max_size=3), st.none() | den)
+    m = n + draw(st.integers(0, 1))
+    return n, [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+def scalar_columns(cols, coeff):
+    """The entries of ``int_generators`` as ``ValuedScalar``s, each
+    coefficient passed through coeff."""
+    def poly(terms):
+        return LaurentPoly(RATIONAL, {e: coeff(c) for e, c in terms.items()})
+    return [[ValuedScalar(poly(num), None if den is None else poly(den)) for num, den in col]
+            for col in cols]
+
+
+@settings(max_examples=120, deadline=None)
+@given(int_generators())
+def test_int_and_fraction_coefficients_give_equal_lattices(case):
+    # BaseField.inv is exact over Q, so plain int coefficients give the same
+    # scalars and the same lattice as Fractions, singular or not.
+    n, cols = case
+    as_ints, as_fractions = scalar_columns(cols, int), scalar_columns(cols, Fraction)
+    assert as_ints == as_fractions
+    assert all(type(c) is not float for col in as_ints for e in col
+               for c in (*e.num.coeffs.values(), *e.den.coeffs.values()))
+    lattices = []
+    for gens in (as_ints, as_fractions):
+        try:
+            lattices.append(Lattice.from_generators(gens, n))
+        except SingularMatrixError:
+            lattices.append(None)
+    assert lattices[0] == lattices[1]
+
+
+def test_inexact_rational_coefficients_raise():
+    assert RATIONAL.inv(2) == Fraction(1, 2) and type(RATIONAL.inv(2)) is Fraction
+    for bad in (0.5, 2.0, 0.0, True):
+        with pytest.raises(ValueError):
+            LaurentPoly(RATIONAL, {0: 1, 1: bad})
+    assert LaurentPoly(GF(5), {0: 7}).coeffs == {0: 7}
 
 
 @st.composite

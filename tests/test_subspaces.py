@@ -8,9 +8,11 @@ The outputs must agree entry for entry, element types included."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeval.scalars import GF, RATIONAL
-from latticeval.subspaces import Subspace, rref
+from latticeval.subspaces import Subspace, rank_of, rref
 
 FIELDS = (RATIONAL, GF(2), GF(3), GF(101))
 
@@ -101,3 +103,26 @@ def test_contains_matches_elementwise_reference(field):
             assert sub.contains(v) == reference_contains(sub, v)
             assert sub.contains(tuple(v)) == sub.contains(v)
         assert sub.contains([field.zero] * n)
+
+
+RANK_FIELDS = FIELDS + (GF(2**31 - 1),)
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=repr)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rank_of_matches_rref(field, data):
+    # rank_of eliminates forward only and stops at rank n; rref is the
+    # independent route.  Over Q the rows may hold plain ints, as residue
+    # coordinates do.
+    n = data.draw(st.integers(1, 5))
+    entry = st.integers(-3, 3) if field.is_rational else st.integers(0, min(field.p - 1, 5))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 2))
+    for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+        # A combination of two earlier rows, so that ranks below n are common.
+        u, w = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+        c = data.draw(entry)
+        rows.append([x + c * y for x, y in zip(u, w)])
+    if not field.is_rational or data.draw(st.booleans()):
+        rows = [[field.from_int(x) for x in row] for row in rows]
+    assert rank_of(rows, n, field) == len(rref(rows, n, field))

@@ -149,11 +149,19 @@ def pair_canonical_basis(cols, n):
 
 
 def wrapped_canonical_basis(cols, n):
-    """pair_canonical_basis with its entries wrapped as scalars, for
-    comparison with the reference."""
+    """The canonical view of pair_canonical_basis (over Q each stored column
+    divided by its pivot coefficient) as scalar columns, for comparison with
+    the reference."""
     field = cols[0][0].field
-    return [[ValuedScalar(to_poly(field, e)) for e in col]
-            for col in pair_canonical_basis(cols, n)]
+    return [list(col) for col in Lattice(n, field, pair_canonical_basis(cols, n)).columns]
+
+
+def canonical_coordinates(lat, columns):
+    """basis^{-1} . c for the canonical basis of lat: the coordinates in the
+    stored basis times the pivot coefficients s_i (1 over F_p)."""
+    scales = [col[i][1][0] for i, col in enumerate(lat.basis)]
+    return [[None if e is None else (e[0], [c * s for c in e[1]]) for e, s in zip(x, scales)]
+            for x in lat.pair_coordinates(columns)]
 
 
 def outcome(canonicalize, cols, n):
@@ -193,7 +201,7 @@ def test_relative_invariants_match_smith_form(case):
     exps, _, _ = smith_form(rel)
     assert l.basis_inverse() == reference_inverse(l)
     rel_poly = [[to_poly(l.field, e) for e in row]
-                for row in zip(*l.pair_coordinates(m.basis))]
+                for row in zip(*canonical_coordinates(l, m.canonical_pairs))]
     assert [[ValuedScalar(e) for e in row] for row in rel_poly] == rel
     assert relative_invariants(l, m) == tuple(-e for e in exps)
     # The fraction-free transform: same exponents, C in GL_n(O), and column j
@@ -238,11 +246,14 @@ def test_canonical_input_is_returned_without_elimination(field, data):
         lat = Lattice.from_generators(columns(data.draw, field, n), n)
     except SingularMatrixError:
         return
+    # The stored basis, and the canonical view as JSON gives it (rational
+    # coefficients, scaled to the stored form at the input boundary).
     with pytest.MonkeyPatch.context() as mp:
         calls = counted_hermite(mp)
         basis = canonical_basis(lat.basis, n, field)
+        viewed = pair_canonical_basis(lat.columns, n)
     assert calls == []
-    assert basis == lat.basis
+    assert basis == viewed == lat.basis
     assert wrapped_canonical_basis(lat.columns, n) == reference_canonicalize(lat.columns, n)
 
 
@@ -260,9 +271,11 @@ def perturbed(kind, lat):
     if kind == "unreduced entry":
         cols[0][n - 1] = cols[0][n - 1] + ValuedScalar.t_power(f, d[n - 1])
     elif kind == "pivot coefficient":
+        # Over Q a positive rational pivot coefficient only scales the
+        # column's stored form, so the perturbation takes a negative one.
         if f.p == 2:
             return None
-        c = Fraction(1, 2) if f.is_rational else f.from_int(2)
+        c = Fraction(-1, 2) if f.is_rational else f.from_int(2)
         cols[0][0] = ValuedScalar.t_power(f, d[0], c)
     elif kind == "two-term pivot":
         cols[n - 1][n - 1] = cols[n - 1][n - 1] * (one + ValuedScalar(t))
@@ -334,15 +347,14 @@ def ladder_from_one(columns, n, field):
     low = truncated._least_valuation(columns)
     if low is None or len(columns) < n:
         raise SingularMatrixError(f"generators have rank < {n}")
-    columns = [[None if e is None else (e[0] - low, e[1]) for e in integer_column(col, p)[0]]
-               for col in columns]
+    columns = [[None if e is None else (e[0] - low, e[1]) for e in col] for col in columns]
     bound = truncated._degree_bound(columns, n)
     prec = 1
     while True:
         cols = [cut(col, prec - 1, p) for col in columns]
         pivots = truncated._hermite(cols, prec, n, p)
         if pivots is not None and sum(pivots) < prec:
-            return truncated._read_basis(cols, pivots, low, field)
+            return truncated._read_basis(cols, pivots, low)
         if prec > bound:
             raise SingularMatrixError(f"generators have rank < {n}")
         prec = min(2 * prec, bound + 1)
@@ -380,6 +392,9 @@ def test_ladder_matches_ladder_from_one(field):
         for _ in range(3):
             for name, cols, det in ladder_cases(rng, field, n):
                 names.add(name)
+                # Over Q the dual and residue-witness generators hold
+                # fractions; the input boundary scales them to integers.
+                cols = [polynomial_column(col, field.p) for col in cols]
                 want = ladder_from_one(cols, n, field)
                 assert canonical_basis(cols, n, field) == want, name
                 true_det = sum(col[j][0] for j, col in enumerate(want))
