@@ -97,8 +97,8 @@ class Lattice:
         self.key = (n, field.p, tuple(() if e is None else (e[0], *e[1])
                                       for col in basis for e in col))
         self._hash = None
-        # Row i of the basis left of its pivot for each i, and the diagonal,
-        # built on the first call to ``pair_coordinates``.
+        # Row i of the basis left of its pivot, built on the first call to
+        # ``pair_coordinates``.
         self._below = None
         # The dual lattice, set by the first call to ``dual`` on either side.
         self._dual = None
@@ -240,10 +240,10 @@ class Lattice:
             basis = self.basis
             self._below = tuple(
                 tuple((j, basis[j][i]) for j in range(i) if basis[j][i] is not None)
-                for i in range(self.n)), tuple(col[i] for i, col in enumerate(basis))
+                for i in range(self.n))
         p = self.field.p
-        below, diagonal = self._below
-        return [forward_substitute(below, diagonal, col, p) for col in columns]
+        diagonal = [col[i] for i, col in enumerate(self.basis)]
+        return [forward_substitute(self._below, diagonal, col, p) for col in columns]
 
     def basis_inverse(self) -> list[list[ValuedScalar]]:
         """basis^{-1} as a row-major matrix (lower triangular, like basis)."""

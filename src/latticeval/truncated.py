@@ -259,12 +259,11 @@ def _read_basis(cols, pivots, low):
     cols None."""
     n = len(pivots)
     if cols is None:
-        return tuple(tuple((low, [1]) if i == j else None for i in range(n)) for j in range(n))
+        one = (low, [1])
+        return tuple(tuple(one if i == j else None for i in range(n)) for j in range(n))
     basis = []
     for j in range(n):
-        col = cols[j][j:]
-        sign = -1 if col[0][1][0] < 0 else 1
-        basis.append((None,) * j + tuple(
-            None if e is None else (e[0] + low, e[1] if sign == 1 else [-c for c in e[1]])
-            for e in col))
+        neg = cols[j][j][1][0] < 0
+        basis.append(tuple(None if e is None else (e[0] + low, [-c for c in e[1]] if neg else e[1])
+                           for e in cols[j]))
     return tuple(basis)
