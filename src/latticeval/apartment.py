@@ -2,10 +2,11 @@
 assignments with integer dual potentials, and the resulting witness lattices.
 
 A frame is stored as columns of ``densepoly`` pairs, like a lattice basis.
-The common-apartment search runs on them; the frame of a pair comes from
-``densepoly.smith``, the Smith elimination that also gives
-``metric.relative_invariants``, and that elimination already places the two
-lattices of the pair in it."""
+The frame of a pair comes from ``densepoly.smith``, the Smith elimination
+that also gives ``metric.relative_invariants``, and that elimination already
+places the two lattices of the pair in it.  The common-apartment search
+tests the other lattices with the row steps of that elimination alone, on
+their coordinates, and builds the one frame that passes."""
 
 from __future__ import annotations
 
@@ -215,31 +216,12 @@ def _smith_frame(first: Lattice, second: Lattice):
     basis(second) gives e and, carrying the rows of basis(second),
     basis(second) . C.  basis(first)^{-1} x_i is column i of R^{-1}
     diag(w), so first is the point 0 of the frame, second the point -e,
-    and v(det frame) is the pivot sum of first."""
+    and v(det frame) is the pivot sum of first.  ``common_apartment`` calls
+    it once, for the pair whose frame holds every input."""
     b = second.basis
     rel = [list(row) for row in zip(*first.pair_coordinates(b))]
     exps, bc = smith(rel, first.field.p, [list(row) for row in zip(*b)])
     return [[shift(x, -e) for x in col] for col, e in zip(zip(*bc), exps)], exps
-
-
-def _frame_points(frame, det_valuation: int, lattices):
-    """The point of each lattice in the frame of ``densepoly`` pair columns,
-    or None if one is not in it.
-
-    For a lattice K let Y = basis(K)^{-1} X and m_i the least valuation in
-    column i of Y.  K = <t^{-c_i} x_i> iff Y diag(t^{-c}) lies in GL_n(O).
-    Integral columns need c <= m, and a column with c_i < m_i is divisible
-    by t, so det has positive valuation.  Hence K lies in the frame iff
-    v(det Y) = v(det X) - sum(pivots(K)) equals sum(m), and then c = m.
-    """
-    points = []
-    for lat in lattices:
-        least = [min(e[0] for e in col if e is not None)
-                 for col in lat.pair_coordinates(frame)]
-        if det_valuation - sum(lat.pivots) != sum(least):
-            return None
-        points.append(ApartmentPoint(tuple(least)))
-    return points
 
 
 def common_apartment(lattices):
@@ -252,27 +234,50 @@ def common_apartment(lattices):
     in many apartments, so this can miss a common apartment even when the
     pair has distinct relative invariants.  Returns (Apartment,
     [ApartmentPoint]) or None.
+
+    The test needs no frame.  With G_K = basis(L)^{-1} basis(K), the frame
+    in L's coordinates is X = R^{-1} diag(w), where R . G_M . C = diag(t^e
+    w).  K = <t^{-c_i} x_i> iff X diag(t^{-c}) = G_K U with U in GL_n(O),
+    that is iff R . G_K = diag(w t^{-c}) U^{-1}.  Let c'_i be the least
+    valuation in row i of R . G_K; then R . G_K = diag(t^{c'}) V with V
+    integral, and V is in GL_n(O) iff v(det V) = 0.  So K lies in the frame
+    iff sum(c') = v(det G_K) = sum(pivots(K)) - sum(pivots(L)), and then c =
+    -c'.  The columns of every other G_K are appended to the rows of G_M,
+    and ``smith`` with no carry runs only the row steps on those wide rows.
+    Skipping the column steps only scales later columns by units, so the
+    pivots stay the same and each row of R changes by a unit, which moves no
+    row minimum.  Each G_K is computed once per L, and ``_smith_frame``
+    builds only the frame that passes.
     """
     lattices = list(lattices)
     if not lattices:
         return None
-    zero = ApartmentPoint((0,) * lattices[0].n)
+    n = lattices[0].n
+    zero = ApartmentPoint((0,) * n)
     if len(lattices) == 1:
         lat = lattices[0]
         return Apartment(lat.basis, lat.field, sum(lat.pivots)), [zero]
+    p = lattices[0].field.p
     for i, first in enumerate(lattices):
         det_valuation = sum(first.pivots)
+        coords = [None if k == i else list(zip(*first.pair_coordinates(lat.basis)))
+                  for k, lat in enumerate(lattices)]
         for j, second in enumerate(lattices):
             if i == j:
                 continue
-            frame, exps = _smith_frame(first, second)
-            known = {i: zero, j: ApartmentPoint(tuple(-e for e in exps))}
-            rest = _frame_points(frame, det_valuation,
-                                 [lat for k, lat in enumerate(lattices) if k not in known])
-            if rest is not None:
-                rest = iter(rest)
-                points = [known[k] if k in known else next(rest) for k in range(len(lattices))]
-                p = first.field.p
-                return Apartment([polynomial_column(col, p) for col in frame], first.field,
-                                 det_valuation), points
+            rest = [k for k in range(len(lattices)) if k != i and k != j]
+            rows = smith([[*coords[j][r], *(x for k in rest for x in coords[k][r])]
+                          for r in range(n)], p, [])[1] if rest else []
+            points = {i: zero}
+            for t, k in enumerate(rest, 1):
+                least = [min(e[0] for e in row[t * n:(t + 1) * n] if e is not None)
+                         for row in rows]
+                if sum(least) != sum(lattices[k].pivots) - det_valuation:
+                    break
+                points[k] = ApartmentPoint(tuple(-c for c in least))
+            else:
+                frame, exps = _smith_frame(first, second)
+                points[j] = ApartmentPoint(tuple(-e for e in exps))
+                return (Apartment([polynomial_column(col, p) for col in frame], first.field,
+                                  det_valuation), [points[k] for k in range(len(lattices))])
     return None

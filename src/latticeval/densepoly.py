@@ -18,12 +18,13 @@ or asks for one (``from_poly``, ``to_poly``).  The module is also the
 arithmetic kernel of ``detval.det_poly`` (fraction-free Bareiss on integer
 lists), of ``Lattice.pair_coordinates`` (forward substitution), of changes
 of coordinates (``combine``) and of the library's two bounded-precision
-eliminations: the one Smith elimination (``smith``), which gives both the
-invariant factors of ``metric.relative_invariants`` and the frame of the
-apartment search, and ``truncated``'s Hermite elimination for canonical
-bases.  Both step through ``eliminate`` (u*y - q*x entrywise) and cut
-their rows or columns above a power of t with ``cut``, which over Q also
-divides out their content.  ``divexact`` needs integer coefficients over Q.
+eliminations: the one Smith elimination (``smith``), which gives the
+invariant factors of ``metric.relative_invariants``, the membership test of
+the apartment search (row steps only) and the frame it finds, and
+``truncated``'s Hermite elimination for canonical bases.  Both step
+through ``eliminate`` (u*y - q*x entrywise) and cut their rows or columns
+above a power of t with ``cut``, which over Q also divides out their
+content.  ``divexact`` needs integer coefficients over Q.
 """
 
 from __future__ import annotations
@@ -171,13 +172,17 @@ def smith(m, p, carry, top=None):
     diag(t^{e_i} w_i) for some R in GL_n(O) and units w_i; the e_i are the
     Smith exponents, weakly increasing.  The column swaps and steps that
     build C act in place on ``carry``, a list of rows of n pairs: identity
-    rows give C itself, ``[]`` only the exponents.  The pivots are chosen as
-    in ``metric.smith_form`` (minimal valuation, ties broken by lowest (row,
-    column)), but a step multiplies by the pivot unit u instead of dividing
-    by it, so every entry stays a Laurent polynomial.  Each row and column is
-    then a unit multiple of the one ``smith_form`` has at the same step: the
-    valuations and pivots agree, and C differs from its column transform
-    only by a diagonal of units.
+    rows give C itself.  An empty ``carry`` runs only the row steps and
+    returns (exps, R . m . P), P a permutation of the first n columns; the
+    n rows of m may be wider than n.  The pivot search and the column swaps
+    touch only the first n columns and the row steps act on whole rows, so
+    columns appended to m come out as R times them.  The pivots are chosen
+    as in ``metric.smith_form`` (minimal valuation, ties broken by lowest
+    (row, column)), but a step multiplies by the pivot unit u instead of
+    dividing by it, so every entry stays a Laurent polynomial.  Each row and
+    column is then a unit multiple of the one ``smith_form`` has at the same
+    step: the valuations and pivots agree, and C differs from its column
+    transform only by a diagonal of units.
 
     ``top``, legal only with an empty ``carry``, is a bound e_n <= top on the
     largest exponent; ``metric.relative_invariants`` passes D - (n-1) e_1,
@@ -190,11 +195,14 @@ def smith(m, p, carry, top=None):
     The steps are O-unimodular (a nonzero rational is a unit of O), so the
     matrix stays R . m + t^K X throughout, and its exponents are m's.  It is
     the valuation-ring analogue of Hermite form modulo the determinant
-    (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  With ``top``
-    the column steps, which only build C, are skipped: after the row steps
-    at step i the pivot has the least valuation in its row, and clearing that
-    row would only scale later columns by u, which moves no valuation and no
-    exponent.
+    (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).
+
+    The column steps, which only build C, are skipped whenever ``carry`` is
+    empty: after the row steps at step i the pivot has the least valuation in
+    its row, and clearing that row would only scale later columns by u,
+    which moves no valuation, no pivot and no exponent.  The later pivot
+    units and row multipliers then differ by units, so each row of R is a
+    unit multiple of the one the full elimination builds.
     """
     n = len(m)
     if top is None:
@@ -226,7 +234,7 @@ def smith(m, p, carry, top=None):
             if x is not None:
                 m[rr] = head + eliminate(u, m[rr][i + 1:], (x[0] - best, x[1]), pivot_row, top, p)
         exps.append(best)
-        if top is not None:
+        if not carry:
             continue
         # Column i is now zero below the pivot, so a column step clears row i
         # and scales the rest of column cc by u.
@@ -239,7 +247,7 @@ def smith(m, p, carry, top=None):
                 for row in m[i + 1:]:
                     row[cc] = cross(u, row[cc], None, None, p)
                 m[i][cc] = None
-    return exps, carry
+    return exps, carry or m
 
 
 def _merge(v, out, w, low, p):

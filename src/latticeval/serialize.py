@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .apartment import Apartment, ApartmentPoint
 from .densepoly import from_terms
 from .harness import ConjectureReport
@@ -27,12 +29,16 @@ def field_to_str(field: BaseField) -> str:
     return "rational" if field.is_rational else f"prime:{field.p}"
 
 
+_prime_field = lru_cache(maxsize=32)(BaseField)
+
+
 def field_from_str(s: str) -> BaseField:
+    """The field named by ``field_to_str``; one ``BaseField`` per prime."""
     if s == "rational":
         return RATIONAL
     if isinstance(s, str) and s.startswith("prime:"):
         try:
-            return BaseField(int(s.split(":", 1)[1]))
+            return _prime_field(int(s.split(":", 1)[1]))
         except ValueError as exc:
             raise InstanceError(str(exc)) from None
     raise InstanceError(f"unknown field {s!r}")

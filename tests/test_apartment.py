@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from latticeval import apartment
 from latticeval.apartment import (
     Apartment,
     ApartmentPoint,
-    _frame_points,
     _smith_frame,
     apartment_multi_f,
     apartment_witness,
@@ -278,6 +278,28 @@ def test_common_apartment_matches_reference():
     assert outcomes[True] and outcomes[False]
 
 
+def frame_points(frame, det_valuation: int, lattices):
+    """The point of each lattice in the frame of ``densepoly`` pair columns,
+    or None if one is not in it: the membership test that
+    ``common_apartment`` ran on each built frame before it tested the
+    relative positions with row steps only.
+
+    For a lattice K let Y = basis(K)^{-1} X and m_i the least valuation in
+    column i of Y.  K = <t^{-c_i} x_i> iff Y diag(t^{-c}) lies in GL_n(O).
+    Integral columns need c <= m, and a column with c_i < m_i is divisible
+    by t, so det has positive valuation.  Hence K lies in the frame iff
+    v(det Y) = v(det X) - sum(pivots(K)) equals sum(m), and then c = m.
+    """
+    points = []
+    for lat in lattices:
+        least = [min(e[0] for e in col if e is not None)
+                 for col in lat.pair_coordinates(frame)]
+        if det_valuation - sum(lat.pivots) != sum(least):
+            return None
+        points.append(ApartmentPoint(tuple(least)))
+    return points
+
+
 def full_check_common_apartment(lattices, smith_frame=_smith_frame):
     """``common_apartment`` as it ran before it read the pair's own points
     from the Smith elimination: every input, the pair included, is tested
@@ -291,7 +313,7 @@ def full_check_common_apartment(lattices, smith_frame=_smith_frame):
     for i, j in pairs:
         first = lattices[i]
         frame = first.basis if i == j else smith_frame(first, lattices[j])[0]
-        points = _frame_points(frame, sum(first.pivots), lattices)
+        points = frame_points(frame, sum(first.pivots), lattices)
         if points is not None:
             return Apartment([[to_poly(first.field, e) for e in col] for col in frame]), points
     return None
@@ -314,15 +336,73 @@ def test_common_apartment_matches_full_check(field):
             if k >= 3 and rng.random() < 1 / 2:
                 s = rng.randrange(k)
                 lats[s] = _perturbed(rng, lats[s])
-        found = common_apartment(lats)
-        expected = full_check_common_apartment(lats)
-        assert (found is None) == (expected is None)
-        outcomes[found is not None] += 1
-        if found is not None:
-            assert found[1] == expected[1]
-            assert found[0].basis == expected[0].basis
-            assert found[0].det_valuation == expected[0].det_valuation
-            assert (found[0].n, found[0].field) == (expected[0].n, expected[0].field)
+        outcomes[assert_matches_full_check(lats)] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def assert_matches_full_check(lats):
+    """Asserts that ``common_apartment`` and the full-check route agree on
+    None versus found, and on the points, frame and v(det frame) of a found
+    apartment; returns whether one was found."""
+    found = common_apartment(lats)
+    expected = full_check_common_apartment(lats)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert found[1] == expected[1]
+        assert found[0].basis == expected[0].basis
+        assert found[0].det_valuation == expected[0].det_valuation
+        assert (found[0].n, found[0].field) == (expected[0].n, expected[0].field)
+    return found is not None
+
+
+def apartment_lattices(rng, n, k, field, window, perturb):
+    """The k lattices of a random apartment instance, one of them
+    ``_perturbed`` when ``perturb`` is set."""
+    apt, pts, _ = random_apartment_instance(rng, n, k, field, window=window)
+    lats = [apt.lattice(p) for p in pts]
+    if perturb:
+        s = rng.randrange(k)
+        lats[s] = _perturbed(rng, lats[s])
+    return lats
+
+
+@pytest.mark.parametrize("field, shapes", [
+    (GF(101), ((3, 3), (3, 4), (4, 3))),
+    (RATIONAL, ((5, 3), (3, 5))),
+    (GF(2), ((5, 3), (3, 5))),
+], ids=["GF(101)-workload", "QQ-wide", "GF(2)-wide"])
+def test_common_apartment_matches_full_check_on_larger_shapes(field, shapes):
+    """The (n, k) shapes and window 2 of the ``verify-cli-fp`` bench
+    workload, and rank 5 or five lattices, perturbed and not."""
+    rng = random.Random(89 + (field.p or 0))
+    outcomes = {True: 0, False: 0}
+    for trial in range(24):
+        n, k = shapes[trial % len(shapes)]
+        lats = apartment_lattices(rng, n, k, field, 2, trial % 2 == 1)
+        outcomes[assert_matches_full_check(lats)] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF(2), GF(3), GF(101)], ids=repr)
+def test_common_apartment_builds_at_most_one_frame(field, monkeypatch):
+    """A search that returns None builds no Smith frame, and one that finds a
+    frame builds exactly that one."""
+    calls = []
+
+    def counted(first, second):
+        calls.append((first, second))
+        return _smith_frame(first, second)
+
+    monkeypatch.setattr(apartment, "_smith_frame", counted)
+    rng = random.Random(97 + (field.p or 0))
+    outcomes = {True: 0, False: 0}
+    for trial in range(16):
+        lats = apartment_lattices(rng, rng.randint(2, 4), rng.randint(2, 4), field, 3,
+                                  trial % 2 == 1)
+        calls.clear()
+        found = common_apartment(lats) is not None
+        assert len(calls) == found
+        outcomes[found] += 1
     assert outcomes[True] and outcomes[False]
 
 
@@ -473,6 +553,33 @@ def test_smith_transform_matches_reference(field):
                 continue
             assert smith_transform(m) == expected
     assert singular >= 10
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF(2), GF(3), GF(101)], ids=repr)
+def test_smith_without_carry_returns_row_transformed_rows(field):
+    """With an empty carry, ``smith`` of [m | I] returns [R . m . P | R] for
+    a column permutation P of the first n columns: R lies in GL_n(O), the
+    exponents are those of the full elimination, and R . m . P is upper
+    triangular with row i least at its pivot t^{e_i}."""
+    def scalars(rows):
+        return [[ValuedScalar(to_poly(field, e)) for e in row] for row in rows]
+
+    rng = random.Random(101 + (field.p or 0))
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            first, second = (random_lattice(rng, n, field, -2, 2) for _ in range(2))
+            m = [list(row) for row in zip(*first.pair_coordinates(second.basis))]
+            exps, rows = smith([row + unit for row, unit in zip(m, identity_pairs(n))],
+                               field.p, [])
+            assert exps == smith(m, field.p, identity_pairs(n))[0]
+            r = [row[n:] for row in rows]
+            assert all(e is None or e[0] >= 0 for row in r for e in row)
+            assert det_scalar(scalars(r)).valuation() == 0
+            for i, row in enumerate(rows):
+                assert all(e is None for e in row[:i])
+                assert min(e[0] for e in row[:n] if e is not None) == row[i][0] == exps[i]
+            rm = matmul(scalars(r), scalars(m))
+            assert set(zip(*rm)) == set(zip(*scalars(row[:n] for row in rows)))
 
 
 def reference_smith_frame(first, second):

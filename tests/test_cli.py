@@ -293,6 +293,18 @@ def test_oversized_prime_field_is_an_error(capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+def test_field_from_str_interns_prime_fields():
+    """Instances of one prime field share one BaseField, so a long-lived
+    process does not build one per instance it reads."""
+    assert serialize.field_from_str("prime:101") is serialize.field_from_str("prime:101")
+    assert serialize.field_from_str("prime:2") is not serialize.field_from_str("prime:3")
+    assert serialize.field_from_str("prime:7").p == 7
+    assert serialize.field_from_str("rational") is RATIONAL
+    for bad in ("prime:4", "prime:x", "prime:-3"):
+        with pytest.raises(serialize.InstanceError):
+            serialize.field_from_str(bad)
+
+
 @pytest.mark.parametrize("argv", [
     ["--n", "0"],
     ["--n", "-2"],
