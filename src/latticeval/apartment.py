@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .densepoly import shift, smith
+from .densepoly import integer_column, shift, smith
 from .detval import det_poly
 from .lattices import (Lattice, SingularMatrixError, column_field, identity_matrix,
                        polynomial_column)
@@ -242,12 +242,12 @@ def common_apartment(lattices):
     valuation in row i of R . G_K; then R . G_K = diag(t^{c'}) V with V
     integral, and V is in GL_n(O) iff v(det V) = 0.  So K lies in the frame
     iff sum(c') = v(det G_K) = sum(pivots(K)) - sum(pivots(L)), and then c =
-    -c'.  The columns of every other G_K are appended to the rows of G_M,
-    and ``smith`` with no carry runs only the row steps on those wide rows.
-    Skipping the column steps only scales later columns by units, so the
-    pivots stay the same and each row of R changes by a unit, which moves no
-    row minimum.  Each G_K is computed once per L, and ``_smith_frame``
-    builds only the frame that passes.
+    -c'.  So the columns of every other G_K are appended to the rows of
+    G_M, each row is scaled to integers over Q, and ``smith`` with no carry
+    runs only its row steps on them.  Row scalings and skipped column steps
+    multiply rows and later columns by units: the pivots stay, and each row
+    of R changes by a unit, which moves no row minimum.  Each G_K is
+    computed once per L; ``_smith_frame`` builds only the frame that passes.
     """
     lattices = list(lattices)
     if not lattices:
@@ -266,8 +266,8 @@ def common_apartment(lattices):
             if i == j:
                 continue
             rest = [k for k in range(len(lattices)) if k != i and k != j]
-            rows = smith([[*coords[j][r], *(x for k in rest for x in coords[k][r])]
-                          for r in range(n)], p, [])[1] if rest else []
+            rows = smith([integer_column([*coords[j][r], *(x for k in rest for x in coords[k][r])],
+                                         p)[0] for r in range(n)], p, [])[1] if rest else []
             points = {i: zero}
             for t, k in enumerate(rest, 1):
                 least = [min(e[0] for e in row[t * n:(t + 1) * n] if e is not None)
