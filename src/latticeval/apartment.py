@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .densepoly import integer_column, shift, smith
+from .densepoly import shift, smith
 from .detval import det_poly
 from .lattices import (Lattice, SingularMatrixError, column_field, identity_matrix,
                        polynomial_column)
@@ -243,7 +243,7 @@ def common_apartment(lattices):
     integral, and V is in GL_n(O) iff v(det V) = 0.  So K lies in the frame
     iff sum(c') = v(det G_K) = sum(pivots(K)) - sum(pivots(L)), and then c =
     -c'.  So the columns of every other G_K are appended to the rows of
-    G_M, each row is scaled to integers over Q, and ``smith`` with no carry
+    G_M, and ``smith`` with no carry scales each row to integers over Q and
     runs only its row steps on them.  Row scalings and skipped column steps
     multiply rows and later columns by units: the pivots stay, and each row
     of R changes by a unit, which moves no row minimum.  Each G_K is
@@ -266,8 +266,8 @@ def common_apartment(lattices):
             if i == j:
                 continue
             rest = [k for k in range(len(lattices)) if k != i and k != j]
-            rows = smith([integer_column([*coords[j][r], *(x for k in rest for x in coords[k][r])],
-                                         p)[0] for r in range(n)], p, [])[1] if rest else []
+            rows = smith([[*coords[j][r], *(x for k in rest for x in coords[k][r])]
+                          for r in range(n)], p, [])[1] if rest else []
             points = {i: zero}
             for t, k in enumerate(rest, 1):
                 least = [min(e[0] for e in row[t * n:(t + 1) * n] if e is not None)

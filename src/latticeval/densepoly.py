@@ -172,12 +172,13 @@ def smith(m, p, carry, top=None):
     diag(t^{e_i} w_i) for some R in GL_n(O) and units w_i; the e_i are the
     Smith exponents, weakly increasing.  The column swaps and steps that
     build C act in place on ``carry``, a list of rows of n pairs: identity
-    rows give C itself.  An empty ``carry`` runs only the row steps and
-    returns (exps, R . m . P), P a permutation of the first n columns; the
-    n rows of m may be wider than n.  The pivot search and the column swaps
-    touch only the first n columns and the row steps act on whole rows, so
-    columns appended to m come out as R times them.  The pivots are chosen
-    as in ``metric.smith_form`` (minimal valuation, ties broken by lowest
+    rows give C itself.  An empty ``carry`` scales each row to integers
+    over Q (by a unit of O), runs only the row steps and returns (exps, R .
+    m . P), P a permutation of the first n columns; the n rows of m may be
+    wider than n.  The pivot search and the column swaps touch only the
+    first n columns and the row steps act on whole rows, so columns appended
+    to m come out as R times them.  The pivots are chosen as in
+    ``metric.smith_form`` (minimal valuation, ties broken by lowest
     (row, column)), but a step multiplies by the pivot unit u instead of
     dividing by it, so every entry stays a Laurent polynomial.  Each row and
     column is then a unit multiple of the one ``smith_form`` has at the same
@@ -205,12 +206,10 @@ def smith(m, p, carry, top=None):
     unit multiple of the one the full elimination builds.
     """
     n = len(m)
-    if top is None:
-        m = [row[:] for row in m]
-    elif carry:
+    if carry and top is not None:
         raise ValueError("a Smith elimination cut at top carries no rows")
-    else:
-        m = [cut(integer_column(row, p)[0], top, p) for row in m]
+    rows = [row if carry else integer_column(row, p)[0] for row in m]
+    m = [row[:] if top is None else cut(row, top, p) for row in rows]
     exps: list[int] = []
     for i in range(n):
         pos = best = None
