@@ -1,12 +1,12 @@
 """Apartments: families of lattices diagonal in one frame, exact maximal
 assignments with integer dual potentials, and the resulting witness lattices.
 
-A frame is stored as columns of ``densepoly`` pairs, like a lattice basis.
-The frame of a pair comes from ``densepoly.smith``, the Smith elimination
-that also gives ``metric.relative_invariants``, and that elimination already
-places the two lattices of the pair in it.  The common-apartment search
-tests the other lattices with the row steps of that elimination alone, on
-their coordinates, and builds the one frame that passes."""
+A frame is stored as columns of ``densepoly`` pairs, like a lattice basis,
+integer over Q.  The frame of a pair comes from ``densepoly.smith``, the Smith
+elimination that also gives ``metric.relative_invariants``, and that
+elimination already places the two lattices of the pair in it.  The
+common-apartment search tests the other lattices with the row steps of that
+elimination alone, on their coordinates, and builds the one frame that passes."""
 
 from __future__ import annotations
 
@@ -156,7 +156,9 @@ class ApartmentPoint:
         object.__setattr__(self, "c", tuple(int(x) for x in self.c))
 
 
-def _replicated_matrix(points, idx, n: int):
+def replicated_matrix(points, idx, n: int):
+    """The exponent rows of the points, point j repeated idx[j] times: the
+    n x n matrix whose maximal transversal is the apartment's multi_f."""
     rows = []
     for point, mult in zip(points, idx):
         rows.extend([list(point.c)] * mult)
@@ -168,14 +170,14 @@ def _replicated_matrix(points, idx, n: int):
 def apartment_multi_f(apt: Apartment, points, idx) -> int:
     """multi_f of the lattices realized from the apartment: the maximal
     transversal of the replicated exponent matrix, offset by -val det(frame)."""
-    rows = _replicated_matrix(points, idx, apt.n)
+    rows = replicated_matrix(points, idx, apt.n)
     return kuhn_munkres(rows).value - apt.det_valuation
 
 
 def apartment_witness(apt: Apartment, points, idx):
     """A witness lattice P = <t^{-b_1} x_1, ..., t^{-b_n} x_n> built from the
     dual potentials, with min(b) shifted to 0; returns (P, value)."""
-    rows = _replicated_matrix(points, idx, apt.n)
+    rows = replicated_matrix(points, idx, apt.n)
     result = kuhn_munkres(rows)
     shift = min(result.b)
     b = tuple(x - shift for x in result.b)
@@ -209,18 +211,17 @@ def invert_matrix(m: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:
     return [row[n:] for row in aug]
 
 
-def _smith_frame(first: Lattice, second: Lattice):
+def _smith_frame(rel, second: Lattice):
     """(frame, e): the columns x_i = (basis(second) . C)_i t^{-e_i} of the
-    Smith frame of the pair, in ``densepoly`` pairs, and the Smith exponents
-    e.  ``densepoly.smith`` on the relative position basis(first)^{-1}
-    basis(second) gives e and, carrying the rows of basis(second),
-    basis(second) . C.  basis(first)^{-1} x_i is column i of R^{-1}
-    diag(w), so first is the point 0 of the frame, second the point -e,
-    and v(det frame) is the pivot sum of first.  ``common_apartment`` calls
-    it once, for the pair whose frame holds every input."""
-    b = second.basis
-    rel = [list(row) for row in zip(*first.pair_coordinates(b))]
-    exps, bc = smith(rel, first.field.p, [list(row) for row in zip(*b)])
+    Smith frame of a pair (first, second), in ``densepoly`` pairs, and the
+    Smith exponents e.  ``densepoly.smith`` on the rows ``rel`` of the
+    relative position basis(first)^{-1} basis(second), as ``common_apartment``
+    holds it from ``pair_coordinates``, gives e and, carrying the rows of
+    basis(second), basis(second) . C.  basis(first)^{-1} x_i is column i of
+    R^{-1} diag(w), so first is the point 0 of the frame, second the point
+    -e, and v(det frame) is the pivot sum of first.  ``common_apartment``
+    calls it once, for the pair whose frame holds every input."""
+    exps, bc = smith(rel, second.field.p, [list(row) for row in zip(*second.basis)])
     return [[shift(x, -e) for x in col] for col, e in zip(zip(*bc), exps)], exps
 
 
@@ -243,11 +244,11 @@ def common_apartment(lattices):
     integral, and V is in GL_n(O) iff v(det V) = 0.  So K lies in the frame
     iff sum(c') = v(det G_K) = sum(pivots(K)) - sum(pivots(L)), and then c =
     -c'.  So the columns of every other G_K are appended to the rows of
-    G_M, and ``smith`` with no carry scales each row to integers over Q and
-    runs only its row steps on them.  Row scalings and skipped column steps
-    multiply rows and later columns by units: the pivots stay, and each row
-    of R changes by a unit, which moves no row minimum.  Each G_K is
-    computed once per L; ``_smith_frame`` builds only the frame that passes.
+    G_M, and ``smith`` with no carry runs only its row steps on them.  Each
+    G_K is computed once per L (``Lattice.pair_coordinates``, times a unit
+    S).  Skipped column steps multiply later columns by units: the pivots
+    stay, and each row of R changes by a unit, which moves no row minimum.
+    ``_smith_frame`` builds only the frame that passes, from the same G_M.
     """
     lattices = list(lattices)
     if not lattices:
@@ -257,7 +258,6 @@ def common_apartment(lattices):
     if len(lattices) == 1:
         lat = lattices[0]
         return Apartment(lat.basis, lat.field, sum(lat.pivots)), [zero]
-    p = lattices[0].field.p
     for i, first in enumerate(lattices):
         det_valuation = sum(first.pivots)
         coords = [None if k == i else list(zip(*first.pair_coordinates(lat.basis)))
@@ -267,7 +267,7 @@ def common_apartment(lattices):
                 continue
             rest = [k for k in range(len(lattices)) if k != i and k != j]
             rows = smith([[*coords[j][r], *(x for k in rest for x in coords[k][r])]
-                          for r in range(n)], p, [])[1] if rest else []
+                          for r in range(n)], first.field.p, [])[1] if rest else []
             points = {i: zero}
             for t, k in enumerate(rest, 1):
                 least = [min(e[0] for e in row[t * n:(t + 1) * n] if e is not None)
@@ -276,8 +276,8 @@ def common_apartment(lattices):
                     break
                 points[k] = ApartmentPoint(tuple(-c for c in least))
             else:
-                frame, exps = _smith_frame(first, second)
+                frame, exps = _smith_frame(coords[j], second)
                 points[j] = ApartmentPoint(tuple(-e for e in exps))
-                return (Apartment([polynomial_column(col, p) for col in frame], first.field,
-                                  det_valuation), [points[k] for k in range(len(lattices))])
+                return (Apartment(frame, first.field, det_valuation),
+                        [points[k] for k in range(len(lattices))])
     return None

@@ -10,7 +10,7 @@ import random
 import sys
 
 from . import serialize
-from .apartment import apartment_witness, kuhn_munkres
+from .apartment import apartment_witness, kuhn_munkres, replicated_matrix
 from .closecase import candidate_costs, close_witness, decompose, extract_triple, min_formula
 from .detval import multi_f_detail
 from .harness import verify_star
@@ -100,10 +100,7 @@ def cmd_close_case(args) -> int:
 def cmd_apartment(args) -> int:
     apt, points, indices = serialize.apartment_from_json(_load_json(args.instance))
     witness, value = apartment_witness(apt, points, indices)
-    rows = []
-    for point, mult in zip(points, indices):
-        rows.extend([list(point.c)] * mult)
-    cert = kuhn_munkres(rows)
+    cert = kuhn_munkres(replicated_matrix(points, indices, apt.n))
     print(_dump({
         "value": value,
         "witness": serialize.lattice_to_json(witness),

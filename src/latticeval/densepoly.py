@@ -3,12 +3,13 @@
 A nonzero Laurent polynomial c_0 t^v + c_1 t^{v+1} + ... + c_d t^{v+d} is the
 pair (v, [c_0, ..., c_d]) with c_0 and c_d nonzero; ``None`` stands for zero.
 Over F_p (p a prime) the coefficients are residues in [0, p).  Over Q (p is
-None) stored bases and frames hold integers, coordinates may hold
-``Fraction``s, and ``integer_column`` scales input columns, the rows of
-``detval.det_poly`` and ``smith``'s rows of coordinates to integers.  A
-shift by t^k only moves v, and the inner loops run over plain lists, with
-no dict and no field object per coefficient.  No function here mutates a
-pair it is given, so pairs and their lists may be shared.
+None) they are integers everywhere in this module: stored bases, frames,
+coordinates (``forward_substitute`` returns them scaled by the product S of
+the pivot coefficients) and the rows ``smith`` takes; rational input becomes
+integer pairs at the ``Lattice`` boundary.  A shift by t^k only moves v, and
+the inner loops run over plain lists, with no dict and no field object per
+coefficient.  No function here mutates a pair it is given, so pairs and their
+lists may be shared.
 
 This is the one column representation of the library: ``Lattice.basis``
 holds the canonical basis as columns of pairs (over Q each column scaled to
@@ -16,21 +17,20 @@ a primitive integer column, see ``truncated``), ``truncated`` reads and
 returns them, and ``LaurentPoly`` is built only where a caller hands one in
 or asks for one (``from_poly``, ``to_poly``).  The module is also the
 arithmetic kernel of ``detval.det_poly`` (fraction-free Bareiss on integer
-lists), of ``Lattice.pair_coordinates`` (forward substitution), of changes
-of coordinates (``combine``) and of the library's two bounded-precision
-eliminations: the one Smith elimination (``smith``), which gives the
-invariant factors of ``metric.relative_invariants``, the membership test of
-the apartment search (row steps only) and the frame it finds, and
-``truncated``'s Hermite elimination for canonical bases.  Both step
-through ``eliminate`` (u*y - q*x entrywise) and cut their rows or columns
-above a power of t with ``cut``, which over Q also divides out their
+lists), of ``Lattice.pair_coordinates`` (fraction-free forward
+substitution), of changes of coordinates (``combine``) and of the library's
+two bounded-precision eliminations: the one Smith elimination (``smith``),
+which gives the invariant factors of ``metric.relative_invariants``, the
+membership test of the apartment search (row steps only) and the frame it
+finds, and ``truncated``'s Hermite elimination for canonical bases.  Both
+step through ``eliminate`` (u*y - q*x entrywise) and cut their rows or
+columns above a power of t with ``cut``, which over Q also divides out their
 content.  ``divexact`` needs integer coefficients over Q.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .scalars import LaurentPoly
 
@@ -83,17 +83,6 @@ def strip(v, coeffs):
 def shift(pair, k):
     """t^k times a pair or None."""
     return None if pair is None else (pair[0] + k, pair[1])
-
-
-def integer_column(col, p):
-    """(col . m, m) for a column of pairs: over Q, m is the lcm of the
-    coefficient denominators, so every coefficient of col . m is an integer;
-    over F_p, m = 1 and the column is returned as it is."""
-    if p is not None:
-        return col, 1
-    m = math.lcm(*(x.denominator for e in col if e is not None for x in e[1]))
-    return [None if e is None else (e[0], [x.numerator * (m // x.denominator) for x in e[1]])
-            for e in col], m
 
 
 def cross(a, z, x, y, p):
@@ -165,20 +154,19 @@ def eliminate(u, y, q, x, top, p):
 
 
 def smith(m, p, carry, top=None):
-    """Fraction-free Smith diagonalization over O = F[[t]] of a nonsingular
-    row-major matrix of pairs.
+    """A fraction-free Smith diagonalization over O = F[[t]] of a nonsingular
+    row-major matrix of pairs, with integer coefficients over Q.
 
     Returns (exps, carry . C) with C in GL_n(O) such that R . m . C =
     diag(t^{e_i} w_i) for some R in GL_n(O) and units w_i; the e_i are the
     Smith exponents, weakly increasing.  The column swaps and steps that
     build C act in place on ``carry``, a list of rows of n pairs: identity
-    rows give C itself.  An empty ``carry`` scales each row to integers
-    over Q (by a unit of O), runs only the row steps and returns (exps, R .
-    m . P), P a permutation of the first n columns; the n rows of m may be
-    wider than n.  The pivot search and the column swaps touch only the
-    first n columns and the row steps act on whole rows, so columns appended
-    to m come out as R times them.  The pivots are chosen as in
-    ``metric.smith_form`` (minimal valuation, ties broken by lowest
+    rows give C itself.  An empty ``carry`` runs only the row steps and
+    returns (exps, R . m . P), P a permutation of the first n columns; the n
+    rows of m may be wider than n.  The pivot search and the column swaps
+    touch only the first n columns and the row steps act on whole rows, so
+    columns appended to m come out as R times them.  The pivots are chosen
+    as in ``metric.smith_form`` (minimal valuation, ties broken by lowest
     (row, column)), but a step multiplies by the pivot unit u instead of
     dividing by it, so every entry stays a Laurent polynomial.  Each row and
     column is then a unit multiple of the one ``smith_form`` has at the same
@@ -190,13 +178,13 @@ def smith(m, p, carry, top=None):
     with D = v(det m) and e_1 the least entry valuation (the other exponents
     are at least e_1 and all n sum to D).  With it, every entry is cut above
     t^top at the start and after each row step, and over Q each row is kept
-    integral and primitive.  This is exact.  For K = top + 1 > e_n, A^{-1}
-    t^K X has valuation >= 1 for every integral X, so A + t^K X = A (I +
-    A^{-1} t^K X) is A times an element of GL_n(O) and has A's exponents.
-    The steps are O-unimodular (a nonzero rational is a unit of O), so the
-    matrix stays R . m + t^K X throughout, and its exponents are m's.  It is
-    the valuation-ring analogue of Hermite form modulo the determinant
-    (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).
+    primitive.  This is exact.  For K = top + 1 > e_n, A^{-1} t^K X has
+    valuation >= 1 for every integral X, so A + t^K X = A (I + A^{-1} t^K X)
+    is A times an element of GL_n(O) and has A's exponents.  The steps are
+    O-unimodular (a nonzero rational is a unit of O), so the matrix stays R
+    . m + t^K X throughout, and its exponents are m's.  It is the
+    valuation-ring analogue of Hermite form modulo the determinant (Domich,
+    Kannan and Trotter, Math. Oper. Res. 12, 1987).
 
     The column steps, which only build C, are skipped whenever ``carry`` is
     empty: after the row steps at step i the pivot has the least valuation in
@@ -208,8 +196,7 @@ def smith(m, p, carry, top=None):
     n = len(m)
     if carry and top is not None:
         raise ValueError("a Smith elimination cut at top carries no rows")
-    rows = [row if carry else integer_column(row, p)[0] for row in m]
-    m = [row[:] if top is None else cut(row, top, p) for row in rows]
+    m = [list(row) if top is None else cut(row, top, p) for row in m]
     exps: list[int] = []
     for i in range(n):
         pos = best = None
@@ -313,18 +300,23 @@ def divexact(a, b, p):
 
 
 def forward_substitute(below, diagonal, col, p):
-    """x with T x = col, T lower triangular with the nonzero entries left of
-    the diagonal in row i given as (j, pair) in below[i], and with the
-    monomial diagonal[i] = s_i t^{d_i} as a pair.  Each division by it is a
-    shift of the valuation and, over Q when s_i != 1, a division by s_i
-    (s_i = 1 over F_p)."""
+    """S x with T x = col, T lower triangular with the nonzero entries left of
+    the diagonal in row i given as (j, pair) in below[i], the monomial
+    diagonal[i] = s_i t^{d_i} as a pair, and S the product of the s_i (1
+    over F_p).  Over Q, with integer T and col, S T^{-1} = adj(T) t^{-D} is
+    integral (fraction-free elimination: Bareiss, Math. Comp. 22, 1968), so
+    each division by s_i t^{d_i} is a shift and an exact ``divexact``, which
+    raises ``ValueError`` on a remainder that a non-integer col leaves."""
+    scale = math.prod(pivot[1][0] for pivot in diagonal)
     x = []
-    for i, (d, (s,)) in enumerate(diagonal):
+    for i, pivot in enumerate(diagonal):
         acc = col[i]
+        if acc is not None and scale != 1:
+            acc = acc[0], [c * scale for c in acc[1]]
         for j, b in below[i]:
             if x[j] is not None:
                 acc = addmul(acc, b, x[j], -1, p)
         if acc is not None:
-            acc = acc[0] - d, (acc[1] if s == 1 else [Fraction(c, s) for c in acc[1]])
+            acc = shift(acc, -pivot[0]) if pivot[1][0] == 1 else divexact(acc, pivot, p)
         x.append(acc)
     return x

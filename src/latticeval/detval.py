@@ -12,7 +12,7 @@ runs it on the stored bases as they are: over Q each stored column is an
 integer multiple s_j of its canonical column, and scaling columns by
 nonzero rationals moves no valuation.  ``det_poly``, for pairs that callers
 supply, multiplies each row over Q by the lcm of its entries' denominators
-(``densepoly.integer_column``) and divides the result by the product of
+(``lattices.integer_column``) and divides the result by the product of
 those lcms; over F_p the coefficients stay residues.  Every Bareiss quotient
 is a minor of the integer matrix, so each division by the previous pivot is
 exact and its long division from the top coefficient stays in the integers;
@@ -25,8 +25,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .densepoly import cross, divexact, from_poly, integer_column, to_poly
-from .lattices import Lattice
+from .densepoly import cross, divexact, from_poly, to_poly
+from .lattices import Lattice, integer_column
 from .metric import binary_f, distance, fundamental_weight, pair
 from .scalars import ValuedScalar
 

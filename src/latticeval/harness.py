@@ -148,8 +148,8 @@ def _between_lattices(lattices, budget):
     if field.is_rational:
         raise ValueError("enumeration requires a prime base field")
     n = lattices[0].n
-    # In the coordinates of the sum; standard(n) contains floor.
-    floor = Lattice.from_columns(total.pair_coordinates(meet.basis), field)
+    # In the coordinates of the sum's stored basis; standard(n) contains floor.
+    floor = Lattice.from_pairs(total.pair_coordinates(meet.basis), n, field)
     # Any intermediate lattice has nonnegative pivots summing to at most
     # val det(floor), so this pivot scan (with the membership filter) is
     # exhaustive.
@@ -162,12 +162,12 @@ def _between_lattices(lattices, budget):
             if tested >= budget:
                 return
             tested += 1
-            cand = Lattice.from_columns(fill, field)
+            cand = Lattice.from_pairs(fill, n, field)
             if cand.contains_lattice(floor):
                 # Back from the coordinates of the sum: basis(total) . basis(cand),
                 # with the stored basis of the sum that ``pair_coordinates`` uses.
-                yield Lattice.from_columns([combine(total.basis, col, field.p)
-                                            for col in cand.basis], field)
+                yield Lattice.from_pairs([combine(total.basis, col, field.p)
+                                          for col in cand.basis], n, field)
 
 
 def _triangular_fills(n, pivots, field):
@@ -299,7 +299,7 @@ def positivity_check(bases) -> bool:
         raise ValueError("positivity needs an ordered base field")
     n = len(bases[0])
     bases = [[polynomial_column(vec, None) for vec in basis] for basis in bases]
-    lattices = [Lattice.from_columns(basis, field) for basis in bases]
+    lattices = [Lattice.from_pairs(basis, n, field) for basis in bases]
     for p, q, r in itertools.combinations(range(len(bases)), 3):
         for i in range(n + 1):
             for j in range(n - i + 1):

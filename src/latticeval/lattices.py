@@ -5,21 +5,19 @@ column-echelon form whose pivots are pure powers t^{d_i} on the diagonal, with
 every other entry in a pivot's row reduced modulo t^{d_i}.  Its entries are
 ``densepoly`` pairs (``basis``, a tuple of n columns of n pairs or None), the
 representation that ``truncated``, ``detval``, ``metric``, the apartment
-search and the close case all work on, so every operation here stays
-polynomial and no entry changes representation: a division by a pivot is a
-shift of the pair's valuation and, over Q, a division by an integer s_j.
-Over Q the stored column j is the canonical column times its pivot
-coefficient s_j > 0, the one multiple that is a primitive integer column
-(``truncated``, Coefficients); over F_p, s_j = 1.
-``LaurentPoly``, ``ValuedScalar`` and rational pair columns are accepted at
-this boundary only: ``polynomial_column`` converts each once to pairs, with
-integer coefficients over Q (for ``from_generators``, ``from_columns``,
-``contains``, ``Apartment`` and the harness), and ``column_field`` reads
-their field; ``from_pairs`` takes columns that need no conversion.  The
-canonical view divides each stored column by s_j and is built afresh where
-a reader asks for it (``canonical_pairs``, ``poly_basis``, ``columns`` and
-the JSON output); ``solve``, ``basis_inverse`` and ``transform`` work on
-it, and no library operation calls those.
+search and the close case all work on.  Over Q the stored column j is the
+canonical column times its pivot coefficient s_j > 0, the one multiple that is
+a primitive integer column (``truncated``, Coefficients); over F_p, s_j = 1.
+Coordinates (``pair_coordinates``) are taken S times, S the product of the
+s_j, so that over Q they too are integer pairs.  Only this boundary accepts
+``LaurentPoly``, ``ValuedScalar`` and rational pair columns:
+``polynomial_column`` converts each once to pairs, with integer coefficients
+over Q (``integer_column``), and ``column_field`` reads their field;
+``from_pairs`` takes the columns that the library builds itself.  The
+canonical view divides each stored column by s_j and is built afresh where a
+reader asks for it (``canonical_pairs``, ``poly_basis``, ``columns`` and the
+JSON output); ``solve``, ``basis_inverse`` and ``transform`` work on it, and
+no library operation calls those.
 
 Equal modules have equal canonical bases, so each lattice carries ``key``, a
 tuple of plain ints built once from the stored pairs: (n, p, then per entry
@@ -38,11 +36,12 @@ keyed by the base lattice.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
 from operator import add
 
-from .densepoly import addmul, forward_substitute, from_poly, integer_column, shift, to_poly
+from .densepoly import addmul, forward_substitute, from_poly, shift, to_poly
 from .scalars import BaseField, LaurentPoly, ValuedScalar
 from .truncated import SingularMatrixError, canonical_basis
 
@@ -64,15 +63,24 @@ def column_field(columns):
     raise ValueError("columns of densepoly pairs need their field")
 
 
+def integer_column(col, p):
+    """(col . m, m) for a column of pairs: over Q, m is the lcm of the
+    coefficient denominators, so every coefficient of col . m is an integer;
+    over F_p, m = 1 and the column is returned as it is."""
+    if p is not None:
+        return col, 1
+    m = math.lcm(*(x.denominator for e in col if e is not None for x in e[1]))
+    return [None if e is None else (e[0], [x.numerator * (m // x.denominator) for x in e[1]])
+            for e in col], m
+
+
 def polynomial_column(col, p) -> list:
     """A column of pair, ``LaurentPoly`` and ``ValuedScalar`` entries as
     pairs, multiplied by a unit of O: the product of its distinct
     denominators (each has valuation 0 and constant term 1), and over Q then
-    the lcm of its coefficient denominators (``densepoly.integer_column``),
-    so that its coefficients are integers; no gcd is taken.  Over F_p a
-    column of pairs is returned as it is."""
-    if all(e is None or type(e) is tuple for e in col):
-        return integer_column(col, p)[0]
+    the lcm of its coefficient denominators (``integer_column``), so that
+    its coefficients are integers; no gcd is taken.  Over F_p pairs are
+    kept as they are."""
     out = [e if e is None or type(e) is tuple else
            from_poly(e.num if type(e) is ValuedScalar else e) for e in col]
     for d in {e.den for e in col if type(e) is ValuedScalar and len(e.den.coeffs) > 1}:
@@ -212,7 +220,7 @@ class Lattice:
         the stored lattice."""
         if self._dual is None:
             inv = self.pair_coordinates(_unit_columns(self.n, self.field))
-            d = Lattice.from_columns(list(zip(*inv)), self.field, det=-sum(self.pivots))
+            d = Lattice.from_pairs(list(zip(*inv)), self.n, self.field, det=-sum(self.pivots))
             d._dual = self
             self._dual = d
         return self._dual
@@ -231,11 +239,12 @@ class Lattice:
                        tuple(tuple(shift(e, c) for e in col) for col in self.basis))
 
     def pair_coordinates(self, columns) -> list[list]:
-        """basis^{-1} . c for each column c of ``densepoly`` pairs, by forward
-        substitution, in the coordinates of the stored basis (over Q, column
-        j is s_j times the canonical one).  The basis is lower triangular
-        with pivots s_i t^{d_i}, so each division by a pivot is a shift (and
-        over Q a division by s_i) and the result stays polynomial."""
+        """S . basis^{-1} . c for each column c of ``densepoly`` pairs (with
+        integer coefficients over Q) in the stored basis, S the product of
+        its pivot coefficients s_i (1 over F_p): integer pairs, by
+        fraction-free forward substitution (``densepoly.forward_substitute``).
+        S, one nonzero rational per call, is a unit of O: it moves no
+        valuation, span or generated lattice that a caller reads."""
         if self._below is None:
             basis = self.basis
             self._below = tuple(
@@ -249,9 +258,11 @@ class Lattice:
         """basis^{-1} as a row-major matrix (lower triangular, like basis)."""
         field = self.field
         inv_cols = self.pair_coordinates(_unit_columns(self.n, field))
-        # Row i of the stored basis's inverse is 1/s_i times the canonical one.
-        return [[ValuedScalar(to_poly(field, col[i]).scale(self.basis[i][i][1][0]))
-                 for col in inv_cols] for i in range(self.n)]
+        # Row i of the canonical inverse is s_i / S times that of S . stored^{-1}.
+        scales = [col[i][1][0] for i, col in enumerate(self.basis)]
+        unit = field.inv(math.prod(scales))
+        return [[ValuedScalar(to_poly(field, col[i]).scale(s * unit)) for col in inv_cols]
+                for i, s in enumerate(scales)]
 
     def transform(self, g: list[list[ValuedScalar]]) -> "Lattice":
         """The lattice g . L for a row-major nonsingular matrix g."""

@@ -3,10 +3,10 @@
 The distance d(L, M) is the unique weakly decreasing integer vector
 (a_1, ..., a_n) such that some g carries L to the elementary lattice and M to
 <t^{-a_1}e_1, ..., t^{-a_n}e_n>.  It is computed from the Smith form of
-basis(L)^{-1} basis(M) over the valuation ring.  That product has Laurent
-polynomial entries (``Lattice.pair_coordinates`` on the stored pairs), and
-its exponents come from ``densepoly.smith``, the fraction-free elimination that also gives the
-frame of the apartment search.
+basis(L)^{-1} basis(M) over the valuation ring.  That product times a unit
+S (``Lattice.pair_coordinates``) has integer Laurent polynomial entries over
+Q, and its exponents come from ``densepoly.smith``, the fraction-free
+elimination that also gives the frame of the apartment search.
 
 That elimination runs at a bounded precision.  Let the relative position A
 have least entry valuation e_1 and v(det A) = D = f_n(L) - f_n(M), which the
@@ -128,9 +128,9 @@ def relative_invariants(l: Lattice, m: Lattice) -> Coweight:
     """The dominant coweight (a_1 >= ... >= a_n) of M relative to L."""
     if l.n != m.n:
         raise ValueError("rank mismatch")
-    # The columns of basis(L)^{-1} basis(M), read as rows: the transpose has
-    # the same invariant factors, and so do the stored bases, which over Q
-    # differ from the canonical ones by nonzero column scales.
+    # The columns of S . basis(L)^{-1} basis(M), read as rows: transposing,
+    # the unit S and the column scales of the stored bases over Q (against
+    # the canonical ones) move no invariant factor.
     rel = l.pair_coordinates(m.basis)
     # v(det rel) is the difference of the two pivot sums.
     det = l.unary_f() - m.unary_f()

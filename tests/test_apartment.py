@@ -19,7 +19,8 @@ from latticeval.apartment import (
 )
 from latticeval.densepoly import combine, from_poly, smith, to_poly
 from latticeval.detval import det_scalar, multi_f, star_cost
-from latticeval.lattices import Lattice, SingularMatrixError, identity_matrix, matmul
+from latticeval.lattices import (Lattice, SingularMatrixError, identity_matrix, integer_column,
+                                 matmul)
 from latticeval.metric import binary_f, smith_form
 from latticeval.randgen import (
     random_apartment_instance,
@@ -300,7 +301,13 @@ def frame_points(frame, det_valuation: int, lattices):
     return points
 
 
-def full_check_common_apartment(lattices, smith_frame=_smith_frame):
+def smith_frame(first, second):
+    """``_smith_frame`` of the pair, from the relative position that
+    ``common_apartment`` hands it."""
+    return _smith_frame(list(zip(*first.pair_coordinates(second.basis))), second)
+
+
+def full_check_common_apartment(lattices, smith_frame=smith_frame):
     """``common_apartment`` as it ran before it read the pair's own points
     from the Smith elimination: every input, the pair included, is tested
     for membership in the frame, and the Apartment is built from
@@ -389,9 +396,9 @@ def test_common_apartment_builds_at_most_one_frame(field, monkeypatch):
     frame builds exactly that one."""
     calls = []
 
-    def counted(first, second):
-        calls.append((first, second))
-        return _smith_frame(first, second)
+    def counted(rel, second):
+        calls.append(second)
+        return _smith_frame(rel, second)
 
     monkeypatch.setattr(apartment, "_smith_frame", counted)
     rng = random.Random(97 + (field.p or 0))
@@ -410,11 +417,13 @@ def canonical_smith_frame(first, second):
     """``_smith_frame`` as it ran while a lattice stored its canonical basis
     over Q with ``Fraction`` coefficients: the relative position in
     canonical coordinates, carrying the rows of the canonical basis of
-    second."""
+    second.  Each frame column is then scaled to integers (by a unit), as
+    ``pair_coordinates`` in the membership test needs."""
     b = second.canonical_pairs
     rel = [list(row) for row in zip(*canonical_coordinates(first, b))]
     exps, bc = smith(rel, first.field.p, [list(row) for row in zip(*b)])
-    return [[None if x is None else (x[0] - e, x[1]) for x in col]
+    return [integer_column([None if x is None else (x[0] - e, x[1]) for x in col],
+                           first.field.p)[0]
             for col, e in zip(zip(*bc), exps)], exps
 
 
@@ -603,10 +612,10 @@ def test_smith_frame_carry_matches_combine(field):
     for n in (1, 2, 3, 4):
         for _ in range(5):
             first, second = (random_lattice(rng, n, field, -2, 2) for _ in range(2))
-            assert _smith_frame(first, second) == reference_smith_frame(first, second)
+            assert smith_frame(first, second) == reference_smith_frame(first, second)
             apt, pts, _ = random_apartment_instance(rng, n, 2, field, window=3)
             first, second = (apt.lattice(pt) for pt in pts)
-            assert _smith_frame(first, second) == reference_smith_frame(first, second)
+            assert smith_frame(first, second) == reference_smith_frame(first, second)
 
 
 def test_common_apartment_uses_no_laurentpoly_arithmetic(monkeypatch):

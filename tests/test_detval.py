@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from latticeval.densepoly import divexact as _divexact
-from latticeval.densepoly import from_poly, integer_column, to_poly
+from latticeval.densepoly import from_poly, to_poly
 from latticeval.detval import (
     det_poly,
     det_scalar,
@@ -16,7 +16,7 @@ from latticeval.detval import (
     multi_f_detail,
     star_cost,
 )
-from latticeval.lattices import Lattice, SingularMatrixError
+from latticeval.lattices import Lattice, SingularMatrixError, integer_column
 from latticeval.randgen import random_lattice
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
 

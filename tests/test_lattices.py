@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from latticeval import serialize
-from latticeval.densepoly import from_poly
+from latticeval.densepoly import from_poly, to_poly
 from latticeval.lattices import Lattice, SingularMatrixError
 from latticeval.randgen import random_lattice, random_scalar, random_unimodular
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
@@ -452,3 +452,58 @@ def test_memoised_dual_and_intersect_match_unmemoised_route(field):
             # A dual reached from the dual side links back the same way.
             d = unmemoised_dual(b)
             assert d.dual() == b and d.dual().dual() is d
+
+
+# -- fraction-free coordinates over Q ------------------------------------------
+
+def big_pivot_lattice(rng, n):
+    """A lattice over Q given by its canonical basis, whose entries below the
+    pivots t^{d_i} have denominators up to 10^6, so that its stored pivot
+    coefficients s_i (the lcm of each canonical column's denominators, up
+    to its content) reach about 10^6."""
+    d = [rng.randint(1, 3) for _ in range(n)]
+    return Lattice.from_columns([
+        [S(d[j]) if i == j else Z() if i < j else
+         ValuedScalar.t_power(RATIONAL, rng.randrange(d[i]),
+                              Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+         for i in range(n)] for j in range(n)])
+
+
+def scalar_column(col):
+    return [ValuedScalar(to_poly(RATIONAL, e)) for e in col]
+
+
+def test_coordinates_are_integral_and_exact_with_large_pivot_coefficients():
+    """``pair_coordinates`` over Q returns S . basis^{-1} . c with integer
+    coefficients, S the product of the stored pivot coefficients; in
+    canonical coordinates (``solve``) that is S / s_i times coordinate i.
+    ``basis_inverse`` and ``dual`` agree with ``solve``, and a column with a
+    non-integer coefficient raises ``ValueError``."""
+    rng = random.Random(1871)
+    largest = 0
+    for n in (2, 3, 4):
+        for _ in range(3):
+            lat = big_pivot_lattice(rng, n)
+            scales = [col[i][1][0] for i, col in enumerate(lat.basis)]
+            total = math.prod(scales)
+            largest = max(largest, *scales)
+            for other in (big_pivot_lattice(rng, n), random_lattice(rng, n, RATIONAL, -2, 2)):
+                coords = lat.pair_coordinates(other.basis)
+                assert all(type(c) is int for x in coords for e in x if e is not None
+                           for c in e[1])
+                for x, col in zip(coords, other.basis):
+                    expected = [v * S(0, Fraction(total, s))
+                                for v, s in zip(lat.solve(scalar_column(col)), scales)]
+                    assert scalar_column(x) == expected
+            # The canonical basis^{-1}, column by column, and the dual from its rows.
+            inverse = [list(row) for row in zip(*(lat.solve(col) for col in
+                                                   Lattice.standard(n, RATIONAL).columns))]
+            assert lat.basis_inverse() == inverse
+            assert lat.dual() == Lattice.from_columns(inverse)
+            # One non-integer coefficient, in the row of a pivot coefficient
+            # s_i > 1, with a denominator prime to S.
+            i = max(range(n), key=scales.__getitem__)
+            col = [(0, [Fraction(1, total + 1)]) if r == i else None for r in range(n)]
+            with pytest.raises(ValueError):
+                lat.pair_coordinates([col])
+    assert largest > 10**5

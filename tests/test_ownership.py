@@ -1,9 +1,9 @@
-"""Each input convention has one owner: only ``densepoly`` (which defines
-it and scales ``smith``'s rows of coordinates), ``lattices`` (the input
-boundary) and ``detval`` (``det_poly``, for pairs from callers) name
-``integer_column``.  Over Q every stored basis already holds integers, so the
-Hermite kernel ``truncated`` takes integer pairs only: it imports nothing
-from ``scalars`` but ``BaseField``, and no ``Fraction``."""
+"""Each input convention has one owner: only ``lattices`` (the input
+boundary, which defines it) and ``detval`` (``det_poly``, for pairs from
+callers) name ``integer_column``.  Over Q every stored basis and every
+coordinate already holds integers, so the kernels take integer pairs only:
+``densepoly`` names no ``Fraction``, and the Hermite kernel ``truncated``
+imports nothing from ``scalars`` but ``BaseField``, and no ``Fraction``."""
 
 import ast
 from pathlib import Path
@@ -50,7 +50,11 @@ def scalars_imports(tree):
 def test_only_the_kernels_name_integer_column():
     users = sorted(path.stem for path in SRC.rglob("*.py")
                    if "integer_column" in names(parse(path)))
-    assert users == ["densepoly", "detval", "lattices"]
+    assert users == ["detval", "lattices"]
+
+
+def test_densepoly_names_no_fraction():
+    assert "Fraction" not in names(parse(SRC / "densepoly.py"))
 
 
 def test_truncated_takes_pairs_only():

@@ -4,6 +4,7 @@ of ``relative_invariants`` and of the fraction-free Smith elimination
 ``densepoly.smith`` against the fraction-field routes they replaced, which are
 kept here as the references."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,9 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latticeval import truncated
-from latticeval.densepoly import combine, cut, from_poly, integer_column, shift, smith, to_poly
+from latticeval.densepoly import combine, cut, from_poly, shift, smith, to_poly
 from latticeval.detval import det_poly
-from latticeval.lattices import Lattice, SingularMatrixError, matmul, polynomial_column
+from latticeval.lattices import (Lattice, SingularMatrixError, integer_column, matmul,
+                                 polynomial_column)
 from latticeval.metric import relative_invariants, smith_form
 from latticeval.randgen import (random_apartment_instance, random_lattice, random_subspace,
                                 random_unimodular)
@@ -157,11 +159,22 @@ def wrapped_canonical_basis(cols, n):
 
 
 def canonical_coordinates(lat, columns):
-    """basis^{-1} . c for the canonical basis of lat: the coordinates in the
-    stored basis times the pivot coefficients s_i (1 over F_p)."""
+    """basis^{-1} . c for the canonical basis of lat and columns c of pairs
+    with rational coefficients: each column is scaled to integers by m
+    (``integer_column``), and its S-scaled coordinates in the stored basis
+    are multiplied by s_i / (S m), where s_i are the pivot coefficients and S
+    their product (all 1 over F_p)."""
+    if lat.field.p is not None:
+        return lat.pair_coordinates(columns)
     scales = [col[i][1][0] for i, col in enumerate(lat.basis)]
-    return [[None if e is None else (e[0], [c * s for c in e[1]]) for e, s in zip(x, scales)]
-            for x in lat.pair_coordinates(columns)]
+    total = math.prod(scales)
+    out = []
+    for col in columns:
+        col, m = integer_column(col, None)
+        x = lat.pair_coordinates([col])[0]
+        out.append([None if e is None else (e[0], [Fraction(c * s, total * m) for c in e[1]])
+                    for e, s in zip(x, scales)])
+    return out
 
 
 def outcome(canonicalize, cols, n):
@@ -504,7 +517,8 @@ def smith_cases(rng, field, n):
     u, v = ([[c.num for c in row] for row in zip(*random_unimodular(rng, n, field))]
             for _ in range(2))
     image = poly_product(poly_product(u, poly_matrix(field, a)), v)
-    yield [[from_poly(e) for e in row] for row in image]
+    # Over Q each row is scaled to integers, by a unit of O, as smith needs.
+    yield [integer_column([from_poly(e) for e in row], field.p)[0] for row in image]
 
 
 @pytest.mark.parametrize("field", FIELDS)
