@@ -281,6 +281,14 @@ def test_positivity_requires_rationals():
         positivity_check([b, b, b])
 
 
+def test_positivity_rejects_bases_that_are_not_square():
+    one, zero = ValuedScalar.one(RATIONAL), ValuedScalar.zero(RATIONAL)
+    for b in ([[one, zero], [zero, one], [one, one]], [[one, zero, zero], [zero, one, zero]],
+              [[one, zero], [zero, one, one]]):
+        with pytest.raises(ValueError):
+            positivity_check([b, b, b])
+
+
 def reference_positivity_check(bases):
     """The scalar route: det_scalar of each leading-subset matrix of the
     bases as given, denominators and all."""
