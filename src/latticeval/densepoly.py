@@ -307,7 +307,7 @@ def forward_substitute(below, diagonal, col, p):
     integral (fraction-free elimination: Bareiss, Math. Comp. 22, 1968), so
     each division by s_i t^{d_i} is a shift and an exact ``divexact``, which
     raises ``ValueError`` on a remainder that a non-integer col leaves."""
-    scale = math.prod(pivot[1][0] for pivot in diagonal)
+    scale = 1 if p is not None else math.prod(s for _, (s,) in diagonal)
     x = []
     for i, pivot in enumerate(diagonal):
         acc = col[i]
@@ -317,6 +317,6 @@ def forward_substitute(below, diagonal, col, p):
             if x[j] is not None:
                 acc = addmul(acc, b, x[j], -1, p)
         if acc is not None:
-            acc = shift(acc, -pivot[0]) if pivot[1][0] == 1 else divexact(acc, pivot, p)
+            acc = (acc[0] - pivot[0], acc[1]) if pivot[1][0] == 1 else divexact(acc, pivot, p)
         x.append(acc)
     return x

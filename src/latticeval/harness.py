@@ -298,8 +298,10 @@ def positivity_check(bases) -> bool:
     if not field.is_rational:
         raise ValueError("positivity needs an ordered base field")
     n = len(bases[0])
+    if any(len(basis) != n or any(len(vec) != n for vec in basis) for basis in bases):
+        raise ValueError("positivity needs square bases of one rank")
     bases = [[polynomial_column(vec, None) for vec in basis] for basis in bases]
-    lattices = [Lattice.from_columns(basis, field) for basis in bases]
+    lattices = [Lattice.from_pairs(basis, n, field) for basis in bases]
     for p, q, r in itertools.combinations(range(len(bases)), 3):
         for i in range(n + 1):
             for j in range(n - i + 1):

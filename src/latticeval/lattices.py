@@ -114,23 +114,18 @@ class Lattice:
         self._residues = None
 
     @classmethod
-    def from_columns(cls, columns, field: BaseField | None = None, *,
-                     det: int | None = None) -> "Lattice":
+    def from_columns(cls, columns, field: BaseField | None = None) -> "Lattice":
         """Canonical lattice generated by exactly n independent columns."""
         n = len(columns[0])
         if len(columns) != n:
             raise ValueError("from_columns expects a square generator matrix")
-        return cls.from_generators(columns, n, field, det=det)
+        return cls.from_generators(columns, n, field)
 
     @classmethod
-    def from_generators(cls, columns, n: int, field: BaseField | None = None, *,
-                        det: int | None = None) -> "Lattice":
+    def from_generators(cls, columns, n: int, field: BaseField | None = None) -> "Lattice":
         """Canonical lattice generated by any spanning set of columns, whose
         entries are ``densepoly`` pairs, ``LaurentPoly`` or ``ValuedScalar``.
-        ``field`` may be left out unless every entry is a pair or None.  A
-        caller that knows v(det) of the lattice passes it as ``det``, which
-        lets ``truncated.canonical_basis`` start at the precision it proves;
-        a wrong value raises ``ValueError``."""
+        ``field`` may be left out unless every entry is a pair or None."""
         if not columns:
             raise SingularMatrixError("no generators")
         if any(len(c) != n for c in columns):
@@ -138,13 +133,16 @@ class Lattice:
         if field is None:
             field = column_field(columns)
         p = field.p
-        return cls.from_pairs([polynomial_column(c, p) for c in columns], n, field, det=det)
+        return cls.from_pairs([polynomial_column(c, p) for c in columns], n, field)
 
     @classmethod
     def from_pairs(cls, columns, n: int, field: BaseField, *, det: int | None = None) -> "Lattice":
         """``from_generators`` for columns that need no conversion: pairs
         whose coefficients are integers over Q, as stored bases, frames and
-        ``polynomial_column`` give them."""
+        ``polynomial_column`` give them.  A caller that knows v(det) of the
+        lattice passes it as ``det``, which lets ``truncated.canonical_basis``
+        start at the precision it proves; a wrong value raises
+        ``ValueError``."""
         return cls(n, field, canonical_basis(columns, n, field, det))
 
     @classmethod
