@@ -6,7 +6,8 @@ integer over Q.  The frame of a pair comes from ``densepoly.smith``, the Smith
 elimination that also gives ``metric.relative_invariants``, and that
 elimination already places the two lattices of the pair in it.  The
 common-apartment search tests the other lattices with the row steps of that
-elimination alone, on their coordinates, and builds the one frame that passes."""
+elimination alone, on their coordinates, and builds the one frame that passes.
+The test reference ``invert_matrix`` reads its inverse off ``metric.smith_elimination``."""
 
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 from .densepoly import shift, smith
 from .detval import det_poly
-from .lattices import (Lattice, SingularMatrixError, column_field, identity_matrix,
-                       polynomial_column)
+from .lattices import Lattice, SingularMatrixError, column_field, matmul, polynomial_column
+from .metric import over_diagonal, smith_elimination
 from .scalars import BaseField, ValuedScalar
 
 
@@ -186,29 +187,10 @@ def apartment_witness(apt: Apartment, points, idx):
 
 
 def invert_matrix(m: list[list[ValuedScalar]]) -> list[list[ValuedScalar]]:
-    """Exact inverse by Gauss-Jordan elimination (min-valuation pivoting)."""
-    n = len(m)
-    field = m[0][0].field
-    aug = [list(row) + unit for row, unit in zip(m, identity_matrix(n, field))]
-    for i in range(n):
-        piv, best = None, None
-        for r in range(i, n):
-            if aug[r][i].is_zero():
-                continue
-            v = aug[r][i].valuation()
-            if best is None or v < best:
-                piv, best = r, v
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[i], aug[piv] = aug[piv], aug[i]
-        inv = aug[i][i].invert()
-        aug[i] = [e * inv for e in aug[i]]
-        for r in range(n):
-            if r == i or aug[r][i].is_zero():
-                continue
-            q = aug[r][i]
-            aug[r] = [x - q * y for x, y in zip(aug[r], aug[i])]
-    return [row[n:] for row in aug]
+    """Exact inverse C . D^{-1} . R from the Smith elimination R . m . C = D;
+    a singular m raises ``SingularMatrixError``."""
+    exps, r, c, _ = smith_elimination(m)
+    return matmul(over_diagonal(c, exps), r)
 
 
 def _smith_frame(rel, second: Lattice):

@@ -166,12 +166,12 @@ def smith(m, p, carry, top=None):
     rows of m may be wider than n.  The pivot search and the column swaps
     touch only the first n columns and the row steps act on whole rows, so
     columns appended to m come out as R times them.  The pivots are chosen
-    as in ``metric.smith_form`` (minimal valuation, ties broken by lowest
-    (row, column)), but a step multiplies by the pivot unit u instead of
-    dividing by it, so every entry stays a Laurent polynomial.  Each row and
-    column is then a unit multiple of the one ``smith_form`` has at the same
-    step: the valuations and pivots agree, and C differs from its column
-    transform only by a diagonal of units.
+    as in ``metric.smith_elimination`` (minimal valuation, ties broken by
+    lowest (row, column)), but a step multiplies by the pivot unit u instead
+    of dividing by it, so every entry stays a Laurent polynomial.  Each row
+    and column is then a unit multiple of the one ``smith_elimination`` has
+    at the same step: the valuations and pivots agree, and the two column
+    transforms differ only by a diagonal of units.
 
     ``top``, legal only with an empty ``carry``, is a bound e_n <= top on the
     largest exponent; ``metric.relative_invariants`` passes D - (n-1) e_1,

@@ -16,7 +16,8 @@ supply, multiplies each row over Q by the lcm of its entries' denominators
 those lcms; over F_p the coefficients stay residues.  Every Bareiss quotient
 is a minor of the integer matrix, so each division by the previous pivot is
 exact and its long division from the top coefficient stays in the integers;
-a remainder can only mean a fault and raises ``ValueError``.
+a remainder can only mean a fault and raises ``ValueError``.  The test
+reference ``det_scalar`` reads the determinant off ``metric.smith_elimination``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import math
 from fractions import Fraction
 
 from .densepoly import cross, divexact, from_poly, to_poly
-from .lattices import Lattice, integer_column
-from .metric import binary_f, distance, fundamental_weight, pair
+from .lattices import Lattice, SingularMatrixError, integer_column
+from .metric import binary_f, distance, fundamental_weight, pair, smith_elimination
 from .scalars import ValuedScalar
 
 
@@ -90,32 +91,12 @@ def _bareiss(m, p):
 
 
 def det_scalar(mat: list[list[ValuedScalar]]) -> ValuedScalar:
-    """Determinant of a general exact-scalar matrix by elimination."""
-    n = len(mat)
-    field = mat[0][0].field
-    m = [row[:] for row in mat]
-    det = ValuedScalar.one(field)
-    for i in range(n):
-        piv = None
-        best = None
-        for r in range(i, n):
-            if m[r][i].is_zero():
-                continue
-            v = m[r][i].valuation()
-            if best is None or v < best:
-                piv, best = r, v
-        if piv is None:
-            return ValuedScalar.zero(field)
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            det = -det
-        det = det * m[i][i]
-        for r in range(i + 1, n):
-            if m[r][i].is_zero():
-                continue
-            q = m[r][i] / m[i][i]
-            m[r] = [x - q * y for x, y in zip(m[r], m[i])]
-    return det
+    """Determinant of a general exact-scalar matrix, read from its Smith
+    elimination; zero when the elimination finds the matrix singular."""
+    try:
+        return smith_elimination(mat)[3]
+    except SingularMatrixError:
+        return ValuedScalar.zero(mat[0][0].field)
 
 
 def _check_index(idx, n: int):

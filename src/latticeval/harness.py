@@ -65,12 +65,10 @@ def _finish(lhs, best, examined, strategy, seed, idx, lattices):
     return ConjectureReport(lhs, best, status, examined, strategy, seed)
 
 
-def _scan(lhs, candidates, idx, lattices, strategy, seed=None, budget=None):
+def _scan(lhs, candidates, idx, lattices, strategy, seed=None):
     best = None
     examined = 0
     for cand in candidates:
-        if budget is not None and examined >= budget:
-            break
         cost = star_cost(idx, lattices, cand)
         assert cost >= lhs, "one-direction inequality violated"
         examined += 1
@@ -108,8 +106,7 @@ def verify_star(idx, lattices, strategy: str, seed: int = 0, budget: int = 10000
     if strategy == "apartment":
         return _verify_apartment(idx, lattices, lhs)
     if strategy == "enumerate":
-        return _scan(lhs, _between_lattices(lattices, budget), idx, lattices,
-                     "enumerate", budget=budget)
+        return _scan(lhs, _between_lattices(lattices, budget), idx, lattices, "enumerate")
     if strategy == "random":
         return _verify_random(idx, lattices, lhs, seed, budget)
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -202,8 +199,7 @@ def _verify_random(idx, lattices, lhs, seed, budget):
             )
             yield frame.lattice(point)
 
-    return _scan(lhs, candidates(), idx, lattices, "random", seed=seed,
-                 budget=budget)
+    return _scan(lhs, candidates(), idx, lattices, "random", seed=seed)
 
 
 def two_node_cost(idx, lattices, shape: NetworkShape, p: Lattice, q: Lattice) -> int:

@@ -16,9 +16,9 @@ integral X, A^{-1} t^K X has valuation >= 1, so A + t^K X = A (I + A^{-1}
 t^K X) has A's exponents, and ``smith`` drops every term above t^top at the
 start and after each step (the valuation ring analogue of Hermite form
 modulo the determinant: Domich, Kannan and Trotter, Math. Oper. Res. 12,
-1987).  ``smith_form`` is the fraction-field
-elimination with both row transforms; the library no longer calls it, and
-the tests keep it as the reference for both.
+1987).  ``smith_elimination`` is the one fraction-field elimination; the
+library no longer calls it, and the tests read it as the reference for the
+kernels through ``smith_form``, ``detval.det_scalar`` and ``invert_matrix``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .densepoly import smith
-from .lattices import Lattice, identity_matrix
+from .lattices import Lattice, SingularMatrixError, identity_matrix, matmul
 from .scalars import ValuedScalar
 
 Coweight = tuple[int, ...]
@@ -64,18 +64,22 @@ def reverse_negate(mu: Coweight) -> Coweight:
     return tuple(-a for a in reversed(mu))
 
 
-def smith_form(a: list[list[ValuedScalar]]):
+def smith_elimination(a: list[list[ValuedScalar]]):
     """Diagonalize over the valuation ring: R . a . C = diag(t^{e_i}).
 
-    Returns (exps, R, Rinv) with exps weakly increasing and R, Rinv inverse
-    row-transform matrices in GL_n(F[[t]]).  Pivots are chosen by minimal
-    valuation, ties broken by lowest (row, column).
+    Returns (exps, R, C, det a) with exps weakly increasing and R, C in
+    GL_n(F[[t]]).  Pivots are chosen by minimal valuation, ties broken by
+    lowest (row, column); a matrix with no pivot left raises
+    ``SingularMatrixError``.  det a is the signed product of the pivots
+    before normalisation: row and column steps keep the determinant, each
+    swap flips its sign, and the diagonal left is t^{e_i}.
     """
     n = len(a)
     field = a[0][0].field
     m = [row[:] for row in a]
     r = identity_matrix(n, field)
-    rinv = identity_matrix(n, field)
+    c = identity_matrix(n, field)
+    det = ValuedScalar.one(field)
     exps: list[int] = []
     for i in range(n):
         pos = None
@@ -88,39 +92,51 @@ def smith_form(a: list[list[ValuedScalar]]):
                 if best is None or v < best:
                     best, pos = v, (rr, cc)
         if pos is None:
-            raise ValueError("singular matrix in Smith form")
+            raise SingularMatrixError("singular matrix in Smith form")
         rr, cc = pos
         if rr != i:
             m[i], m[rr] = m[rr], m[i]
             r[i], r[rr] = r[rr], r[i]
-            for row in rinv:
-                row[i], row[rr] = row[rr], row[i]
+            det = -det
         if cc != i:
-            for row in m:
+            for row in m + c:
                 row[i], row[cc] = row[cc], row[i]
+            det = -det
+        det = det * m[i][i]
         tpow = ValuedScalar.t_power(field, best)
-        unit = m[i][i] / tpow  # a unit of the valuation ring
-        unit_inv = unit.invert()
+        unit_inv = tpow / m[i][i]  # a unit of the valuation ring
         m[i] = [e * unit_inv for e in m[i]]
         r[i] = [e * unit_inv for e in r[i]]
-        for row in rinv:
-            row[i] = row[i] * unit
         for rr in range(i + 1, n):
             if m[rr][i].is_zero():
                 continue
-            q = m[rr][i] / tpow
-            m[rr] = [x - q * y for x, y in zip(m[rr], m[i])]
-            r[rr] = [x - q * y for x, y in zip(r[rr], r[i])]
-            for row in rinv:
-                row[i] = row[i] + q * row[rr]
+            q = -m[rr][i] / tpow  # negated once: one product and one sum per entry
+            m[rr] = [x + q * y for x, y in zip(m[rr], m[i])]
+            r[rr] = [x + q * y for x, y in zip(r[rr], r[i])]
+        # On m the column steps would only clear row i, which is not read
+        # again (column i is zero below the pivot), so only C takes them.
         for cc in range(i + 1, n):
             if m[i][cc].is_zero():
                 continue
-            q = m[i][cc] / tpow
-            for row in m:
-                row[cc] = row[cc] - q * row[i]
+            q = -m[i][cc] / tpow
+            for row in c:
+                row[cc] = row[cc] + q * row[i]
         exps.append(best)
-    return exps, r, rinv
+    return exps, r, c, det
+
+
+def over_diagonal(mat: list[list[ValuedScalar]], exps) -> list[list[ValuedScalar]]:
+    """mat . diag(t^{-e_i}): column i divided by t^{e_i}."""
+    field = mat[0][0].field
+    scales = [ValuedScalar.t_power(field, -e) for e in exps]
+    return [[x * s for x, s in zip(row, scales)] for row in mat]
+
+
+def smith_form(a: list[list[ValuedScalar]]):
+    """(exps, R, R^{-1}) of ``smith_elimination``: R . a . C = D =
+    diag(t^{e_i}) gives R^{-1} = a . C . D^{-1}."""
+    exps, r, c, _ = smith_elimination(a)
+    return exps, r, over_diagonal(matmul(a, c), exps)
 
 
 @lru_cache(maxsize=1 << 18)

@@ -3,7 +3,9 @@ boundary, which defines it) and ``detval`` (``det_poly``, for pairs from
 callers) name ``integer_column``.  Over Q every stored basis and every
 coordinate already holds integers, so the kernels take integer pairs only:
 ``densepoly`` names no ``Fraction``, and the Hermite kernel ``truncated``
-imports nothing from ``scalars`` but ``BaseField``, and no ``Fraction``."""
+imports nothing from ``scalars`` but ``BaseField``, and no ``Fraction``.
+The fraction-field elimination has one owner too: ``metric.smith_elimination``,
+which ``det_scalar`` and ``invert_matrix`` read without a loop of their own."""
 
 import ast
 from pathlib import Path
@@ -63,6 +65,15 @@ def test_truncated_takes_pairs_only():
     assert "Fraction" not in names(tree)
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert not defined & {"polynomial_column", "column_field"}
+
+
+def test_det_scalar_and_invert_matrix_run_no_loop_of_their_own():
+    for module, name in (("detval", "det_scalar"), ("apartment", "invert_matrix")):
+        [fn] = [node for node in parse(SRC / f"{module}.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == name]
+        loops = [node for node in ast.walk(fn)
+                 if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.comprehension))]
+        assert not loops, f"{module}.{name}"
 
 
 def test_the_helpers_find_what_they_look_for():
