@@ -6,6 +6,7 @@ written with one ``field.mul``/``field.sub`` call per entry; ``rref`` and
 The outputs must agree entry for entry, element types included."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -112,9 +113,9 @@ RANK_FIELDS = FIELDS + (GF(2**31 - 1),)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_rank_of_matches_rref(field, data):
-    # rank_of eliminates forward only and stops at rank n; rref is the
-    # independent route.  Over Q the rows may hold plain ints, as residue
-    # coordinates do.
+    # rank_of eliminates forward only and stops at rank n; the element-wise
+    # reference_rref is the independent route.  Over Q the rows may hold
+    # plain ints, as residue coordinates do.
     n = data.draw(st.integers(1, 5))
     entry = st.integers(-3, 3) if field.is_rational else st.integers(0, min(field.p - 1, 5))
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 2))
@@ -125,4 +126,64 @@ def test_rank_of_matches_rref(field, data):
         rows.append([x + c * y for x, y in zip(u, w)])
     if not field.is_rational or data.draw(st.booleans()):
         rows = [[field.from_int(x) for x in row] for row in rows]
-    assert rank_of(rows, n, field) == len(rref(rows, n, field))
+    assert rank_of(rows, n, field) == len(reference_rref(rows, n, field))
+
+
+def dense_rows(rng, field, n, entry):
+    """Up to 2n dense rows of entry() values (mapped into F_p), with a
+    planted rank deficit in most cases: beyond a random number r <= n of
+    rows, every row is a combination of earlier ones."""
+    r = rng.randint(0, n)
+    rows = [[entry() for _ in range(n)] for _ in range(r)]
+    for _ in range(rng.randint(0, 2 * n - r)):
+        if rows and rng.random() < 0.8:
+            coefs = [rng.randint(-3, 3) for _ in rows]
+            rows.insert(rng.randint(0, len(rows)),
+                        [sum(c * row[i] for c, row in zip(coefs, rows)) for i in range(n)])
+        else:
+            rows.append([entry() for _ in range(n)])
+    if field.p is not None:
+        rows = [[field.from_int(x) for x in row] for row in rows]
+    return rows
+
+
+DENSE_CASES = [(RATIONAL, "int"), (RATIONAL, "Fraction")] + [
+    (field, "int") for field in RANK_FIELDS[1:]]
+
+
+@pytest.mark.parametrize("field, kind", DENSE_CASES,
+                         ids=[f"{field!r}-{kind}" for field, kind in DENSE_CASES])
+def test_dense_rank_and_rref_match_elementwise_reference(field, kind):
+    # Entries up to +-50, ranks up to n = 10: over Q both the int rows of
+    # residue coordinates and Fraction rows with non-unit denominators.
+    rng = random.Random(2603 + (field.p or 0) + len(kind))
+    if kind == "int":
+        entry = lambda: rng.randint(-50, 50)  # noqa: E731
+    else:
+        entry = lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 7))  # noqa: E731
+    for n in range(1, 11):
+        for _ in range(10):
+            rows = dense_rows(rng, field, n, entry)
+            want = reference_rref(rows, n, field)
+            assert typed(rref(rows, n, field)) == typed(want)
+            assert rank_of(rows, n, field) == len(want)
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=repr)
+def test_intersect_matches_span_of_zassenhaus_right_halves(field):
+    # The route of Zassenhaus's algorithm written out with the reference:
+    # the span of the right halves of the zero-left rows of the echelon form
+    # of (u | u) and (w | 0).
+    rng = random.Random(31 + (field.p or 0))
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        u = Subspace.span(random_rows(rng, field, n), n, field)
+        w = Subspace.span(random_rows(rng, field, n), n, field)
+        zero = (field.zero,) * n
+        echelon = reference_rref([r + r for r in u.rows] + [r + zero for r in w.rows],
+                                 2 * n, field)
+        want = reference_rref([r[n:] for r in echelon if not any(r[:n])], n, field)
+        got = u.intersect(w)
+        assert typed(got.rows) == typed(want)
+        assert got == Subspace.span([r[n:] for r in echelon if not any(r[:n])], n, field)
+        assert got.dim == u.dim + w.dim - u.sum(w).dim
