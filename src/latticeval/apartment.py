@@ -25,8 +25,9 @@ class AssignmentResult:
     """A maximal transversal with its certifying dual potentials.
 
     Feasibility a_i + b_j >= c_ij, value = sum of c_{i, sigma(i)} = sum(a)
-    + sum(b), and complementary slackness along sigma are all asserted at
-    construction time.
+    + sum(b), and complementary slackness along sigma are all checked by
+    ``check``, which ``kuhn_munkres`` runs on its result; a failure raises
+    ``AssertionError``, under ``python -O`` too.
     """
 
     permutation: tuple[int, ...]
@@ -36,15 +37,19 @@ class AssignmentResult:
 
     def check(self, c) -> None:
         n = len(self.permutation)
-        assert sorted(self.permutation) == list(range(n))
+        if sorted(self.permutation) != list(range(n)):
+            raise AssertionError("not a permutation")
         for i in range(n):
             for j in range(n):
-                assert self.a[i] + self.b[j] >= c[i][j], "infeasible potentials"
-        total = sum(c[i][self.permutation[i]] for i in range(n))
-        assert total == self.value
-        assert sum(self.a) + sum(self.b) == self.value, "duality gap"
+                if self.a[i] + self.b[j] < c[i][j]:
+                    raise AssertionError("infeasible potentials")
+        if sum(c[i][self.permutation[i]] for i in range(n)) != self.value:
+            raise AssertionError("value is not the transversal sum")
+        if sum(self.a) + sum(self.b) != self.value:
+            raise AssertionError("duality gap")
         for i in range(n):
-            assert self.a[i] + self.b[self.permutation[i]] == c[i][self.permutation[i]]
+            if self.a[i] + self.b[self.permutation[i]] != c[i][self.permutation[i]]:
+                raise AssertionError("complementary slackness fails")
 
 
 def kuhn_munkres(c) -> AssignmentResult:

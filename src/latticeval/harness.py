@@ -60,7 +60,8 @@ def _finish(lhs, best, examined, strategy, seed, idx, lattices):
     status = "inconclusive"
     if best is not None and best[1] == lhs:
         # Soundness: re-check the winning candidate independently.
-        assert star_cost(idx, lattices, best[0]) == lhs
+        if star_cost(idx, lattices, best[0]) != lhs:
+            raise AssertionError("witness star cost differs on re-check")
         status = "verified"
     return ConjectureReport(lhs, best, status, examined, strategy, seed)
 
@@ -70,7 +71,8 @@ def _scan(lhs, candidates, idx, lattices, strategy, seed=None):
     examined = 0
     for cand in candidates:
         cost = star_cost(idx, lattices, cand)
-        assert cost >= lhs, "one-direction inequality violated"
+        if cost < lhs:
+            raise AssertionError("one-direction inequality violated")
         examined += 1
         if best is None or cost < best[1]:
             best = (cand, cost)

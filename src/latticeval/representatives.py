@@ -127,8 +127,10 @@ def konig_linear_witness(subspaces):
         return search(i + 1)
 
     found = search(0)
-    assert found, "witness search failed to reach the certified value"
-    assert independent([v for _, v in chosen])
+    if not found:
+        raise AssertionError("witness search failed to reach the certified value")
+    if not independent([v for _, v in chosen]):
+        raise AssertionError("witness representatives are dependent")
     return list(chosen)
 
 

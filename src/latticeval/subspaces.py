@@ -1,56 +1,65 @@
-"""Linear algebra over the base field: subspaces in reduced row-echelon form."""
+"""Linear algebra over the base field: subspaces in reduced row-echelon form.
+
+Ranks, echelon forms and membership tests all run on one forward
+elimination, ``_echelon``, which reduces v by a row b with lead column q as
+b[q]*v - v[q]*b (mod p over F_p).  It takes no inverse, so it is exact over
+Q as over F_p.  Over Q it works on integers and divides each row it keeps by
+its content: up to sign, that row is the primitive part of the row of minors
+that Bareiss's elimination (Math. Comp. 22, 1968) holds, so entries grow
+polynomially in the rank instead of doubling in length with each row."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .scalars import BaseField
 
 
-def rref(vectors, n: int, field: BaseField):
-    """Reduced row-echelon basis (tuple of tuples) of the span of vectors.
+def _echelon(vectors, n: int, p):
+    """(lead column, row) pairs whose rows span the span of vectors, with
+    distinct leads: each vector is reduced by the rows found so far, and the
+    scan stops at n rows, which span F^n."""
+    rows: list = []
+    for v in vectors:
+        if p is None:
+            den = math.lcm(*(x.denominator for x in v))
+            v = [x.numerator * (den // x.denominator) for x in v]
+        for q, b in rows:
+            c = v[q]
+            if c:
+                d = b[q]
+                v = ([d * x - c * y for x, y in zip(v, b)] if p is None
+                     else [(d * x - c * y) % p for x, y in zip(v, b)])
+        lead = next((i for i, c in enumerate(v) if c), None)
+        if lead is not None:
+            if p is None:
+                g = math.gcd(*v)
+                v = [x // g for x in v]
+            rows.append((lead, v))
+            if len(rows) == n:
+                break
+    return rows
 
-    Rows are plain lists of field elements and each row operation is one list
-    comprehension, reduced mod p over F_p, with no field call per entry.  Once
-    n rows are found they span F^n, and the remaining vectors are skipped."""
+
+def rref(vectors, n: int, field: BaseField):
+    """Reduced row-echelon basis (tuple of tuples) of the span of vectors: the
+    rows of ``_echelon`` in lead order, each divided by its lead and cleared
+    from the rows before it.  Each row operation is one list comprehension,
+    reduced mod p over F_p, with no field call per entry."""
     p = field.p
     basis: list[list] = []
-    pivots: list[int] = []
-    for v in vectors:
-        if not any(v):
-            continue
-        row = _reduce(v, basis, pivots, p)
-        lead = next((i for i, c in enumerate(row) if c), None)
-        if lead is None:
-            continue
-        inv = field.inv(row[lead])
+    for q, row in sorted(_echelon(vectors, n, p)):
+        inv = field.inv(row[q])
         row = [c * inv for c in row] if p is None else [c * inv % p for c in row]
-        for k, b in enumerate(basis):
-            if b[lead]:
-                basis[k] = _axpy(b, b[lead], row, p)
+        for i, b in enumerate(basis):
+            c = b[q]
+            if c:
+                basis[i] = ([x - c * y for x, y in zip(b, row)] if p is None
+                            else [(x - c * y) % p for x, y in zip(b, row)])
         basis.append(row)
-        pivots.append(lead)
-        if len(basis) == n:
-            break
-    order = sorted(range(len(basis)), key=lambda k: pivots[k])
-    return tuple(tuple(basis[k]) for k in order)
-
-
-def _axpy(x, c, y, p):
-    """The list x - c*y, reduced mod p unless p is None."""
-    if p is None:
-        return [a - c * b for a, b in zip(x, y)]
-    return [(a - c * b) % p for a, b in zip(x, y)]
-
-
-def _reduce(row, basis, pivots, p):
-    """row minus its multiples of the echelon rows in basis (lists or
-    tuples, with the given pivot columns); row itself if none applies."""
-    for b, q in zip(basis, pivots):
-        if row[q]:
-            row = _axpy(row, row[q], b, p)
-    return row
+    return tuple(map(tuple, basis))
 
 
 class Subspace:
@@ -82,8 +91,7 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v) -> bool:
-        pivots = [next(i for i, c in enumerate(r) if c) for r in self.rows]
-        return not any(_reduce(v, self.rows, pivots, self.field.p))
+        return rank_of([*self.rows, v], self.n, self.field) == self.dim
 
     @lru_cache(maxsize=65536)
     def sum(self, other: "Subspace") -> "Subspace":
@@ -93,12 +101,12 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """U ∩ W by Zassenhaus's algorithm: in the reduced echelon form of the
         rows (u | u), u in U, and (w | 0), w in W, the rows whose left half is
-        zero carry a basis of U ∩ W in their right half."""
+        zero carry the reduced echelon basis of U ∩ W in their right half."""
         n, f = self.n, self.field
         zero = (f.zero,) * n
         rows = [u + u for u in self.rows] + [w + zero for w in other.rows]
         echelon = rref(rows, 2 * n, f)
-        return Subspace.span([r[n:] for r in echelon if not any(r[:n])], n, f)
+        return Subspace(n, f, tuple(r[n:] for r in echelon if not any(r[:n])))
 
     def __eq__(self, other):
         return (
@@ -118,23 +126,8 @@ class Subspace:
 
 
 def rank_of(vectors, n: int, field: BaseField) -> int:
-    """The dimension of the span of vectors of length n, by forward
-    elimination only: each vector is reduced by the echelon rows found so far
-    (each with pivot 1 and zero at the earlier pivots), and the scan stops
-    at rank n."""
-    p = field.p
-    basis: list[list] = []
-    pivots: list[int] = []
-    for v in vectors:
-        row = _reduce(v, basis, pivots, p)
-        lead = next((i for i, c in enumerate(row) if c), None)
-        if lead is not None:
-            inv = field.inv(row[lead])
-            basis.append([c * inv for c in row] if p is None else [c * inv % p for c in row])
-            pivots.append(lead)
-            if len(basis) == n:
-                break
-    return len(basis)
+    """The dimension of the span of vectors of length n."""
+    return len(_echelon(vectors, n, field.p))
 
 
 def all_subspaces(n: int, field: BaseField):

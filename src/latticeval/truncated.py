@@ -38,13 +38,9 @@ t^{-s} A is a polynomial pair cut above t^{N-1} (``densepoly.cut``).
    The residue rung N = 1 needs no elimination.  There h = I exactly when
    the residues of the shifted generators (their t^0 coefficients) span
    F^n, and then D(L') = 0: L' + tO^n = O^n, so L' = O^n by Nakayama's
-   lemma, and the basis is t^s I.  The rung is a rank test
-   (``subspaces.rank_of``), exact over F_p.  Over Q it runs on the integer
-   columns (below) modulo the prime q = 2^31 - 1, and is exact one way
-   only: a nonzero n x n minor modulo q is a nonzero integer, so full rank
-   modulo q proves full rank over Q, but a minor divisible by q may be
-   nonzero over Q.  So over Q any other outcome proves nothing and the
-   ladder moves on to N = 2.
+   lemma, and the basis is t^s I.  The rung is one rank test
+   (``subspaces.rank_of``), exact over Q, on the integer columns (below),
+   as over F_p: its elimination takes no inverse.
 2. Acceptance.  The maximal minors of A U generate the same ideal as those of
    A, namely t^{D(L')} O.  If some row finds no pivot, or sum(d_i) >= N,
    every maximal minor of A U vanishes modulo t^N, so D(L') >= N.  If
@@ -87,11 +83,7 @@ from __future__ import annotations
 import math
 
 from .densepoly import SingularMatrixError, addmul, cut, eliminate, strip
-from .scalars import BaseField
 from .subspaces import rank_of
-
-# The residue rung's rank certificate over Q runs modulo this prime.
-_CERTIFICATE_FIELD = BaseField(2**31 - 1)
 
 
 def _unit_inverse(u, prec, p):
@@ -174,12 +166,8 @@ def _hermite(cols, prec, n, p):
 
 def _residues_span(columns, n, field):
     """The residue rung of step 1: whether the t^0 coefficients of the
-    shifted generators span F^n, which proves D(L') = 0.  Over Q a False
-    (the rank modulo q = 2^31 - 1 is below n) proves nothing."""
-    if field.p is None:
-        field = _CERTIFICATE_FIELD
-    q = field.p
-    rows = [[e[1][0] % q if e is not None and not e[0] else 0 for e in col] for col in columns]
+    shifted generators span F^n, that is whether D(L') = 0."""
+    rows = [[e[1][0] if e is not None and not e[0] else 0 for e in col] for col in columns]
     return rank_of(rows, n, field) == n
 
 
@@ -245,10 +233,9 @@ def canonical_basis(columns, n: int, field, det: int | None = None) -> tuple[tup
             return _read_basis(cols, pivots, low)
         if bound is None:
             bound = _degree_bound(columns, n)
-        # Over Q a failed residue rung proves nothing, even when B = 0.
-        if prec > bound and (p or prec > 1):
+        if prec > bound:
             raise SingularMatrixError(f"generators have rank < {n}")
-        prec = max(2, min(2 * prec, bound + 1))
+        prec = min(2 * prec, bound + 1)
 
 
 def _read_basis(cols, pivots, low):

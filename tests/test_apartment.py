@@ -1,7 +1,10 @@
 """Assignment certificates and witness lattices inside a frame."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -55,6 +58,18 @@ def test_kuhn_munkres_vs_exhaustive():
             for p in itertools.permutations(range(n))
         )
         assert value == brute
+
+
+def test_certificate_check_survives_python_dash_o():
+    # -O strips assert statements; the dual certificate check must still
+    # reject infeasible potentials.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(apartment.__file__)))
+    code = ("from latticeval.apartment import AssignmentResult\n"
+            "AssignmentResult((0, 1), (0, 0), (0, 0), 0).check([[1, 0], [0, 1]])\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith("AssertionError: infeasible potentials")
 
 
 def test_apartment_multi_f_example():

@@ -419,12 +419,12 @@ def test_ladder_matches_ladder_from_one(field):
     assert names == {"apartment", "dual", "residue witness", "sum"}
 
 
-def test_residue_rung_over_q_falls_back_when_singular_mod_q():
-    # Residues singular modulo q = 2^31 - 1 but not over Q: the rung proves
-    # nothing and the Hermite pass at N = 2 accepts D(L') = 0.  The first
-    # case has constant entries, so B = 0, which must not be read as
-    # singular; in the last, the integer column of 2q/3 holds 2q.
-    q = truncated._CERTIFICATE_FIELD.p
+def test_residue_rung_over_q_is_exact():
+    # Residues singular modulo q = 2^31 - 1 but not over Q: the rung is exact
+    # over Q and accepts D(L') = 0 without a Hermite pass.  The first case has
+    # constant entries, so B = 0; in the last, the integer column of 2q/3
+    # holds 2q.
+    q = 2**31 - 1
     f = RATIONAL
     zero = ValuedScalar.zero(f)
     t = [ValuedScalar.t_power(f, e) for e in range(2)]
@@ -433,16 +433,30 @@ def test_residue_rung_over_q_falls_back_when_singular_mod_q():
                  [[big + t[1], t[1]], [t[1], t[0]]],
                  [[ValuedScalar.t_power(f, 0, Fraction(2 * q, 3)), t[1]], [t[1], t[0]]]):
         cols = [polynomial_column(col, None) for col in gens]
-        assert not truncated._residues_span(
-            [integer_column(col, None)[0] for col in cols], 2, f)
+        assert truncated._residues_span(cols, 2, f)
         for det in (None, 0):
             with pytest.MonkeyPatch.context() as mp:
                 calls = counted_hermite(mp)
                 got = canonical_basis(cols, 2, f, det=det)
-            assert calls == [1, 2]
+            assert calls == [1]
             assert got == (((0, [1]), None), (None, (0, [1])))
         with pytest.raises(ValueError):
             canonical_basis(cols, 2, f, det=1)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_singular_residues_with_constant_entries_raise_after_the_rung(field):
+    # B = 0 and the residues have rank 1: the rung proves the generators
+    # singular over Q exactly as over F_p, with no Hermite pass.
+    two = ValuedScalar.from_int(field, 2)
+    one = ValuedScalar.one(field)
+    cols = [polynomial_column(col, field.p) for col in ([one, two], [two, two + two])]
+    assert not truncated._residues_span(cols, 2, field)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_hermite(mp)
+        with pytest.raises(SingularMatrixError):
+            canonical_basis(cols, 2, field)
+    assert calls == [1]
 
 
 def unit_cases(rng, p):
