@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from latticeval import serialize
-from latticeval.densepoly import from_poly, to_poly
-from latticeval.lattices import Lattice, SingularMatrixError
+from latticeval.densepoly import addmul, from_poly, to_poly
+from latticeval.lattices import Lattice, SingularMatrixError, integer_column, polynomial_column
 from latticeval.randgen import random_lattice, random_scalar, random_unimodular
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
 from test_truncated import reference_canonicalize
@@ -507,3 +507,74 @@ def test_coordinates_are_integral_and_exact_with_large_pivot_coefficients():
             with pytest.raises(ValueError):
                 lat.pair_coordinates([col])
     assert largest > 10**5
+
+
+# -- the input boundary against the two-step route -----------------------------
+
+def reference_polynomial_column(col, p):
+    """The two-step route to pairs: each entry as a pair of its raw
+    coefficients (``from_poly``), times the product of the distinct
+    denominators of more than one term, then times the lcm of the
+    coefficient denominators (``integer_column``)."""
+    out = [e if e is None or type(e) is tuple else
+           from_poly(e.num if type(e) is ValuedScalar else e) for e in col]
+    for d in {e.den for e in col if type(e) is ValuedScalar and len(e.den.coeffs) > 1}:
+        pd = from_poly(d)
+        out = [x if x is None or (type(e) is ValuedScalar and e.den == d) else
+               addmul(None, x, pd, 1, p) for x, e in zip(out, col)]
+    return integer_column(out, p)[0]
+
+
+def boundary_entry(rng, field, kind, coefficients, dens):
+    """One column entry of the given kind ("pair", "poly", "scalar", "zero"
+    or "none") on exponents [-2, 2], its coefficients drawn from
+    ``coefficients`` and, for "scalar", its denominator from ``dens``."""
+    terms = {e: rng.choice(coefficients) for e in range(-2, 3) if rng.random() < 0.6}
+    poly = LaurentPoly(field, terms)
+    if kind == "none" or (kind == "pair" and poly.is_zero()):
+        return None
+    if kind == "zero":
+        return rng.choice((LaurentPoly.zero(field), ValuedScalar.zero(field)))
+    if kind == "pair":
+        return from_poly(poly)
+    if kind == "poly":
+        return poly
+    return ValuedScalar(poly, rng.choice(dens))
+
+
+def boundary_columns(rng, field):
+    """Random columns mixing every entry kind, over ``field``: over Q with
+    int, integral ``Fraction`` and non-integral ``Fraction`` coefficients
+    (JSON pairs hold ``Fraction``s), and denominators 1, 1 + t, (1 + t)^2
+    and 1 - t/3 in one column."""
+    one = LaurentPoly.one(field)
+    one_plus_t = LaurentPoly(field, {0: field.one, 1: field.one})
+    dens = [one, one_plus_t, one_plus_t * one_plus_t]
+    if field.is_rational:
+        dens.append(LaurentPoly(field, {0: 1, 1: Fraction(-1, 3)}))
+        pools = ([-3, -1, 2, 5], [Fraction(c) for c in (-2, 1, 3)],
+                 [Fraction(c, d) for c, d in ((1, 2), (-5, 6), (7, 4), (3, 1))],
+                 [1, Fraction(-2), Fraction(2, 9)])
+    else:
+        pools = (range(1, field.p),)
+    kinds = ("pair", "poly", "scalar", "zero", "none")
+    for coefficients in pools:
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            yield [boundary_entry(rng, field, rng.choice(kinds), coefficients, dens)
+                   for _ in range(n)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_polynomial_column_matches_two_step_route(field):
+    rng = random.Random(2027 + (field.p or 0))
+    checked = 0
+    for col in boundary_columns(rng, field):
+        out = polynomial_column(col, field.p)
+        assert out == reference_polynomial_column(col, field.p), col
+        if field.is_rational:
+            # A Fraction or a bool in a stored basis would break the
+            # content gcd of ``densepoly.cut``.
+            assert all(type(c) is int for e in out if e is not None for c in e[1]), col
+        checked += any(e is not None for e in out)
+    assert checked > 50
