@@ -11,8 +11,11 @@ a primitive integer column (``truncated``, Coefficients); over F_p, s_j = 1.
 Coordinates (``pair_coordinates``) are taken S times, S the product of the
 s_j, so that over Q they too are integer pairs.  Only this boundary accepts
 ``LaurentPoly``, ``ValuedScalar`` and rational pair columns:
-``polynomial_column`` converts each once to pairs, with integer coefficients
-over Q (``integer_column``), and ``column_field`` reads their field;
+``polynomial_column`` converts each to pairs in one pass over its
+coefficients, with integer coefficients over Q (an ``int`` is kept, an
+integral ``Fraction`` becomes its numerator, and only a column with a
+non-integral coefficient or a denominator of more than one term takes a
+second step), and ``column_field`` reads their field;
 ``from_pairs`` takes the columns that the library builds itself.  The
 canonical view divides each stored column by s_j and is built afresh where a
 reader asks for it (``canonical_pairs``, ``poly_basis``, ``columns`` and the
@@ -76,18 +79,50 @@ def integer_column(col, p):
 
 def polynomial_column(col, p) -> list:
     """A column of pair, ``LaurentPoly`` and ``ValuedScalar`` entries as
-    pairs, multiplied by a unit of O: the product of its distinct
-    denominators (each has valuation 0 and constant term 1), and over Q then
-    the lcm of its coefficient denominators (``integer_column``), so that
-    its coefficients are integers; no gcd is taken.  Over F_p pairs are
-    kept as they are."""
-    out = [e if e is None or type(e) is tuple else
-           from_poly(e.num if type(e) is ValuedScalar else e) for e in col]
-    for d in {e.den for e in col if type(e) is ValuedScalar and len(e.den.coeffs) > 1}:
+    pairs, multiplied by a unit of O, in one pass: each entry's coefficients
+    go straight into a dense list, an ``int`` kept as it is and any other
+    coefficient read once by ``as_integer_ratio``, which over Q turns an
+    integral ``Fraction`` into its numerator.  Over F_p pairs are kept as
+    they are.  Only a column with a denominator of more than one term (each
+    has valuation 0 and constant term 1) is multiplied by the product of its
+    distinct denominators, and only one with a coefficient that is not an
+    integer then by the lcm of its coefficient denominators
+    (``integer_column``); no gcd is taken."""
+    out = []
+    exact = True
+    dens = set()
+    for e in col:
+        if e is None or (p is not None and type(e) is tuple):
+            out.append(e)
+            continue
+        if type(e) is tuple:
+            lo, items, size = e[0], enumerate(e[1], e[0]), len(e[1])
+        else:
+            if type(e) is ValuedScalar:
+                if len(e.den.coeffs) > 1:
+                    dens.add(e.den)
+                e = e.num
+            co = e.coeffs
+            if not co:
+                out.append(None)
+                continue
+            lo = min(co)
+            items, size = co.items(), max(co) - lo + 1
+        dense = [0] * size
+        for k, c in items:
+            if type(c) is not int:
+                n, d = c.as_integer_ratio()
+                if d == 1:
+                    c = n
+                else:
+                    exact = False
+            dense[k - lo] = c
+        out.append((lo, dense))
+    for d in dens:
         pd = from_poly(d)
         out = [x if x is None or (type(e) is ValuedScalar and e.den == d) else
                addmul(None, x, pd, 1, p) for x, e in zip(out, col)]
-    return integer_column(out, p)[0]
+    return out if exact and not dens else integer_column(out, p)[0]
 
 
 class Lattice:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticeval import serialize
+from latticeval import densepoly, lattices, serialize
 from latticeval.densepoly import addmul, from_poly, to_poly
 from latticeval.lattices import Lattice, SingularMatrixError, integer_column, polynomial_column
 from latticeval.randgen import random_lattice, random_scalar, random_unimodular
@@ -578,3 +578,28 @@ def test_polynomial_column_matches_two_step_route(field):
             assert all(type(c) is int for e in out if e is not None for c in e[1]), col
         checked += any(e is not None for e in out)
     assert checked > 50
+
+
+def test_rational_columns_need_no_from_poly(monkeypatch):
+    """Over Q ``LaurentPoly`` columns and ``ValuedScalar`` columns with unit
+    denominators become integer pairs in one pass, with no ``from_poly``
+    list of ``Fraction``s in between."""
+    rng = random.Random(2701)
+    cases = []
+    while len(cases) < 12:
+        n = rng.randint(1, 4)
+        gens = sparse_generators(rng, RATIONAL, n, False)
+        polys = [[e.num for e in col] for col in gens]
+        try:
+            cases.append((n, gens, polys, Lattice.from_generators(gens, n)))
+        except SingularMatrixError:
+            continue
+
+    def refuse(poly):
+        raise AssertionError("from_poly called")
+
+    monkeypatch.setattr(densepoly, "from_poly", refuse)
+    monkeypatch.setattr(lattices, "from_poly", refuse, raising=False)
+    for n, gens, polys, lat in cases:
+        assert Lattice.from_generators(gens, n).basis == lat.basis
+        assert Lattice.from_generators(polys, n, RATIONAL).basis == lat.basis
