@@ -7,9 +7,10 @@ and leading coefficient; there is no floating point, and series are truncated
 only at a proven exact bound (see ``truncated``).
 
 Each operation takes one path for both fields.  A ``LaurentPoly`` operation
-is one loop over ``BaseField`` operations, ``ValuedScalar`` +, * and
-``invert`` are each one call of the canonicalising constructor, and
-``poly_gcd`` is one primitive PRS (Brown 1971).  The PRS stays on integer
+is one loop over ``BaseField`` operations, ``ValuedScalar`` + and * are
+each one call of the canonicalising constructor, negation and ``invert``
+rearrange a canonical pair with no gcd, and ``poly_gcd`` is one primitive
+PRS (Brown 1971).  The PRS stays on integer
 lists over Q, since Euclid on ``Fraction`` coefficients lets them grow.  The
 library's hot paths run on the ``truncated`` and ``densepoly`` kernels; this
 module carries input fractions and the reference implementations that the
@@ -322,8 +323,9 @@ class ValuedScalar:
     The canonical form divides out the polynomial gcd, pushes the net t-power
     into the numerator, and normalizes the denominator's lowest coefficient
     to 1, so equality of values is structural equality.  The constructor
-    establishes it for any (num, den), and every operation builds its result
-    through the constructor.
+    establishes it for any (num, den), and + and * build their result
+    through it.  Negation and ``invert`` keep a canonical pair canonical
+    with no gcd and build their result with ``_canonical``.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -396,7 +398,8 @@ class ValuedScalar:
         return self + (-other)
 
     def __neg__(self) -> "ValuedScalar":
-        return ValuedScalar(-self.num, self.den)
+        # -num/den is canonical when num/den is: nothing to divide out.
+        return ValuedScalar._canonical(-self.num, self.den)
 
     def __mul__(self, other: "ValuedScalar") -> "ValuedScalar":
         return ValuedScalar(self.num * other.num, self.den * other.den)
@@ -404,7 +407,21 @@ class ValuedScalar:
     def invert(self) -> "ValuedScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        return ValuedScalar(self.den, self.num)
+        # num and den are coprime, so the constructor's gcd would be 1: only
+        # its shift and scale remain.  den has valuation 0, so the net
+        # t-power -v of the inverse moves to its numerator.
+        num = self.num
+        v = num.valuation()
+        c = self.field.inv(num.coeffs[v])
+        return ValuedScalar._canonical(self.den.scale(c).shift(-v), num.shift(-v).scale(c))
+
+    @classmethod
+    def _canonical(cls, num: LaurentPoly, den: LaurentPoly) -> "ValuedScalar":
+        """The scalar num/den for a pair already in canonical form, which is
+        not checked."""
+        out = object.__new__(cls)
+        out.num, out.den, out._hash = num, den, None
+        return out
 
     def __truediv__(self, other: "ValuedScalar") -> "ValuedScalar":
         return self * other.invert()

@@ -437,3 +437,40 @@ def test_results_are_canonical(field, data):
     for s in results:
         assert s.den.valuation() == 0 and s.den.coefficient(0) == field.one
         assert poly_gcd(s.num, s.den) == LaurentPoly.one(field)
+
+
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=repr)
+def test_negation_and_inverse_take_no_gcd(field, monkeypatch):
+    """-x and x.invert() of a canonical scalar equal the constructor route
+    (``ValuedScalar(-num, den)`` and ``ValuedScalar(den, num)``), ``==`` and
+    ``hash`` included, without a polynomial gcd: negation keeps den, and
+    inversion only shifts and scales the coprime pair."""
+    rng = random.Random(2707 + (field.p or 0))
+    nonzero = [Fraction(c, d) for c in (-3, -1, 2, 5) for d in (1, 2, 3)] \
+        if field.is_rational else range(1, field.p)
+    cases = []
+    while len(cases) < 60:
+        num = LaurentPoly(field, {e: rng.choice(nonzero) for e in range(-2, 3)
+                                  if rng.random() < 0.6})
+        den = LaurentPoly(field, {e: rng.choice(nonzero) for e in range(rng.randint(-1, 1), 3)
+                                  if rng.random() < 0.7})
+        if num.is_zero() or len(den.coeffs) < 2:
+            continue
+        x = ValuedScalar(num, den)
+        cases.append((x, ValuedScalar(-x.num, x.den), ValuedScalar(x.den, x.num)))
+    assert sum(len(x.den.coeffs) > 1 for x, _, _ in cases) > 30
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr("latticeval.scalars.poly_gcd", counted)
+    for x, neg, inv in cases:
+        for got, want in ((-x, neg), (x.invert(), inv)):
+            assert got == want and hash(got) == hash(want)
+            assert got.num == want.num and got.den == want.den
+        assert -(-x) == x and x.invert().invert() == x
+    zero = ValuedScalar.zero(field)
+    assert -zero == zero and hash(-zero) == hash(zero)
+    assert calls == []
