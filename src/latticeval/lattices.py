@@ -79,15 +79,14 @@ def integer_column(col, p):
 
 def polynomial_column(col, p) -> list:
     """A column of pair, ``LaurentPoly`` and ``ValuedScalar`` entries as
-    pairs, multiplied by a unit of O, in one pass: each entry's coefficients
-    go straight into a dense list, an ``int`` kept as it is and any other
-    coefficient read once by ``as_integer_ratio``, which over Q turns an
-    integral ``Fraction`` into its numerator.  Over F_p pairs are kept as
-    they are.  Only a column with a denominator of more than one term (each
-    has valuation 0 and constant term 1) is multiplied by the product of its
-    distinct denominators, and only one with a coefficient that is not an
-    integer then by the lcm of its coefficient denominators
-    (``integer_column``); no gcd is taken."""
+    pairs, multiplied by a unit of O, in one pass over the coefficients: an
+    ``int`` is kept and any other coefficient is read once with
+    ``as_integer_ratio``, so over Q an integral ``Fraction`` becomes its
+    numerator.  Over F_p pairs are kept as they are.  Only a column with a
+    denominator of more than one term (each has valuation 0 and constant
+    term 1) is then multiplied by the product of its distinct denominators,
+    and only one with a coefficient that is not an integer by the lcm of its
+    coefficient denominators (``integer_column``); no gcd is taken."""
     out = []
     exact = True
     dens = set()

@@ -10,8 +10,8 @@ Each operation takes one path for both fields.  A ``LaurentPoly`` operation
 is one loop over ``BaseField`` operations, ``ValuedScalar`` + and * are
 each one call of the canonicalising constructor, negation and ``invert``
 rearrange a canonical pair with no gcd, and ``poly_gcd`` is one primitive
-PRS (Brown 1971).  The PRS stays on integer
-lists over Q, since Euclid on ``Fraction`` coefficients lets them grow.  The
+PRS (Brown 1971).  The PRS stays on integer lists over Q, since Euclid on
+``Fraction`` coefficients lets them grow.  The
 library's hot paths run on the ``truncated`` and ``densepoly`` kernels; this
 module carries input fractions and the reference implementations that the
 tests compare those kernels against.

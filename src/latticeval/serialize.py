@@ -87,10 +87,11 @@ def scalar_to_json(s: ValuedScalar):
 def _entry_from_json(data, field: BaseField):
     """A matrix entry: a ``densepoly`` pair (or None) when it has no "den",
     else a ``ValuedScalar``.  Over Q the pair holds ``Fraction``s, which
-    ``lattices.polynomial_column`` reads in its one pass, multiplying the
-    column by the lcm of their denominators when one is not 1.  That turns a canonical column (pivot coefficient 1) into
-    its stored form, a primitive integer column, so a canonical basis is
-    recognised without elimination."""
+    ``lattices.polynomial_column`` reads in its one pass; when one is not an
+    integer, it multiplies the column by the lcm of their denominators.
+    That turns a canonical column (pivot coefficient 1) into its stored
+    form, a primitive integer column, so a canonical basis is recognised
+    without elimination."""
     _check(isinstance(data, dict) and "num" in data,
            'a scalar must be an object with a "num" polynomial')
     if "den" not in data:

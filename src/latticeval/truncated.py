@@ -67,9 +67,9 @@ Coefficients.  Over F_p the coefficients of a pair are residues.  Over Q they
 are integers: a nonzero rational is a unit, so ``lattices.polynomial_column``
 writes each input column as integers in one pass (an integral coefficient is
 read as an int, and a column is scaled by the lcm of its denominators only
-when one is not 1), every column an elimination
-step writes is divided by the gcd of its coefficients (``densepoly.cut``),
-and no polynomial gcd is taken.  A canonical column over Q is stored as
+when one is not 1), every column an elimination step writes is divided by
+the gcd of its coefficients (``densepoly.cut``), and no polynomial gcd is
+taken.  A canonical column over Q is stored as
 its primitive integer multiple with a positive pivot coefficient s_j (the
 canonical column divided by s_j is ``Lattice.canonical_pairs``).  That
 multiple is unique, so equal lattices store equal bases, and step 0 accepts
