@@ -469,7 +469,6 @@ def test_negation_and_inverse_take_no_gcd(field, monkeypatch):
     for x, neg, inv in cases:
         for got, want in ((-x, neg), (x.invert(), inv)):
             assert got == want and hash(got) == hash(want)
-            assert got.num == want.num and got.den == want.den
         assert -(-x) == x and x.invert().invert() == x
     zero = ValuedScalar.zero(field)
     assert -zero == zero and hash(-zero) == hash(zero)
