@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import latticeval
 from latticeval.cli import main
+from latticeval.detval import multi_f_detail
 from latticeval import representatives, serialize
 from latticeval.lattices import Lattice
 from latticeval.randgen import random_lattice, random_unimodular
@@ -57,6 +58,29 @@ def test_compute_f_binary_matches_distance(capsys, tmp_path):
     assert code == 0
     assert out.splitlines()[0] == "[2, -1]"
     assert "antisymmetry: True" in out
+
+
+def test_compute_f_indices_override(capsys, tmp_path):
+    rng = random.Random(47)
+    lat = random_lattice(rng, 3, RATIONAL, -2, 2)
+    lats = [lat, lat.scale(-2), Lattice.standard(3, RATIONAL)]
+    path = write_instance(tmp_path, lats, (1, 1, 1))
+    code, out, _ = run(capsys, "compute-f", path)
+    assert code == 0 and int(out.splitlines()[0]) == multi_f_detail((1, 1, 1), lats)[0]
+    code, out, _ = run(capsys, "compute-f", path, "--indices", "0,3,0", "--json")
+    value = multi_f_detail((0, 3, 0), lats)[0]
+    assert value != multi_f_detail((1, 1, 1), lats)[0]
+    assert code == 0 and int(out.splitlines()[0]) == value
+    assert json.loads(out.splitlines()[1])["indices"] == [0, 3, 0]
+
+
+@pytest.mark.parametrize("indices", ["1,x", "1,2"], ids=["malformed", "wrong-length"])
+def test_compute_f_bad_indices_are_an_error(capsys, tmp_path, indices):
+    e = Lattice.standard(3, RATIONAL)
+    path = write_instance(tmp_path, [e, e, e], (1, 1, 1))
+    code, out, err = run(capsys, "compute-f", path, "--indices", indices)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_verify_exit_codes(capsys, tmp_path):
@@ -253,9 +277,9 @@ def test_konig_subcommand(capsys, tmp_path):
 
 def test_konig_scans_subsets_once(capsys, tmp_path, monkeypatch):
     calls = []
-    scan = representatives._min_subset
-    monkeypatch.setattr(representatives, "_min_subset",
-                        lambda subspaces: calls.append(1) or scan(subspaces))
+    value = representatives.konig_linear_value
+    monkeypatch.setattr(representatives, "konig_linear_value",
+                        lambda subspaces: calls.append(1) or value(subspaces))
     inst = tmp_path / "k.json"
     inst.write_text(json.dumps({"n": 3, "field": "prime:3", "subspaces": [
         [[1, 0, 0]], [[1, 0, 0], [0, 1, 2]], [[0, 1, 2]], [[1, 1, 1]]]}))

@@ -509,7 +509,63 @@ def test_coordinates_are_integral_and_exact_with_large_pivot_coefficients():
     assert largest > 10**5
 
 
-# -- the input boundary against the two-step route -----------------------------
+def reference_forward_substitute(below, diagonal, col, p):
+    """The forward substitution on a copy of the basis: row i left of the
+    diagonal as (j, pair) in below[i], and the monomial diagonal[i] =
+    s_i t^{d_i} as a pair."""
+    scale = 1 if p is not None else math.prod(s for _, (s,) in diagonal)
+    x = []
+    for i, pivot in enumerate(diagonal):
+        acc = col[i]
+        if acc is not None and scale != 1:
+            acc = acc[0], [c * scale for c in acc[1]]
+        for j, b in below[i]:
+            if x[j] is not None:
+                acc = addmul(acc, b, x[j], -1, p)
+        if acc is not None:
+            acc = (acc[0] - pivot[0], acc[1]) if pivot[1][0] == 1 else densepoly.divexact(acc, pivot, p)
+        x.append(acc)
+    return x
+
+
+def reference_pair_coordinates(lat, columns):
+    basis = lat.basis
+    below = [[(j, basis[j][i]) for j in range(i) if basis[j][i] is not None]
+             for i in range(lat.n)]
+    diagonal = [col[i] for i, col in enumerate(basis)]
+    return [reference_forward_substitute(below, diagonal, col, lat.field.p) for col in columns]
+
+
+def integer_pair_column(rng, field, n):
+    """n entries, each None with probability 1/3 or else a pair on exponents
+    [-3, 3] with integer (over Q) or residue coefficients."""
+    out = []
+    for _ in range(n):
+        coeffs = [rng.randint(-9, 9) if field.is_rational else rng.randrange(field.p)
+                  for _ in range(rng.randint(1, 4))]
+        out.append(None if rng.random() < 1 / 3 else densepoly.strip(rng.randint(-3, 0), coeffs))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_pair_coordinates_match_forward_substitution_on_a_copy(field):
+    """``pair_coordinates`` agrees with the substitution on a copied
+    below-diagonal list, on canonical bases with and without denominators
+    (over Q, pivot coefficients s_i > 1) and on random columns with zero
+    entries."""
+    rng = random.Random(2800 + (field.p or 0))
+    scaled = 0
+    for n in range(1, 6):
+        for denominators in (False, True):
+            lats = fresh_lattices(rng, field, n, 3)
+            if field.is_rational:
+                lats.append(big_pivot_lattice(rng, n))
+            for lat in lats:
+                columns = [integer_pair_column(rng, field, n) for _ in range(4)]
+                columns += list(draw_lattice(rng, field, n, denominators)[0].basis)
+                assert lat.pair_coordinates(columns) == reference_pair_coordinates(lat, columns)
+                scaled += any(col[i][1][0] != 1 for i, col in enumerate(lat.basis))
+    assert scaled > 5 if field.is_rational else scaled == 0
 
 def reference_polynomial_column(col, p):
     """The two-step route to pairs: each entry as a pair of its raw
