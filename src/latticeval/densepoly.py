@@ -18,14 +18,15 @@ returns them, and ``LaurentPoly`` is built only where a caller hands one in
 or asks for one (``from_poly``, ``to_poly``).  The module is also the
 arithmetic kernel of ``detval.det_poly`` (fraction-free Bareiss on integer
 lists), of ``Lattice.pair_coordinates`` (fraction-free forward
-substitution), of changes of coordinates (``combine``) and of the library's
-two bounded-precision eliminations: the one Smith elimination (``smith``),
-which gives the invariant factors of ``metric.relative_invariants``, the
-membership test of the apartment search (row steps only) and the frame it
-finds, and ``truncated``'s Hermite elimination for canonical bases.  Both
-step through ``eliminate`` (u*y - q*x entrywise) and cut their rows or
-columns above a power of t with ``cut``, which over Q also divides out their
-content.  ``divexact`` needs integer coefficients over Q.
+substitution, reading the stored basis as it is), of changes of coordinates
+(``combine``) and of the library's two bounded-precision eliminations: the
+one Smith elimination (``smith``), which gives the invariant factors of
+``metric.relative_invariants``, the membership test of the apartment search
+(row steps only) and the frame it finds, and ``truncated``'s Hermite
+elimination for canonical bases.  Both step through ``eliminate`` (u*y - q*x
+entrywise) and cut their rows or columns above a power of t with ``cut``,
+which over Q also divides out their content.  ``divexact`` needs integer
+coefficients over Q.
 """
 
 from __future__ import annotations
@@ -299,24 +300,34 @@ def divexact(a, b, p):
     return av - bv, q
 
 
-def forward_substitute(below, diagonal, col, p):
-    """S x with T x = col, T lower triangular with the nonzero entries left of
-    the diagonal in row i given as (j, pair) in below[i], the monomial
-    diagonal[i] = s_i t^{d_i} as a pair, and S the product of the s_i (1
-    over F_p).  Over Q, with integer T and col, S T^{-1} = adj(T) t^{-D} is
-    integral (fraction-free elimination: Bareiss, Math. Comp. 22, 1968), so
-    each division by s_i t^{d_i} is a shift and an exact ``divexact``, which
-    raises ``ValueError`` on a remainder that a non-integer col leaves."""
-    scale = 1 if p is not None else math.prod(s for _, (s,) in diagonal)
-    x = []
-    for i, pivot in enumerate(diagonal):
-        acc = col[i]
-        if acc is not None and scale != 1:
-            acc = acc[0], [c * scale for c in acc[1]]
-        for j, b in below[i]:
-            if x[j] is not None:
-                acc = addmul(acc, b, x[j], -1, p)
-        if acc is not None:
-            acc = (acc[0] - pivot[0], acc[1]) if pivot[1][0] == 1 else divexact(acc, pivot, p)
-        x.append(acc)
+def forward_substitute(basis, col, p):
+    """S x with T x = col for the lower-triangular T stored as its columns,
+    basis[j][i] the entry in row i of column j (None for zero), each diagonal
+    entry basis[j][j] = s_j t^{d_j} a monomial, and S the product of the s_j
+    (1 over F_p).  Once x_j is known, column j below the diagonal is
+    subtracted x_j times from the rows it reaches, so each row takes its
+    terms in column order and a column with no entry below the diagonal
+    costs one scan.  Over Q, with integer T and col, S T^{-1} = adj(T)
+    t^{-D} is integral (fraction-free elimination: Bareiss, Math. Comp. 22,
+    1968), so each division by s_j t^{d_j} is a shift and an exact
+    ``divexact``, which raises ``ValueError`` on a remainder that a
+    non-integer col leaves."""
+    x = list(col)
+    if p is None:
+        scale = 1
+        for j, column in enumerate(basis):
+            (s,) = column[j][1]  # raises unless the pivot is a monomial
+            scale *= s
+        if scale != 1:
+            x = [None if e is None else (e[0], [c * scale for c in e[1]]) for e in x]
+    n = len(basis)
+    for j, column in enumerate(basis):
+        y = x[j]
+        if y is not None:
+            pivot = column[j]
+            x[j] = y = (y[0] - pivot[0], y[1]) if pivot[1][0] == 1 else divexact(y, pivot, p)
+            if any(column[j + 1:]):
+                for i in range(j + 1, n):
+                    if column[i] is not None:
+                        x[i] = addmul(x[i], column[i], y, -1, p)
     return x

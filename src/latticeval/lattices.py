@@ -127,8 +127,7 @@ def polynomial_column(col, p) -> list:
 class Lattice:
     """Immutable lattice; two instances are equal iff the modules coincide."""
 
-    __slots__ = ("n", "field", "basis", "pivots", "key", "_hash", "_below", "_dual",
-                 "_residues")
+    __slots__ = ("n", "field", "basis", "pivots", "key", "_hash", "_dual", "_residues")
 
     def __init__(self, n: int, field: BaseField, basis: tuple[Column, ...]):
         self.n = n
@@ -139,9 +138,6 @@ class Lattice:
         self.key = (n, field.p, tuple(() if e is None else (e[0], *e[1])
                                       for col in basis for e in col))
         self._hash = None
-        # Row i of the basis left of its pivot, built on the first call to
-        # ``pair_coordinates``.
-        self._below = None
         # The dual lattice, set by the first call to ``dual`` on either side.
         self._dual = None
         # {base: closecase.residue_subspace(base, self)}, filled on demand.
@@ -274,17 +270,11 @@ class Lattice:
         """S . basis^{-1} . c for each column c of ``densepoly`` pairs (with
         integer coefficients over Q) in the stored basis, S the product of
         its pivot coefficients s_i (1 over F_p): integer pairs, by
-        fraction-free forward substitution (``densepoly.forward_substitute``).
-        S, one nonzero rational per call, is a unit of O: it moves no
-        valuation, span or generated lattice that a caller reads."""
-        if self._below is None:
-            basis = self.basis
-            self._below = tuple(
-                tuple((j, basis[j][i]) for j in range(i) if basis[j][i] is not None)
-                for i in range(self.n))
-        p = self.field.p
-        diagonal = [col[i] for i, col in enumerate(self.basis)]
-        return [forward_substitute(self._below, diagonal, col, p) for col in columns]
+        fraction-free forward substitution (``densepoly.forward_substitute``),
+        which reads the stored basis where it is.  S, one nonzero rational
+        per call, is a unit of O: it moves no valuation, span or generated
+        lattice that a caller reads."""
+        return [forward_substitute(self.basis, col, self.field.p) for col in columns]
 
     def basis_inverse(self) -> list[list[ValuedScalar]]:
         """basis^{-1} as a row-major matrix (lower triangular, like basis)."""

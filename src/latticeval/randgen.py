@@ -10,10 +10,12 @@ from .scalars import BaseField, LaurentPoly, ValuedScalar
 from .subspaces import Subspace
 
 
-def random_coefficient(rng, field: BaseField):
+def random_coefficient(rng, field: BaseField) -> int:
+    """A plain int: in [-3, 3] over Q, a residue over F_p (``densepoly``
+    takes integer coefficients over Q)."""
     if field.is_rational:
-        return field.from_int(rng.randint(-3, 3))
-    return field.from_int(rng.randrange(field.p))
+        return rng.randint(-3, 3)
+    return rng.randrange(field.p)
 
 
 def random_scalar(rng, field: BaseField, low: int = -2, high: int = 2) -> ValuedScalar:
@@ -30,7 +32,7 @@ def random_lattice(rng, n: int, field: BaseField, low: int = -3, high: int = 3) 
     nonzero = (-3, -2, -1, 1, 2, 3) if field.is_rational else range(1, field.p)
     while True:
         cols = [
-            [LaurentPoly(field, {e: field.from_int(rng.choice(nonzero))
+            [LaurentPoly(field, {e: rng.choice(nonzero)
                                  for e in range(low, high + 1) if rng.random() < 0.5})
              for _ in range(n)]
             for _ in range(n)
@@ -46,7 +48,7 @@ def random_unimodular(rng, n: int, field: BaseField):
     elementary column operations on the identity (column-major), each adding
     a multiple of degree at most 1 in t.  The operations run on ``densepoly``
     pairs; the columns are returned as ``ValuedScalar`` entries."""
-    cols = [[(0, [field.one]) if i == j else None for i in range(n)] for j in range(n)]
+    cols = [[(0, [1]) if i == j else None for i in range(n)] for j in range(n)]
     for _ in range(2 * n if n > 1 else 0):
         a, b = rng.sample(range(n), 2)
         m = strip(0, [random_coefficient(rng, field) for _ in range(2)])

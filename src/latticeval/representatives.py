@@ -1,9 +1,15 @@
 """Systems of representatives: set-system Koenig, its linear-algebra analogue,
-and independent-representative witnesses for subspace families."""
+and independent-representative witnesses for subspace families.
+
+The linear value (the linearized Koenig, or Moshonkin, minimum) ranks one
+sum per set of distinct subspaces of the family, not one per index subset,
+so a multiset such as that of ``multiset_g`` costs 2^(distinct subspaces)
+ranks; ``MAX_SUBSET_SCAN`` still caps the family size r."""
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .scalars import BaseField
 from .subspaces import Subspace, rank_of
@@ -50,43 +56,28 @@ def konig_set_formula(sets) -> int:
 
 def konig_linear_value(subspaces) -> int:
     """Maximum number of linearly independent representatives, one from each
-    of at most r subspaces: min over I of dim(sum of V_i, i in I) + r - |I|."""
+    of at most r subspaces: min over I of dim(sum of V_i, i in I) + r - |I|.
+
+    It is computed as the minimum, over sets D of distinct subspaces of the
+    family, of dim(sum of D) + r - (the number of family entries in D).
+    The two agree: dim(sum over I) depends only on the set of distinct
+    subspaces that I hits, and among the I that hit the same set, |I| is
+    largest when I takes all their copies."""
     subspaces = list(subspaces)
     r = len(subspaces)
     if r == 0:
         return 0
     if r > MAX_SUBSET_SCAN:
         raise ValueError(f"subset enumeration capped at r <= {MAX_SUBSET_SCAN}")
-    value, _ = _min_subset(subspaces)
-    return value
-
-
-def _min_subset(subspaces):
-    """The minimum of dim(sum over I) + r - |I| together with the minimizing
-    set I, ties broken by smallest cardinality then lexicographic order.
-
-    dim(sum over I) depends only on the distinct subspaces that I picks, so
-    it is computed once per distinct set (a multiset such as that of
-    ``multiset_g`` repeats each span many times); the ranks live only for
-    this call."""
-    r = len(subspaces)
     n = subspaces[0].n
     field = subspaces[0].field
-    # The index of the first equal subspace stands for each one.
-    first = [subspaces.index(u) for u in subspaces]
-    ranks: dict = {}
+    counts = Counter(subspaces)
     best = r
-    best_set: tuple = ()
-    for size in range(1, r + 1):
-        for idx in itertools.combinations(range(r), size):
-            key = frozenset(first[i] for i in idx)
-            rank = ranks.get(key)
-            if rank is None:
-                rank = ranks[key] = rank_of([row for i in key for row in subspaces[i].rows], n, field)
-            d = rank + r - size
-            if d < best:
-                best, best_set = d, idx
-    return best, best_set
+    for size in range(1, len(counts) + 1):
+        for d in itertools.combinations(counts, size):
+            rank = rank_of([row for u in d for row in u.rows], n, field)
+            best = min(best, rank + r - sum(counts[u] for u in d))
+    return best
 
 
 def konig_linear_witness(subspaces):

@@ -221,8 +221,9 @@ def report_to_json(report: ConjectureReport):
     }
     if report.best_candidate is not None:
         lat, cost = report.best_candidate
-        out["candidates"].append({"lattice": lattice_to_json(lat), "cost": cost})
+        data = lattice_to_json(lat)
+        out["candidates"].append({"lattice": data, "cost": cost})
         if report.status == "verified":
-            out["witness"] = lattice_to_json(lat)
+            out["witness"] = data
     out["candidates_examined"] = report.candidates_examined
     return out

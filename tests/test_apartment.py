@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticeval import apartment
+from latticeval import apartment, randgen
 from latticeval.apartment import (
     Apartment,
     ApartmentPoint,
@@ -659,3 +659,25 @@ def test_common_apartment_uses_no_laurentpoly_arithmetic(monkeypatch):
     for name in ("__mul__", "__sub__", "__add__", "__neg__", "divexact"):
         monkeypatch.setattr(LaurentPoly, name, forbidden)
     assert run() == expected
+
+
+def test_random_frames_hand_densepoly_integers_over_q(monkeypatch):
+    """Over Q ``densepoly`` takes integer coefficients: the column steps of
+    ``random_unimodular``, and so of ``random_apartment_instance``, run on
+    int pairs, with no ``Fraction``."""
+    seen = set()
+
+    def record(*pairs):
+        seen.update(type(c) for e in pairs if e is not None for c in e[1])
+
+    addmul, to_poly = randgen.addmul, randgen.to_poly
+    monkeypatch.setattr(randgen, "addmul",
+                        lambda acc, f, g, s, p: record(acc, f, g) or addmul(acc, f, g, s, p))
+    monkeypatch.setattr(randgen, "to_poly",
+                        lambda field, pair: record(pair) or to_poly(field, pair))
+    rng = random.Random(2802)
+    for n in range(1, 5):
+        for _ in range(5):
+            random_unimodular(rng, n, RATIONAL)
+            random_apartment_instance(rng, n, 3, RATIONAL)
+    assert seen == {int}

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from latticeval import serialize
 from latticeval.detval import det_poly, det_scalar, multi_f, star_cost
 from latticeval.harness import (
     SHAPE_12_34,
@@ -58,6 +59,27 @@ def test_verify_close_strategy():
         assert report.status == "verified"
         assert report.best_candidate[1] == report.lhs
         assert star_cost(idx, lats, report.witness()) == report.lhs
+
+
+def test_report_json_builds_the_witness_once(monkeypatch):
+    """A verified report's witness is its one candidate: ``report_to_json``
+    builds its JSON once and writes it in both places."""
+    rng = random.Random(2803)
+    reports = []
+    for field in (RATIONAL, GF(101)):
+        for _ in range(3):
+            n = rng.randint(2, 3)
+            lats = list(random_close_triple(rng, n, field))
+            reports.append(verify_star(random_index(rng, n, 3), lats, "close"))
+    expected = [serialize.lattice_to_json(r.best_candidate[0]) for r in reports]
+    calls = []
+    build = serialize.lattice_to_json
+    monkeypatch.setattr(serialize, "lattice_to_json", lambda lat: calls.append(1) or build(lat))
+    for report, data in zip(reports, expected):
+        assert report.status == "verified"
+        out = serialize.report_to_json(report)
+        assert out["witness"] == out["candidates"][0]["lattice"] == data
+    assert len(calls) == len(reports)
 
 
 def test_verify_close_abstains_when_not_close():

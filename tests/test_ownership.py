@@ -10,7 +10,10 @@ So has the elimination over the residue field: ``subspaces._echelon``, which
 ``rank_of`` and ``Subspace.contains`` read without a loop of their own, and
 which the residue rung of ``truncated`` runs over Q as over F_p, with no
 certificate modulo a prime.  No module of the library uses ``assert``, which
-``python -O`` strips with the soundness checks it would hold."""
+``python -O`` strips with the soundness checks it would hold.  Coordinates
+and the Koenig value read the data they are given: ``Lattice`` keeps no
+below-diagonal copy of its basis, and ``representatives`` no table of ranks
+per index subset."""
 
 import ast
 from pathlib import Path
@@ -111,6 +114,17 @@ def test_truncated_holds_no_certificate_field():
     assert "_CERTIFICATE_FIELD" not in names(tree)
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, ast.Call) and "BaseField" in names(node.func)]
+
+
+def test_coordinates_and_the_koenig_value_keep_no_memo():
+    # ``forward_substitute`` reads the stored basis, and the Koenig value
+    # ranks one sum per set of distinct subspaces, with no rank table.
+    from latticeval import representatives
+    from latticeval.lattices import Lattice
+    assert "_below" not in Lattice.__slots__
+    assert "_below" not in names(parse(SRC / "lattices.py"))
+    assert not hasattr(representatives, "_min_subset")
+    assert "_min_subset" not in names(parse(SRC / "representatives.py"))
 
 
 def test_the_library_has_no_assert_statement():
