@@ -2,9 +2,8 @@
 and independent-representative witnesses for subspace families.
 
 The linear value (the linearized Koenig, or Moshonkin, minimum) ranks one
-sum per set of distinct subspaces of the family, not one per index subset,
-so a multiset such as that of ``multiset_g`` costs 2^(distinct subspaces)
-ranks; ``MAX_SUBSET_SCAN`` still caps the family size r."""
+sum per set of distinct subspaces of the family: 2^k ranks for k distinct
+ones, however often each repeats.  ``MAX_SUBSET_SCAN`` caps the family size."""
 
 from __future__ import annotations
 
