@@ -11,6 +11,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 from latticeval import serialize
 from latticeval.closecase import (
     SubspaceTriple,
@@ -27,7 +29,7 @@ from latticeval.densepoly import to_poly
 from latticeval.detval import multi_f, star_cost
 from latticeval.harness import ConjectureReport, _scan, verify_star
 from latticeval.lattices import Lattice
-from latticeval.randgen import random_close_triple, random_index, random_lattice
+from latticeval.randgen import random_close_triple, random_index, random_lattice, random_subspace
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
 from latticeval.subspaces import Subspace, all_subspaces
 
@@ -207,6 +209,75 @@ def test_closed_form_costs_equal_lattice_star_costs_f2():
                     assert cost == star_cost(idx, config, cand)
                     checked += 1
     assert checked == 66960
+
+
+def reference_min_formula(triple, i, j, k):
+    """The eight-cut minimum term by term, as ``min_formula`` first wrote it."""
+    if i + j + k != triple.n:
+        raise ValueError("indices must sum to the ambient dimension")
+    u1, u2, u3 = triple.u1, triple.u2, triple.u3
+    return min(
+        i + j + k,
+        j + k + u1.dim,
+        i + k + u2.dim,
+        i + j + u3.dim,
+        k + u1.sum(u2).dim,
+        j + u1.sum(u3).dim,
+        i + u2.sum(u3).dim,
+        u1.sum(u2).sum(u3).dim,
+    )
+
+
+def reference_candidate_costs(triple, i, j, k):
+    """The closed-form candidate costs with the spans and dimensions held in
+    dicts keyed by the sorted tuple of subspace positions, as
+    ``candidate_costs`` first wrote them."""
+    idx = (i, j, k)
+    n = triple.n
+    u1, u2, u3 = triple.u1, triple.u2, triple.u3
+    spans = {(0,): u1, (1,): u2, (2,): u3,
+             (0, 1): u1.sum(u2), (0, 2): u1.sum(u3), (1, 2): u2.sum(u3)}
+    spans[(0, 1, 2)] = spans[(0, 1)].sum(u3)
+    dims = {key: w.dim for key, w in spans.items()}
+    out = [("tE", None, sum(min(dims[(x,)], i_x) for x, i_x in enumerate(idx)))]
+    for key, w in spans.items():
+        cost = -2 * dims[key]
+        for x, i_x in enumerate(idx):
+            u = dims[(x,)]
+            c = u + dims[key] - dims[tuple(sorted({*key, x}))]
+            cost += u + min(n - i_x, dims[key] - c) - max(0, u - c - i_x)
+        out.append(("+".join("LMN"[x] for x in key), w, cost))
+    return out
+
+
+def _closed_forms_agree(triples, n):
+    indices = [idx for idx in itertools.product(range(n + 1), repeat=3) if sum(idx) == n]
+    checked = 0
+    for us in triples:
+        triple = SubspaceTriple(*us)
+        for idx in indices:
+            assert candidate_costs(triple, *idx) == reference_candidate_costs(triple, *idx)
+            assert min_formula(triple, *idx) == reference_min_formula(triple, *idx)
+            checked += 1
+    return checked
+
+
+def test_closed_forms_match_dict_reference():
+    """Labels, W and costs of every candidate, and the eight-cut value: every
+    ordered F_2 triple with n = 3 and every index vector (40,960 cases), a
+    seeded sample of ordered F_3 triples with n = 3, and random F_2 and F_3
+    triples with n = 4."""
+    f2, f3 = GF(2), GF(3)
+    subs2 = all_subspaces(3, f2)
+    assert _closed_forms_agree(itertools.product(subs2, repeat=3), 3) == 40960
+    subs3 = all_subspaces(3, f3)
+    rng = random.Random(606)
+    assert _closed_forms_agree([rng.choices(subs3, k=3) for _ in range(400)], 3) == 4000
+    for field in (f2, f3):
+        triples = [[random_subspace(rng, 4, field) for _ in range(3)] for _ in range(100)]
+        assert _closed_forms_agree(triples, 4) == 1500
+    with pytest.raises(ValueError):
+        min_formula(SubspaceTriple(*subs2[:3]), 1, 1, 0)
 
 
 def test_close_case_exhaustive_f3():
