@@ -4,8 +4,10 @@ Such a lattice is determined by its projection to t^{-1}E / E = F^n, so a
 triple reduces to three subspaces of F^n.  The triple decomposes as a
 D4-quiver representation into nine indecomposable types; the maximum number of
 independently choosable vectors is a max-flow in a small four-layer network,
-its min cut is an eight-term minimum over subspace dimensions, and each cut
-names a witness lattice among tE, L, M, N and their sums.
+and its min cut is an eight-term minimum.  The eight cuts are the eight
+subsets S of {U1, U2, U3}: the cut of S costs the dimension of the sum of S
+(0 for the empty set) plus the indices of the U_j outside S.  Each cut names
+a witness lattice among tE, L, M, N and their sums.
 
 Every candidate is tE or E + t^{-1}W with W one of U1, U2, U3 or a sum of
 them, so its star cost needs only subspace dimensions.  Write u_j = dim U_j,
@@ -21,8 +23,11 @@ entries -1 and zeros (for P = tE: u_j entries -2, n - u_j entries -1).  Since
 f_{i, n-i}(L, P) = f_n(L) + (sum of the n - i largest invariants), with
 f_n(L_j) = u_j and f_n(P) = w (or -n), the star cost sum_j f_{i_j, n-i_j}(L_j,
 P) - 2 f_n(P) is the expression above.  As c_j = u_j + w - dim(U_j + W), every
-cost is a function of the seven dimensions of U1, U2, U3 and their sums, the
-same ones the eight-cut minimum reads.
+cost is a function of seven dimensions: those of the sums over the seven
+nonempty subsets of {U1, U2, U3}, the same ones the eight-cut minimum reads.
+Both closed forms take them from one table of those sums indexed by bitmask
+(``_sum_spans``: bit 1 for U1, 2 for U2, 4 for U3), so the dimension of
+U_j + W is the slot of the mask of W with the bit of U_j set.
 
 A lattice is built only for the witness.  Any lattice B = gE can stand in for
 E (``harness`` uses the meet of the triple): moving everything by g shifts
@@ -217,42 +222,48 @@ def max_flow(net: FlowNetwork) -> int:
         total += bottleneck
 
 
-def min_formula(triple: SubspaceTriple, i: int, j: int, k: int) -> int:
-    """The eight-cut minimum, in its (U, index)-symmetric form."""
-    if i + j + k != triple.n:
-        raise ValueError("indices must sum to the ambient dimension")
+# The seven candidates E + t^{-1}W after tE, in examination order, as (mask
+# of the U_j summed into W, label); bit 1 is U1 (L), 2 is U2 (M), 4 is U3 (N).
+_CANDIDATES = ((1, "L"), (2, "M"), (4, "N"), (3, "L+M"), (5, "L+N"), (6, "M+N"), (7, "L+M+N"))
+
+
+def _sum_spans(triple: SubspaceTriple) -> tuple:
+    """The sums of the eight subsets of {U1, U2, U3}, indexed by mask (bit 1
+    for U1, 2 for U2, 4 for U3); slot 0, the empty sum, is None."""
     u1, u2, u3 = triple.u1, triple.u2, triple.u3
-    return min(
-        i + j + k,
-        j + k + u1.dim,
-        i + k + u2.dim,
-        i + j + u3.dim,
-        k + u1.sum(u2).dim,
-        j + u1.sum(u3).dim,
-        i + u2.sum(u3).dim,
-        u1.sum(u2).sum(u3).dim,
-    )
+    u12 = u1.sum(u2)
+    return (None, u1, u2, u12, u3, u1.sum(u3), u2.sum(u3), u12.sum(u3))
+
+
+def min_formula(triple: SubspaceTriple, i: int, j: int, k: int) -> int:
+    """The eight-cut minimum: over the eight subsets of {U1, U2, U3}, in mask
+    order, the dimension of their sum plus the indices of the U_j outside it."""
+    n = triple.n
+    if i + j + k != n:
+        raise ValueError("indices must sum to the ambient dimension")
+    _, u1, u2, u12, u3, u13, u23, u123 = _sum_spans(triple)
+    return min(n, j + k + u1.dim, i + k + u2.dim, k + u12.dim,
+               i + j + u3.dim, j + u13.dim, i + u23.dim, u123.dim)
 
 
 def candidate_costs(triple: SubspaceTriple, i: int, j: int, k: int):
     """(label, W, star cost) of the eight candidates in the fixed examination
     order tE, L, M, N, L+M, L+N, M+N, L+M+N, from the closed form of the
-    module docstring; W is None for tE."""
-    idx = (i, j, k)
+    module docstring; W is None for tE.  Every dimension it reads, u_j, w and
+    dim(U_j + W), is one slot of ``_sum_spans``."""
     n = triple.n
-    u1, u2, u3 = triple.u1, triple.u2, triple.u3
-    spans = {(0,): u1, (1,): u2, (2,): u3,
-             (0, 1): u1.sum(u2), (0, 2): u1.sum(u3), (1, 2): u2.sum(u3)}
-    spans[(0, 1, 2)] = spans[(0, 1)].sum(u3)
-    dims = {key: w.dim for key, w in spans.items()}
-    out = [("tE", None, sum(min(dims[(x,)], i_x) for x, i_x in enumerate(idx)))]
-    for key, w in spans.items():
-        cost = -2 * dims[key]
-        for x, i_x in enumerate(idx):
-            u = dims[(x,)]
-            c = u + dims[key] - dims[tuple(sorted({*key, x}))]
-            cost += u + min(n - i_x, dims[key] - c) - max(0, u - c - i_x)
-        out.append(("+".join("LMN"[x] for x in key), w, cost))
+    spans = _sum_spans(triple)
+    dims = (0, *[w.dim for w in spans[1:]])
+    idx = ((1, i), (2, j), (4, k))
+    out = [("tE", None, sum(min(dims[bit], i_x) for bit, i_x in idx))]
+    for mask, label in _CANDIDATES:
+        w = dims[mask]
+        cost = -2 * w
+        for bit, i_x in idx:
+            u = dims[bit]
+            c = u + w - dims[mask | bit]
+            cost += u + min(n - i_x, w - c) - max(0, u - c - i_x)
+        out.append((label, spans[mask], cost))
     return out
 
 

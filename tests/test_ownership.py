@@ -13,7 +13,9 @@ certificate modulo a prime.  No module of the library uses ``assert``, which
 ``python -O`` strips with the soundness checks it would hold.  Coordinates
 and the Koenig value read the data they are given: ``Lattice`` keeps no
 below-diagonal copy of its basis, and ``representatives`` no table of ranks
-per index subset."""
+per index subset.  The close case's two closed forms read one table of
+subset sums, ``closecase._sum_spans``, and ``candidate_costs`` builds no
+keys or labels: it calls no ``sorted`` and no ``str.join``."""
 
 import ast
 from pathlib import Path
@@ -125,6 +127,15 @@ def test_coordinates_and_the_koenig_value_keep_no_memo():
     assert "_below" not in names(parse(SRC / "lattices.py"))
     assert not hasattr(representatives, "_min_subset")
     assert "_min_subset" not in names(parse(SRC / "representatives.py"))
+
+
+def test_the_close_case_closed_forms_read_one_table_of_sums():
+    costs = function("closecase", "candidate_costs")
+    called = set().union(*(names(node.func) for node in ast.walk(costs)
+                           if isinstance(node, ast.Call)))
+    assert not called & {"sorted", "join"}
+    for name in ("candidate_costs", "min_formula"):
+        assert "_sum_spans" in names(function("closecase", name)), name
 
 
 def test_the_library_has_no_assert_statement():
