@@ -69,6 +69,9 @@ class SubspaceTriple:
     def __post_init__(self):
         if not (self.u1.n == self.u2.n == self.u3.n):
             raise ValueError("ambient dimensions differ")
+        field = self.u1.field
+        if any(u.field is not field and u.field != field for u in (self.u2, self.u3)):
+            raise ValueError("base fields differ")
 
     @property
     def n(self) -> int:

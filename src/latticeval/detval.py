@@ -113,8 +113,7 @@ def multi_f_detail(idx, lattices: list[Lattice]):
     column indices chosen from the j-th lattice.
     """
     n = lattices[0].n
-    if any(l.n != n for l in lattices):
-        raise ValueError("rank mismatch")
+    lattices[0].check_same_space(*lattices[1:])
     if len(idx) != len(lattices):
         raise ValueError("one index per lattice required")
     _check_index(idx, n)

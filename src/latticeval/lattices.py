@@ -229,14 +229,24 @@ class Lattice:
             raise ValueError("vector length mismatch")
         return _integral(self.pair_coordinates([polynomial_column(v, self.field.p)]))
 
-    def contains_lattice(self, other: "Lattice") -> bool:
-        return _integral(self.pair_coordinates(other.basis))
-
-    def sum(self, *others: "Lattice") -> "Lattice":
-        gens = list(self.basis)
+    def check_same_space(self, *others: "Lattice") -> None:
+        """Raise ValueError unless every one of others has the rank and the
+        field of this lattice.  Fields are shared objects on every hot path,
+        so ``is`` answers before ``==`` is asked."""
         for m in others:
             if m.n != self.n:
                 raise ValueError("rank mismatch")
+            if m.field is not self.field and m.field != self.field:
+                raise ValueError("field mismatch")
+
+    def contains_lattice(self, other: "Lattice") -> bool:
+        self.check_same_space(other)
+        return _integral(self.pair_coordinates(other.basis))
+
+    def sum(self, *others: "Lattice") -> "Lattice":
+        self.check_same_space(*others)
+        gens = list(self.basis)
+        for m in others:
             gens.extend(m.basis)
         return Lattice.from_pairs(gens, self.n, self.field)
 

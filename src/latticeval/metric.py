@@ -142,8 +142,7 @@ def smith_form(a: list[list[ValuedScalar]]):
 @lru_cache(maxsize=1 << 18)
 def relative_invariants(l: Lattice, m: Lattice) -> Coweight:
     """The dominant coweight (a_1 >= ... >= a_n) of M relative to L."""
-    if l.n != m.n:
-        raise ValueError("rank mismatch")
+    l.check_same_space(m)
     # The columns of S . basis(L)^{-1} basis(M), read as rows: transposing,
     # the unit S and the column scales of the stored bases over Q (against
     # the canonical ones) move no invariant factor.

@@ -60,6 +60,17 @@ def test_extract_triple_range_error():
         extract_triple(far, e, e)
 
 
+def test_triple_rejects_mixed_fields_and_dimensions():
+    with pytest.raises(ValueError, match="base fields differ"):
+        SubspaceTriple(Subspace.full(2, GF(2)), Subspace.full(2, GF(3)), Subspace.zero(2, GF(2)))
+    with pytest.raises(ValueError, match="base fields differ"):
+        SubspaceTriple(Subspace.zero(2, RATIONAL), Subspace.zero(2, RATIONAL), Subspace.zero(2, GF(2)))
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        SubspaceTriple(Subspace.zero(2, GF(2)), Subspace.zero(3, GF(2)), Subspace.zero(2, GF(2)))
+    # Equal fields that are distinct objects are one field.
+    assert SubspaceTriple(Subspace.zero(2, GF(2)), Subspace.zero(2, GF(2)), Subspace.zero(2, GF(2))).n == 2
+
+
 def test_decompose_type_d():
     u1 = span([(1, 0)], 2)
     u2 = span([(0, 1)], 2)

@@ -9,7 +9,9 @@ import pytest
 
 from latticeval import densepoly, lattices, serialize
 from latticeval.densepoly import addmul, from_poly, to_poly
+from latticeval.detval import multi_f, multi_f_detail
 from latticeval.lattices import Lattice, SingularMatrixError, integer_column, polynomial_column
+from latticeval.metric import distance, relative_invariants
 from latticeval.randgen import random_lattice, random_scalar, random_unimodular
 from latticeval.scalars import GF, RATIONAL, LaurentPoly, ValuedScalar
 from test_truncated import reference_canonicalize
@@ -81,6 +83,27 @@ def test_containment_and_sum():
         assert l1.contains_lattice(m) and l2.contains_lattice(m)
         # Modularity at the ends: sum and intersection bracket both inputs.
         assert s.contains_lattice(m)
+
+
+def test_binary_operations_reject_mixed_ranks_and_fields():
+    q3, q2 = Lattice.standard(3, RATIONAL), Lattice.standard(2, RATIONAL)
+    for a, b in ((q3, q2), (q2, q3)):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            a.contains_lattice(b)
+        with pytest.raises(ValueError, match="rank mismatch"):
+            a.sum(b)
+    f2, f3 = Lattice.standard(3, GF(2)), Lattice.standard(3, GF(3))
+    for a, b in ((f2, f3), (f3, f2), (q3, f2)):
+        for op in (a.contains_lattice, a.sum, lambda m: distance(a, m),
+                   lambda m: relative_invariants(a, m),
+                   lambda m: multi_f((1, 2), [a, m]),
+                   lambda m: multi_f_detail((1, 1, 1), [a, a, m])):
+            with pytest.raises(ValueError, match="field mismatch"):
+                op(b)
+    # Equal fields that are distinct objects are one field.
+    assert f2.contains_lattice(Lattice.standard(3, GF(2)))
+    assert f2.sum(Lattice.standard(3, GF(2))) == f2
+    assert distance(f2, Lattice.standard(3, GF(2))) == (0, 0, 0)
 
 
 def test_intersection_is_largest_common():
